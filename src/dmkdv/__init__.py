@@ -3,7 +3,7 @@
 Building blocks:
 
 * ``lattice``    -- the ODE system and its RK4 integrator
-* ``scattering`` -- Jost solutions and a(z), b(z), r(z) on |z| = 1
+* ``scattering`` -- a(z), b(z) as Laurent polynomials; r(z) on |z| = 1
 * ``phase``      -- phase function, stationary points, scaling factors
 * ``weights``    -- scalar-problem function delta and arc-integral
                     coefficients (nu_j, chi_j, hat_delta_j, delta_j^0)
@@ -23,7 +23,6 @@ from .errors import (
     PoleError,
     QuadratureError,
     ReflectionTooLargeError,
-    SingularStepError,
     SpillError,
 )
 from .harness import ComparisonRecord, RunConfig, emit, run_compare, selftest
@@ -54,22 +53,16 @@ from .phase import (
     StationarySet,
     phase_at,
     phase_derivative,
-    phase_second_derivative,
-    scaling_factor,
     stationary_points,
 )
 from .scattering import (
-    JostPair,
     ReflectionGrid,
     ScatteringData,
     UnitCirclePoint,
-    jost_minus,
-    jost_pair,
-    jost_plus,
-    reduced_potential,
     reflection_evaluator,
     reflection_grid,
     scattering_coefficients,
+    scattering_polynomials,
 )
 from .weights import (
     ArcSpec,

@@ -25,11 +25,6 @@ class DomainError(DmkdvError):
     (off the unit circle, at z = 0, on an integration arc, ...)."""
 
 
-class SingularStepError(DmkdvError):
-    """A one-step transfer matrix was singular; cannot happen for
-    admissible data with sup|q| < 1."""
-
-
 class ReflectionTooLargeError(DmkdvError):
     """|r(z)| reached 1; the defocusing assumption |r| < 1 is violated."""
 

@@ -239,9 +239,7 @@ def _compare_row(config: RunConfig, v: float, t: float,
 
 
 def _row_worker(args) -> ComparisonRecord:
-    config_dict, v, t, compute_direct, compute_asym = args
-    config = RunConfig.from_dict(config_dict)
-    return _compare_row(config, v, t, compute_direct, compute_asym)
+    return _compare_row(*args)
 
 
 def run_compare(config: RunConfig, compute_direct: bool = True,
@@ -253,7 +251,7 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     with threads > 1 they run in a process pool; assembly order is fixed
     regardless of parallelism.
     """
-    jobs = [(config.to_dict(), v, t, compute_direct, compute_asym)
+    jobs = [(config, v, t, compute_direct, compute_asym)
             for v in config.v_list for t in config.t_list]
     if config.threads > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(

@@ -28,8 +28,6 @@ __all__ = [
     "phase_at",
     "phase_derivative",
     "stationary_points",
-    "phase_second_derivative",
-    "scaling_factor",
 ]
 
 DEFAULT_V_MAX = 1.8
@@ -116,18 +114,3 @@ def stationary_points(ray: RayParams, margin: float = MERGING_MARGIN,
         raise DomainError(f"stationary-point residual {worst:.3e} too large")
     return StationarySet(S=S, theta0=theta0, phi_dd=phi_dd, beta=beta, ray=ray)
 
-
-def phase_second_derivative(ray: RayParams, j: int) -> complex:
-    """Closed form phi''(S_j) = (-1)^j 2i S_j^-2 sqrt(4t^2 - n^2)."""
-    return stationary_points(ray).phi_dd[_check_j(j) - 1]
-
-
-def scaling_factor(ray: RayParams, j: int) -> complex:
-    """beta_j = (1/2)(4t^2 - n^2)^(-1/4) i S_j (-1)^j."""
-    return stationary_points(ray).beta[_check_j(j) - 1]
-
-
-def _check_j(j: int) -> int:
-    if j not in (1, 2, 3, 4):
-        raise ValueError("j must be one of 1, 2, 3, 4")
-    return j

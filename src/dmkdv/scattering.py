@@ -1,37 +1,40 @@
 """Direct scattering transform for the lattice on the unit circle.
 
-Jost solutions are built by 2x2 transfer recursions at t = 0.  With the
-one-step increment
+The scattering data come from the 2x2 transfer recursion at t = 0 with
+the one-step increment
 
-    B_k(z) = [[0, q_k z^(-2k-1)], [q_k z^(2k+1), 0]],
+    B_k(z) = [[0, q_k z^(-2k-1)], [q_k z^(2k+1), 0]].
 
-the left eigenfunction satisfies Y_{k+1} = (I + B_k) Y_k with Y -> I far
-left of the support, and the right one Y_k = (I + B_k)^(-1) Y_{k+1} with
-Y -> I far right.  The connection coefficients follow from determinant
-formulas; on |z| = 1 they satisfy |a|^2 - |b|^2 = c_inf, and the
-reflection coefficient r = b/a has |r| < 1.
+Starting from (u, w) = (1, 0) far left of the support, each site applies
+the simultaneous update
+
+    (u, w) <- (u + q_k z^(-2k-1) w,  w + q_k z^(2k+1) u),
+
+and one site past the right edge (u, w) = (a(z), b(z)).  For finite
+support both are Laurent polynomials in z: a has the even exponents
+-2(k_max - k_min) .. 0 with constant term exactly 1, b the odd exponents
+2k_min + 1 .. 2k_max + 1.  The recursion runs once per state on their
+coefficient arrays; every value of a, b and r = b/a is an evaluation of
+those polynomials.  On |z| = 1 they satisfy |a|^2 - |b|^2 = c_inf, so
+|a| > 0 and the reflection coefficient r = b/a has |r| < 1.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ReflectionTooLargeError, SingularStepError
+from .errors import DomainError, ReflectionTooLargeError
 from .lattice import LatticeState, conserved_c_inf
 
 __all__ = [
     "UnitCirclePoint",
-    "JostPair",
     "ScatteringData",
+    "ScatteringPolynomials",
     "ReflectionGrid",
-    "reduced_potential",
-    "jost_minus",
-    "jost_plus",
-    "jost_pair",
+    "scattering_polynomials",
     "scattering_coefficients",
     "reflection_grid",
     "reflection_evaluator",
@@ -60,23 +63,8 @@ class UnitCirclePoint:
 
     @classmethod
     def from_z(cls, z: complex) -> "UnitCirclePoint":
-        if abs(abs(z) - 1.0) > _CIRCLE_TOL:
-            raise DomainError(f"|z| = {abs(z)!r} is not 1 within {_CIRCLE_TOL}")
-        zn = z / abs(z)
+        zn = _on_circle(complex(z))
         return cls(theta=cmath.phase(zn), z=zn)
-
-
-@dataclass(frozen=True)
-class JostPair:
-    """Left/right eigenfunctions evaluated at a common site."""
-
-    y_minus: np.ndarray
-    y_plus: np.ndarray
-    at_site: int
-
-    def __post_init__(self):
-        if abs(np.linalg.det(self.y_plus)) == 0.0:
-            raise SingularStepError("right eigenfunction is singular")
 
 
 @dataclass(frozen=True)
@@ -90,117 +78,117 @@ class ScatteringData:
     c_inf: float
 
 
-def _as_complex(z) -> complex:
-    return z.z if isinstance(z, UnitCirclePoint) else complex(z)
+@dataclass(frozen=True)
+class ScatteringPolynomials:
+    """a(z) = sum_i a_coeffs[i] z^(a_low + 2i), b(z) likewise, and c_inf.
+
+    Coefficients are real; exact zeros at either end are trimmed, so the
+    zero state has a_coeffs = (1.0,) and no b coefficients.  On |z| = 1
+    the rounding error of a and b is O(eps) times prod(1 + |q_k|), the
+    coefficient sum of the same recursion run on |q|: tight for small
+    data, loose relative to |a| for strongly reflecting data.
+    """
+
+    a_coeffs: tuple
+    a_low: int
+    b_coeffs: tuple
+    b_low: int
+    c_inf: float
+
+    def __call__(self, z):
+        """(a(z), b(z)) at a nonzero scalar or array z."""
+        return (_laurent(self.a_coeffs, self.a_low, z),
+                _laurent(self.b_coeffs, self.b_low, z))
 
 
-def reduced_potential(q: LatticeState, n: int, z) -> np.ndarray:
-    """One-step transfer increment B_n(z) at t = 0, restricted to |z| = 1."""
-    zc = _as_complex(z)
-    if abs(abs(zc) - 1.0) > _CIRCLE_TOL:
-        raise DomainError(f"|z| = {abs(zc)!r} is not 1 within {_CIRCLE_TOL}")
+def _laurent(coeffs: tuple, low: int, z):
+    # Horner from both ends toward the exponent nearest 0: the terms there
+    # (a's constant 1 among them) pick up the fewest roundings, and for
+    # data near the origin no large power of z multiplies the sum.
+    p = min(max((1 - low) // 2, 0), len(coeffs))
+    zeta = z * z
+    inv = 1.0 / zeta
+    upper = 0.0
+    for c in reversed(coeffs[p:]):
+        upper = upper * zeta + c
+    lower = 0.0
+    for c in coeffs[:p]:
+        lower = (lower + c) * inv
+    return (upper + lower) * z ** (low + 2 * p)
+
+
+def _trimmed(coeffs: np.ndarray, low: int) -> tuple:
+    nonzero = np.flatnonzero(coeffs)
+    if nonzero.size == 0:
+        return (), 0
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    return tuple(coeffs[first:last + 1].tolist()), low + 2 * first
+
+
+def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
+    """Run the transfer recursion on coefficient arrays, once per state.
+
+    With k_min..k_max the outermost nonzero sites and K = k_max - k_min,
+    a is stored as U[i] at z^(2(i - K)) and b as W[i] at z^(2(i + k_min)
+    + 1).  Site k = k_min + s then adds q_k W[0..s] onto U[K-s..K] and
+    q_k U[K-s..K] onto W[0..s]; everything outside those slices is still
+    zero at that point.
+    """
     if q.t != 0.0:
         raise ValueError("scattering data is defined from the t = 0 state")
-    qn = q.value_at(n)
-    return np.array([[0.0, qn * zc ** (-2 * n - 1)],
-                     [qn * zc ** (2 * n + 1), 0.0]], dtype=complex)
+    offsets = np.flatnonzero(q.values)
+    first = int(offsets[0]) if offsets.size else 0
+    span = int(offsets[-1]) - first if offsets.size else 0
+    u = np.zeros(span + 1)
+    u[span] = 1.0
+    w = np.zeros(span + 1)
+    for offset in offsets:
+        qk = q.values[offset]
+        s = int(offset) - first
+        u_tail, w_head = u[span - s:], w[:s + 1]
+        u[span - s:], w[:s + 1] = u_tail + qk * w_head, w_head + qk * u_tail
+    a_coeffs, a_low = _trimmed(u, -2 * span)
+    b_coeffs, b_low = _trimmed(w, 2 * (q.n_min + first) + 1)
+    return ScatteringPolynomials(a_coeffs=a_coeffs, a_low=a_low,
+                                 b_coeffs=b_coeffs, b_low=b_low,
+                                 c_inf=conserved_c_inf(q))
 
 
-def _step(qn: float, n: int, z: complex) -> np.ndarray:
-    # I + B_n(z); valid for any z != 0, not just on the circle
-    return np.array([[1.0, qn * z ** (-2 * n - 1)],
-                     [qn * z ** (2 * n + 1), 1.0]], dtype=complex)
+def _on_circle(z):
+    # z / |z| for scalar or array z, after checking |z| = 1
+    modulus = abs(z)
+    off = float(np.max(abs(modulus - 1.0)))
+    if off > _CIRCLE_TOL:
+        raise DomainError(f"|z| is {off:.3e} away from 1, beyond "
+                          f"{_CIRCLE_TOL}")
+    return z / modulus
 
 
-def jost_minus(q: LatticeState, z, n_stop: int) -> np.ndarray:
-    """Left Jost solution Y_{n_stop}^(-) (identity far left of support)."""
-    zc = _as_complex(z)
-    y = np.eye(2, dtype=complex)
-    for k in range(q.n_min, n_stop):
-        qk = q.value_at(k)
-        if qk != 0.0:
-            y = _step(qk, k, zc) @ y
-    return y
-
-
-def jost_plus(q: LatticeState, z, n_stop: int) -> np.ndarray:
-    """Right Jost solution Y_{n_stop}^(+) (identity far right of support)."""
-    zc = _as_complex(z)
-    y = np.eye(2, dtype=complex)
-    for k in range(q.n_max, n_stop - 1, -1):
-        qk = q.value_at(k)
-        if qk == 0.0:
-            continue
-        m = _step(qk, k, zc)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det == 0.0:
-            raise SingularStepError(f"singular one-step matrix at site {k}")
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
-                       dtype=complex) / det
-        y = inv @ y
-    return y
-
-
-def jost_pair(q: LatticeState, z, at_site: int) -> JostPair:
-    """Both eigenfunctions evaluated at a common site."""
-    zc = _as_complex(z)
-    return JostPair(y_minus=jost_minus(q, zc, at_site),
-                    y_plus=jost_plus(q, zc, at_site), at_site=at_site)
-
-
-def scattering_coefficients(q: LatticeState, z, n_eval: int | None = None) -> ScatteringData:
-    """Coefficients a, b and r = b/a from the determinant formulas.
-
-    a = det(col1 Y^-, col2 Y^+) / det Y^+ and
-    b = det(col1 Y^+, col1 Y^-) / det Y^+, evaluated at a common site
-    (the result is site independent).  The default site is one past the
-    right edge of the support, where Y^+ is exactly the identity.
-    """
+def scattering_coefficients(q: LatticeState, z) -> ScatteringData:
+    """Coefficients a, b and r = b/a at one circle point."""
     at = z if isinstance(z, UnitCirclePoint) else UnitCirclePoint.from_z(z)
-    if n_eval is None:
-        n_eval = q.n_max + 1
-    ym = jost_minus(q, at.z, n_eval)
-    yp = jost_plus(q, at.z, n_eval)
-    det_p = yp[0, 0] * yp[1, 1] - yp[0, 1] * yp[1, 0]
-    if det_p == 0.0:
-        raise SingularStepError("det Y^+ vanished at the evaluation site")
-    a = (ym[0, 0] * yp[1, 1] - yp[0, 1] * ym[1, 0]) / det_p
-    b = (yp[0, 0] * ym[1, 0] - ym[0, 0] * yp[1, 0]) / det_p
-    return ScatteringData(a=a, b=b, r=b / a, at=at, c_inf=conserved_c_inf(q))
+    poly = scattering_polynomials(q)
+    a, b = poly(at.z)
+    return ScatteringData(a=a, b=b, r=b / a, at=at, c_inf=poly.c_inf)
 
 
 def reflection_evaluator(q: LatticeState):
-    """Callable z -> r(z) for quadrature modules (z complex on |z|=1)."""
-    def r_eval(z: complex) -> complex:
-        return scattering_coefficients(q, z).r
+    """Callable z -> r(z) for scalar or array z on |z| = 1."""
+    poly = scattering_polynomials(q)
+
+    def r_eval(z):
+        a, b = poly(_on_circle(z))
+        return b / a
     return r_eval
 
 
 @dataclass(frozen=True)
 class ReflectionGrid:
-    """r sampled at uniformly spaced angles (diagnostics and plots).
-
-    Evaluation between nodes uses the trigonometric polynomial through the
-    samples (FFT coefficients), which is exact when r is a trigonometric
-    polynomial (e.g. single-site data) and spectrally accurate otherwise.
-    """
+    """r sampled at uniformly spaced angles (diagnostics and plots)."""
 
     points: tuple
     values: np.ndarray
     max_abs_r: float
-
-    @cached_property
-    def _modes(self):
-        size = len(self.values)
-        coeffs = np.fft.fft(self.values) / size
-        # frequencies 0..size-1 fold to negative modes above size//2
-        ks = np.fft.fftfreq(size, d=1.0 / size)
-        return coeffs, ks
-
-    def evaluate(self, z: complex) -> complex:
-        coeffs, ks = self._modes
-        zc = _as_complex(z)
-        return complex(np.sum(coeffs * zc ** ks))
 
 
 def reflection_grid(q: LatticeState, size: int = 256) -> ReflectionGrid:
@@ -209,7 +197,7 @@ def reflection_grid(q: LatticeState, size: int = 256) -> ReflectionGrid:
         raise ValueError("grid size must be a power of two >= 64")
     thetas = 2.0 * np.pi * np.arange(size) / size
     points = tuple(UnitCirclePoint.from_theta(th) for th in thetas)
-    values = np.array([scattering_coefficients(q, p).r for p in points])
+    values = reflection_evaluator(q)(np.array([p.z for p in points]))
     max_abs = float(np.max(np.abs(values)))
     if max_abs >= 1.0 - 1e-8:
         raise ReflectionTooLargeError(

@@ -10,8 +10,6 @@ from dmkdv import (
     RayParams,
     phase_at,
     phase_derivative,
-    phase_second_derivative,
-    scaling_factor,
     stationary_points,
 )
 
@@ -82,14 +80,14 @@ def test_first_derivative_vanishes_random_rays():
 
 def test_second_derivative_closed_form_vs_direct():
     ray0 = RayParams(n=0, t=1.0)
+    stat0 = stationary_points(ray0)
     # both stationary points of the conjugate pair give +4 here; the
     # conjugation symmetry phi''(S2) = conj(phi''(S1)) forces it
-    assert phase_second_derivative(ray0, 1) == pytest.approx(4.0)
-    assert phase_second_derivative(ray0, 2) == pytest.approx(4.0)
-    stat0 = stationary_points(ray0)
+    assert stat0.phi_dd[0] == pytest.approx(4.0)
+    assert stat0.phi_dd[1] == pytest.approx(4.0)
     for j in (1, 2, 3, 4):
         direct = direct_second_derivative(stat0.S[j - 1], ray0)
-        assert abs(phase_second_derivative(ray0, j) - direct) < 1e-12
+        assert abs(stat0.phi_dd[j - 1] - direct) < 1e-12
 
     rng = np.random.default_rng(8)
     for _ in range(25):
@@ -105,7 +103,7 @@ def test_second_derivative_closed_form_vs_direct():
 
 def test_scaling_factor_identity():
     ray0 = RayParams(n=0, t=1.0)
-    beta1 = scaling_factor(ray0, 1)
+    beta1 = stationary_points(ray0).beta[0]
     assert abs(beta1 ** 2 - 0.125j) < 1e-14  # phi'' beta^2 = i/2 with phi''=4
 
     rng = np.random.default_rng(15)
@@ -122,8 +120,8 @@ def test_scaling_factor_identity():
 
 def test_scaling_factor_homogeneity():
     v = 0.5
-    b1 = scaling_factor(RayParams(n=50, t=100.0), 1)
-    b2 = scaling_factor(RayParams(n=200, t=400.0), 1)
+    b1 = stationary_points(RayParams(n=50, t=100.0)).beta[0]
+    b2 = stationary_points(RayParams(n=200, t=400.0)).beta[0]
     assert abs(b2 / b1) == pytest.approx(0.5, rel=1e-12)
 
 

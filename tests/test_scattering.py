@@ -2,20 +2,20 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmkdv import (
     DomainError,
+    InitialProfile,
     LatticeState,
     ReflectionTooLargeError,
     UnitCirclePoint,
     conserved_c_inf,
-    jost_minus,
-    jost_pair,
-    jost_plus,
-    reduced_potential,
     reflection_evaluator,
     reflection_grid,
     scattering_coefficients,
+    scattering_polynomials,
     staggered,
 )
 
@@ -40,83 +40,141 @@ def brute_step(qn, n, z):
     return zinv @ qt
 
 
+# Test-only oracle: the scalar transfer recursion, multiplied out site by
+# site with one 2x2 matrix per site and per point z.
+
+def jost_minus(q, z, n_stop):
+    """Y_{n_stop}^(-) = prod_{k < n_stop} (I + B_k(z)), I far left."""
+    y = np.eye(2, dtype=complex)
+    for k in range(q.n_min, n_stop):
+        y = (np.eye(2) + brute_step(q.value_at(k), k, z)) @ y
+    return y
+
+
+def jost_plus(q, z, n_stop):
+    """Y_{n_stop}^(+) = prod_{k >= n_stop} (I + B_k(z))^-1, I far right."""
+    y = np.eye(2, dtype=complex)
+    for k in range(q.n_max, n_stop - 1, -1):
+        y = np.linalg.solve(np.eye(2) + brute_step(q.value_at(k), k, z), y)
+    return y
+
+
+def oracle_coefficients(q, z, n_eval=None):
+    """(a, b) from the determinant formulas at site n_eval,
+
+    a = det(col1 Y^-, col2 Y^+) / det Y^+,
+    b = det(col1 Y^+, col1 Y^-) / det Y^+;
+
+    any site gives the same values.
+    """
+    n_eval = q.n_max + 1 if n_eval is None else n_eval
+    ym = jost_minus(q, z, n_eval)
+    yp = jost_plus(q, z, n_eval)
+    det_p = yp[0, 0] * yp[1, 1] - yp[0, 1] * yp[1, 0]
+    a = (ym[0, 0] * yp[1, 1] - yp[0, 1] * ym[1, 0]) / det_p
+    b = (yp[0, 0] * ym[1, 0] - ym[0, 0] * yp[1, 0]) / det_p
+    return a, b
+
+
+def assert_matches_oracle(state, thetas, tol=1e-13):
+    zs = np.exp(1j * np.asarray(thetas))
+    a, b = scattering_polynomials(state)(zs)
+    r = reflection_evaluator(state)(zs)
+    for k, z in enumerate(zs):
+        a_o, b_o = oracle_coefficients(state, complex(z))
+        assert abs(a[k] - a_o) <= tol and abs(b[k] - b_o) <= tol
+        assert abs(r[k] - b_o / a_o) <= tol
+        # the scalar path evaluates the same polynomials
+        assert abs(scattering_coefficients(state, complex(z)).r - r[k]) <= tol
+
+
 def test_reduced_potential_examples():
-    zero = single_site(0.0)
-    z = UnitCirclePoint.from_theta(0.37)
-    assert np.all(reduced_potential(zero, 0, z) == 0.0)
-
-    state = single_site(0.5)
-    got = reduced_potential(state, 0, z)
+    # B_n(z) as the oracle builds it
+    z = UnitCirclePoint.from_theta(0.37).z
+    assert np.all(brute_step(0.0, 0, z) == 0.0)
     np.testing.assert_allclose(
-        got, [[0, 0.5 / z.z], [0.5 * z.z, 0]], atol=1e-15)
-
-    state1 = single_site(0.5, site=1)
-    got = reduced_potential(state1, 1, 1j)
-    np.testing.assert_allclose(got, [[0, 0.5j], [-0.5j, 0]], atol=1e-15)
-    np.testing.assert_allclose(got, brute_step(0.5, 1, 1j), atol=1e-15)
+        brute_step(0.5, 0, z), [[0, 0.5 / z], [0.5 * z, 0]], atol=1e-15)
+    np.testing.assert_allclose(
+        brute_step(0.5, 1, 1j), [[0, 0.5j], [-0.5j, 0]], atol=1e-15)
 
 
 def test_reduced_potential_matches_brute_form_at_random_points():
+    # one nonzero site n: (a, b) is the first column of I + B_n(z)
     rng = np.random.default_rng(5)
-    state = LatticeState(n_min=-6, values=rng.uniform(-0.5, 0.5, 13))
     for _ in range(20):
-        theta = rng.uniform(-np.pi, np.pi)
         n = int(rng.integers(-6, 7))
-        z = UnitCirclePoint.from_theta(theta)
-        np.testing.assert_allclose(
-            reduced_potential(state, n, z),
-            brute_step(state.value_at(n), n, z.z), atol=1e-13)
+        qn = rng.uniform(-0.5, 0.5)
+        z = UnitCirclePoint.from_theta(rng.uniform(-np.pi, np.pi)).z
+        a, b = scattering_polynomials(single_site(qn, n))(z)
+        step = np.eye(2) + brute_step(qn, n, z)
+        np.testing.assert_allclose([a, b], step[:, 0], atol=1e-13)
 
 
-def test_reduced_potential_rejects_off_circle():
+def test_off_circle_and_nonzero_time_rejected():
+    state = single_site(0.3)
     with pytest.raises(DomainError):
-        reduced_potential(single_site(0.3), 0, 1.2 + 0j)
+        reflection_evaluator(state)(1.2 + 0j)
+    with pytest.raises(DomainError):
+        reflection_evaluator(state)(np.array([1.0, 1.2j]))
+    with pytest.raises(DomainError):
+        scattering_coefficients(state, 1.2 + 0j)
+    later = LatticeState(n_min=-2, values=state.values, t=1.0)
+    with pytest.raises(ValueError):
+        scattering_polynomials(later)
 
 
 def test_jost_minus_examples():
-    z = UnitCirclePoint.from_theta(1.1)
+    z = UnitCirclePoint.from_theta(1.1).z
     zero = LatticeState(n_min=-3, values=np.zeros(7))
     np.testing.assert_allclose(jost_minus(zero, z, 2), np.eye(2), atol=1e-15)
 
     state = single_site(0.4)
     got = jost_minus(state, z, 1)
     np.testing.assert_allclose(
-        got, [[1, 0.4 / z.z], [0.4 * z.z, 1]], atol=1e-15)
+        got, [[1, 0.4 / z], [0.4 * z, 1]], atol=1e-15)
 
 
 def test_jost_minus_matches_summation_equation():
     # two-term evaluation of Y_n = I + sum_{k<n} B_k Y_k
     q0, q1 = 0.35, -0.2
     state = LatticeState(n_min=0, values=np.array([q0, q1]))
-    z = UnitCirclePoint.from_theta(-0.6)
+    z = UnitCirclePoint.from_theta(-0.6).z
     y0 = np.eye(2, dtype=complex)
-    y1 = y0 + brute_step(q0, 0, z.z) @ y0
-    y2 = y1 + brute_step(q1, 1, z.z) @ y1
+    y1 = y0 + brute_step(q0, 0, z) @ y0
+    y2 = y1 + brute_step(q1, 1, z) @ y1
     np.testing.assert_allclose(jost_minus(state, z, 2), y2, atol=1e-14)
 
 
 def test_jost_plus_examples():
-    z = UnitCirclePoint.from_theta(0.8)
+    z = UnitCirclePoint.from_theta(0.8).z
     zero = LatticeState(n_min=-3, values=np.zeros(7))
     np.testing.assert_allclose(jost_plus(zero, z, -1), np.eye(2), atol=1e-15)
 
     c = 0.4
     state = single_site(c)
     got = jost_plus(state, z, 0)
-    expect = np.array([[1, -c / z.z], [-c * z.z, 1]]) / (1 - c * c)
+    expect = np.array([[1, -c / z], [-c * z, 1]]) / (1 - c * c)
     np.testing.assert_allclose(got, expect, atol=1e-14)
 
     # one site past the support the backward product is empty
     np.testing.assert_allclose(jost_plus(state, z, 3), np.eye(2), atol=1e-15)
 
 
-def test_jost_pair_container():
-    state = single_site(0.4)
-    pair = jost_pair(state, UnitCirclePoint.from_theta(0.5), 1)
-    np.testing.assert_allclose(
-        pair.y_minus, jost_minus(state, UnitCirclePoint.from_theta(0.5), 1))
-    assert pair.at_site == 1
-    assert abs(np.linalg.det(pair.y_plus)) > 0
+def test_polynomials_match_oracle_random_data():
+    rng = np.random.default_rng(31)
+    for sites in (1, 2, 7, 19, 40):
+        state = LatticeState(n_min=int(rng.integers(-30, 30)),
+                             values=rng.uniform(-0.5, 0.5, sites))
+        assert_matches_oracle(state, rng.uniform(-np.pi, np.pi, 16))
+
+
+def test_polynomials_match_oracle_gaussian_support():
+    # 217 sites, of which the outer ones underflow to exact zeros
+    state = InitialProfile(kind="gaussian", amplitude=0.2,
+                           width=2.0).support_state()
+    thetas = np.linspace(-np.pi, np.pi, 24, endpoint=False) + 0.01
+    assert_matches_oracle(state, thetas)
+    assert_matches_oracle(staggered(state), thetas)
 
 
 def test_scattering_zero_data():
@@ -129,11 +187,10 @@ def test_scattering_single_site_closed_form():
     c = 0.3
     state = single_site(c)
     for pt in circle_points(64):
-        for n_eval in (0, 1):
-            sd = scattering_coefficients(state, pt, n_eval=n_eval)
-            assert abs(sd.a - 1.0) < 1e-13
-            assert abs(sd.b - c * pt.z) < 1e-13
-            assert abs(sd.r - c * pt.z) < 1e-13
+        sd = scattering_coefficients(state, pt)
+        assert abs(sd.a - 1.0) < 1e-13
+        assert abs(sd.b - c * pt.z) < 1e-13
+        assert abs(sd.r - c * pt.z) < 1e-13
 
 
 def test_unitarity_random_data():
@@ -148,14 +205,16 @@ def test_unitarity_random_data():
 
 
 def test_site_independence():
+    # the oracle's determinant formulas give the polynomials' values at
+    # every evaluation site
     rng = np.random.default_rng(4)
     state = LatticeState(n_min=-5, values=rng.uniform(-0.5, 0.5, 11))
-    pt = UnitCirclePoint.from_theta(0.33)
-    base = scattering_coefficients(state, pt, n_eval=-8)
-    for n_eval in (-2, 0, 3, 6, 20):
-        sd = scattering_coefficients(state, pt, n_eval=n_eval)
-        assert abs(sd.a - base.a) < 1e-12
-        assert abs(sd.b - base.b) < 1e-12
+    z = UnitCirclePoint.from_theta(0.33).z
+    a, b = scattering_polynomials(state)(z)
+    for n_eval in (-8, -2, 0, 3, 6, 20):
+        a_o, b_o = oracle_coefficients(state, z, n_eval)
+        assert abs(a_o - a) < 1e-12
+        assert abs(b_o - b) < 1e-12
 
 
 def test_conjugation_symmetry_real_data():
@@ -171,11 +230,12 @@ def test_conjugation_symmetry_real_data():
 def test_a_tends_to_one_radially():
     rng = np.random.default_rng(12)
     state = LatticeState(n_min=-4, values=rng.uniform(-0.5, 0.5, 8))
-    gaps = []
-    for radius in (10.0, 100.0):
-        z = radius * cmath.exp(0.4j)
-        ym = jost_minus(state, z, state.n_max + 1)
-        gaps.append(abs(ym[0, 0] - 1.0))  # a(z) with Y+ = I at that site
+    poly = scattering_polynomials(state)
+    # a = 1 + (negative powers of z): its top exponent is 0, coefficient 1
+    assert poly.a_coeffs[-1] == 1.0
+    assert poly.a_low + 2 * (len(poly.a_coeffs) - 1) == 0
+    gaps = [abs(poly(radius * cmath.exp(0.4j))[0] - 1.0)
+            for radius in (10.0, 100.0)]
     assert gaps[0] > gaps[1]
     assert gaps[1] < 1e-3
 
@@ -186,9 +246,6 @@ def test_reflection_grid_single_site():
     for pt, val in zip(grid.points, grid.values):
         assert abs(val - c * pt.z) < 1e-13
     assert grid.max_abs_r == pytest.approx(c, abs=1e-13)
-    # trigonometric interpolation is exact for polynomial r
-    z = cmath.exp(0.123j)
-    assert abs(grid.evaluate(z) - c * z) < 1e-12
 
 
 def test_reflection_grid_zero_and_validation():
@@ -224,3 +281,76 @@ def test_unit_circle_point_validation():
     pt = UnitCirclePoint.from_theta(4.0)  # wraps into (-pi, pi]
     assert -np.pi < pt.theta <= np.pi
     assert abs(pt.z - cmath.exp(1j * pt.theta)) < 1e-15
+
+
+# Property tests over admissible finite-support data.  Each identity is
+# checked to within the a-priori rounding bound of the polynomials on
+# |z| = 1: the recursion and the Horner sums each add O(eps) per step,
+# relative to the coefficients of the same recursion run on |q|, whose
+# sum is prod(1 + |q_k|).  That bound is sharp for small data and grows
+# with prod(1 + |q_k|) for strongly reflecting data.
+
+admissible_states = st.builds(
+    lambda n_min, values: LatticeState(n_min=n_min, values=np.array(values)),
+    st.integers(-60, 60),
+    st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=30))
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
+                    database=None)
+
+CIRCLE = np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+
+
+def rounding_bound(state, poly):
+    steps = (np.count_nonzero(state.values) + len(poly.a_coeffs)
+             + len(poly.b_coeffs))
+    return 8 * steps * np.finfo(float).eps * np.prod(1 + np.abs(state.values))
+
+
+@PROPERTY
+@given(admissible_states)
+def test_property_unitarity(state):
+    poly = scattering_polynomials(state)
+    err = rounding_bound(state, poly)
+    a, b = poly(CIRCLE)
+    defect = np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - conserved_c_inf(state))
+    assert np.all(defect <= 4 * (np.abs(a) + np.abs(b) + err) * err)
+
+
+@PROPERTY
+@given(admissible_states)
+def test_property_reflection_below_one(state):
+    poly = scattering_polynomials(state)
+    err = rounding_bound(state, poly)
+    a, _ = poly(CIRCLE)
+    r = reflection_evaluator(state)(CIRCLE)
+    assert np.all(np.abs(r) < 1.0 + 2 * err / np.abs(a))
+
+
+@PROPERTY
+@given(admissible_states)
+def test_property_staggering_rotates_z(state):
+    poly = scattering_polynomials(state)
+    err = rounding_bound(state, poly)
+    a_rot, _ = poly(1j * CIRCLE)
+    a_stag, _ = scattering_polynomials(staggered(state))(CIRCLE)
+    gap = np.abs(reflection_evaluator(staggered(state))(CIRCLE)
+                 - reflection_evaluator(state)(1j * CIRCLE) / 1j)
+    assert np.all(gap <= 2 * err * (1 / np.abs(a_stag) + 1 / np.abs(a_rot)))
+
+
+@PROPERTY
+@given(admissible_states, st.integers(0, 6), st.integers(0, 6))
+def test_property_zero_padding_invariance(state, left, right):
+    padded = LatticeState(
+        n_min=state.n_min - left,
+        values=np.concatenate([np.zeros(left), state.values,
+                               np.zeros(right)]))
+    poly, poly_padded = (scattering_polynomials(state),
+                         scattering_polynomials(padded))
+    assert (poly_padded.a_coeffs, poly_padded.a_low) == \
+        (poly.a_coeffs, poly.a_low)
+    assert (poly_padded.b_coeffs, poly_padded.b_low) == \
+        (poly.b_coeffs, poly.b_low)
+    assert np.array_equal(reflection_evaluator(padded)(CIRCLE),
+                          reflection_evaluator(state)(CIRCLE))
