@@ -35,8 +35,8 @@ class MergingPointsError(DmkdvError):
 
 
 class QuadratureError(DmkdvError):
-    """Adaptive quadrature failed to meet its tolerance within the
-    subdivision budget."""
+    """Arc quadrature failed to meet its tolerance within the panel
+    budget."""
 
 
 class PoleError(DmkdvError):

@@ -9,7 +9,6 @@ CLI.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import time
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lattice, model, phase, scattering, weights
-from .errors import ConfigError, DmkdvError
+from .errors import ConfigError, DmkdvError, MergingPointsError
 from .lattice import InitialProfile, integrate, staggered
 from .model import DEFAULT_SIGN_CONVENTION, SIGN_CONVENTIONS
 from .phase import RayParams, stationary_points
@@ -61,6 +60,12 @@ class RunConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if not 0 < self.v_max < 2:
+            raise ConfigError("v_max must lie in (0, 2)")
+        if self.grid_size < 64 or self.grid_size & (self.grid_size - 1):
+            raise ConfigError("grid_size must be a power of two >= 64")
+        if min(self.quadrature_tol, self.realness_tol, self.spill_tol) <= 0:
+            raise ConfigError("tolerances must be positive")
         if any(abs(v) > self.v_max for v in self.v_list):
             raise ConfigError(f"every |v| must be <= v_max = {self.v_max}")
         if list(self.t_list) != sorted(self.t_list) or len(self.t_list) == 0:
@@ -139,7 +144,7 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonRecord:
     """One (n, t) comparison row; failed rows carry NaNs and a reason."""
 
@@ -196,9 +201,12 @@ def asymptotic_value(config: RunConfig, v: float, t: float,
     sign alternation; see tests).
     """
     n = probe_site(v, t, config.v_max)
-    # n+1 may overshoot v_max by 1/t; the merging-point guard still holds
-    v_int = max(config.v_max, abs(n + 1) / t + 1e-12)
-    ray = RayParams(n=n + 1, t=t, v_max=min(v_int, 1.949))
+    # n+1 may overshoot v_max by 1/t; only the merging-point guard applies
+    v_ray = abs(n + 1) / t
+    if v_ray >= 2.0 - phase.MERGING_MARGIN:
+        raise MergingPointsError(
+            f"|(n+1)/t| = {v_ray:.4f} is within the merging margin of 2")
+    ray = RayParams(n=n + 1, t=t, v_max=max(config.v_max, v_ray))
     r_eval = reflection_evaluator(staggered(config.profile.support_state()))
     stat = stationary_points(ray)
     coeffs = weights.coefficient_set(r_eval, stat, tol=config.quadrature_tol)
@@ -254,6 +262,7 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     jobs = [(config, v, t, compute_direct, compute_asym)
             for v in config.v_list for t in config.t_list]
     if config.threads > 1 and len(jobs) > 1:
+        import concurrent.futures  # only pooled sweeps pay for its import
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=config.threads) as pool:
             return list(pool.map(_row_worker, jobs))

@@ -83,10 +83,6 @@ def phase_derivative(z: complex, ray: RayParams) -> complex:
     return ray.t * (zc + zc ** -3) - ray.n / zc
 
 
-def _direct_phi_dd(z: complex, ray: RayParams) -> complex:
-    return ray.t * (1.0 - 3.0 * z ** -4) + ray.n / (z * z)
-
-
 def stationary_points(ray: RayParams, margin: float = MERGING_MARGIN,
                       residual_tol: float = 1e-10) -> StationarySet:
     """Locate S_1..S_4 and precompute phi''(S_j) and beta_j.

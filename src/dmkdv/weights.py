@@ -26,16 +26,19 @@ and the per-cross constant assembled from them:
 with hat_delta_j = delta/delta_j and complex powers on the principal
 branch (cut on the negative real axis).
 
-Quadrature is adaptive composite 16-point Gauss-Legendre in the angle;
-the chi_j integrand has a removable singularity at tau = S_j and is
-integrated on panels refined geometrically toward that endpoint.
+Every integral is one rule: composite 16-point Gauss-Legendre in the
+angle on 2^m equal panels, the density sampled once per level and shared
+by all Cauchy sums of a sweep, m growing until no sum moves by more than
+the tolerance.  chi_j(S_j) subtracts g(S_j) from the density, leaving an
+analytic integrand; no Gauss node sits on the endpoint S_j.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,8 +61,23 @@ __all__ = [
 
 DEFAULT_TOL = 1e-11
 _T_ANCHORS = (1.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, -1.0 + 0.0j)
+_MAX_LEVEL = 12  # panel budget: 4,096 panels per arc
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+def _gauss_legendre(m: int) -> tuple:
+    """m-point Gauss-Legendre rule on [-1, 1] by Newton's method on the
+    Legendre recurrence; loads neither numpy.polynomial nor LAPACK."""
+    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(6):
+        p, p_prev = x, np.ones(m)
+        for k in range(2, m + 1):
+            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+        dp = m * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
 @dataclass(frozen=True)
@@ -82,10 +100,6 @@ class ArcSpec:
             raise ValueError("central angle must lie strictly in (0, pi)")
         return cls(start=start, end=end, theta_start=theta_start, dtheta=dtheta)
 
-    def point(self, s: float) -> complex:
-        """Arc point at parameter s in [0, 1] (0 = start, 1 = end)."""
-        return cmath.exp(1j * (self.theta_start + s * self.dtheta))
-
     def contains_angle(self, theta: float) -> bool:
         rel = (theta - self.theta_start) / self.dtheta
         # tolerate wrap-around of the absolute angle
@@ -94,59 +108,54 @@ class ArcSpec:
         return (0.0 <= rel <= 1.0) or (0.0 <= rel_wrapped <= 1.0)
 
 
-def log_density(r_eval, z) -> float:
-    """log(1 - |r(z)|^2) <= 0; the density of every arc integral."""
-    zc = z.z if hasattr(z, "z") else complex(z)
-    rv = r_eval(zc)
-    m2 = abs(rv) ** 2
-    if m2 >= (1.0 - 1e-8) ** 2:
-        raise ReflectionTooLargeError(f"|r({zc})| = {math.sqrt(m2):.9f}")
-    return math.log1p(-m2)
+def log_density(r_eval, z):
+    """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z (a
+    constant r is broadcast); the density of every arc integral."""
+    zc = z.z if hasattr(z, "z") else z
+    m2 = np.broadcast_to(np.abs(r_eval(zc)) ** 2, np.shape(zc))
+    if np.max(m2) >= (1.0 - 1e-8) ** 2:
+        raise ReflectionTooLargeError(
+            f"max |r| = {math.sqrt(np.max(m2)):.9f} at the sampled points")
+    return np.log1p(-m2)
 
 
-def _gl16(f, a: float, b: float) -> complex:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    acc = 0.0 + 0.0j
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += w * f(mid + half * x)
-    return half * acc
-
-
-def _adaptive(f, a: float, b: float, tol: float, depth: int = 0,
-              whole: complex | None = None) -> complex:
-    if whole is None:
-        whole = _gl16(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl16(f, a, mid)
-    right = _gl16(f, mid, b)
-    if abs(left + right - whole) <= tol:
-        return left + right
-    if depth >= 48:
-        raise QuadratureError(
-            f"adaptive quadrature stalled on [{a}, {b}] "
-            f"(residual {abs(left + right - whole):.3e} > {tol:.3e})")
-    return (_adaptive(f, a, mid, 0.5 * tol, depth + 1, left)
-            + _adaptive(f, mid, b, 0.5 * tol, depth + 1, right))
+def _arc_sums(density, arc: ArcSpec, points, shifts=0.0,
+              tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(1/2pi i) int_arc (density(tau) - shift_k) dtau / (tau - z_k) for
+    every z_k, with dtau/(2pi i) = tau dtheta/(2pi) at tau = e^(i theta).
+    The density is sampled once per level of 2^m panels; m grows until no
+    sum moves by more than `tol`."""
+    z = np.reshape(np.asarray(points, dtype=complex), (-1, 1))
+    c = np.reshape(shifts, (-1, 1))
+    previous = None
+    for level in range(_MAX_LEVEL + 1):
+        panels = 2 ** level
+        half = 0.5 * arc.dtheta / panels
+        mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
+        tau = np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
+        weights = np.tile(_GL_WEIGHTS, panels) * (half / (2.0 * math.pi))
+        sums = np.sum((density(tau) - c) * tau / (tau - z) * weights, axis=1)
+        if previous is not None:
+            residual = float(np.max(np.abs(sums - previous)))
+            if residual <= tol:
+                return sums
+        previous = sums
+    raise QuadratureError(
+        f"arc quadrature unsettled at {panels} panels "
+        f"(residual {residual:.3e} > {tol:.3e})")
 
 
 def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
                         tol: float = DEFAULT_TOL) -> complex:
     """(1/2pi i) int_arc density(tau) dtau / (tau - z).
 
-    `density` takes a point tau on the circle; z must be off the open
-    arc.  With tau = e^(i theta), dtau/(2pi i) = e^(i theta) dtheta/(2pi).
+    `density` maps an array of points tau on the circle to an array of
+    values (or to one constant); z must be off the closed arc.
     """
     zc = complex(z)
     if abs(abs(zc) - 1.0) < 1e-13 and arc.contains_angle(cmath.phase(zc)):
         raise DomainError("evaluation point lies on the integration arc")
-
-    def integrand(theta: float) -> complex:
-        tau = cmath.exp(1j * theta)
-        return density(tau) * tau / (2.0 * math.pi * (tau - zc))
-
-    a = arc.theta_start
-    return _adaptive(integrand, a, a + arc.dtheta, tol)
+    return complex(_arc_sums(density, arc, zc, tol=tol)[0])
 
 
 def delta_arcs(stationary: StationarySet) -> tuple:
@@ -164,62 +173,38 @@ def delta_j_arc(stationary: StationarySet, j: int) -> ArcSpec:
 def delta_at(r_eval, stationary: StationarySet, z: complex,
              tol: float = DEFAULT_TOL) -> complex:
     """Scalar-problem solution delta(z); tends to 1 as z -> infinity."""
+    density = functools.partial(log_density, r_eval)
     total = 0.0 + 0.0j
     for arc in delta_arcs(stationary):
-        total += cauchy_arc_integral(
-            lambda tau: log_density(r_eval, tau), arc, z, tol)
+        total += cauchy_arc_integral(density, arc, z, tol)
     return cmath.exp(-total)
 
 
 def delta_j_at(r_eval, stationary: StationarySet, j: int, z: complex,
                tol: float = DEFAULT_TOL) -> complex:
     """Single-arc factor delta_j(z); delta = prod_j delta_j."""
-    _check_j(j)
-    arc = delta_j_arc(stationary, j)
-    val = cauchy_arc_integral(
-        lambda tau: log_density(r_eval, tau), arc, z, tol)
+    val = cauchy_arc_integral(functools.partial(log_density, r_eval),
+                              delta_j_arc(stationary, j), z, tol)
     return cmath.exp((-1) ** (j - 1) * val)
 
 
 def nu_at(r_eval, stationary: StationarySet, j: int) -> float:
     """Local exponent nu_j = -(1/2pi) log(1 - |r(S_j)|^2) >= 0."""
     _check_j(j)
-    return -log_density(r_eval, stationary.S[j - 1]) / (2.0 * math.pi)
+    return float(-log_density(r_eval, stationary.S[j - 1]) / (2.0 * math.pi))
 
 
 def chi_at_stationary(r_eval, stationary: StationarySet, j: int,
                       tol: float = DEFAULT_TOL) -> complex:
-    """chi_j evaluated at z = S_j.
+    """chi_j evaluated at z = S_j, the endpoint of its own arc.
 
-    The integrand log[(1-|r(tau)|^2)/(1-|r(S_j)|^2)] / (tau - S_j) has a
-    removable singularity at tau = S_j; panels are refined geometrically
-    toward that endpoint so the adaptive rule never chases the 0/0
-    cancellation noise.
+    The integrand (g(tau) - g(S_j)) / (tau - S_j) is analytic there, and
+    the Gauss nodes never touch the endpoint.
     """
-    _check_j(j)
     arc = delta_j_arc(stationary, j)
+    density = functools.partial(log_density, r_eval)
     Sj = stationary.S[j - 1]
-    g_at_S = log_density(r_eval, Sj)
-
-    def integrand(theta: float) -> complex:
-        tau = cmath.exp(1j * theta)
-        num = log_density(r_eval, tau) - g_at_S
-        return num * tau / (2.0 * math.pi * (tau - Sj))
-
-    a = arc.theta_start
-    length = arc.dtheta  # signed; endpoint S_j sits at a + length
-    levels = 40
-    total = 0.0 + 0.0j
-    lo = 0.0
-    for m in range(1, levels + 1):
-        hi = length * (1.0 - 0.5 ** m)
-        total += _adaptive(integrand, a + lo, a + hi, tol / levels)
-        lo = hi
-    # remaining sliver of relative size 2^-levels: integrand is bounded,
-    # midpoint estimate is far below tol
-    sliver = length - lo
-    total += integrand(a + lo + 0.5 * sliver) * sliver
-    return total
+    return complex(_arc_sums(density, arc, Sj, density(Sj), tol)[0])
 
 
 def hat_delta_at_stationary(r_eval, stationary: StationarySet, j: int,
@@ -230,11 +215,8 @@ def hat_delta_at_stationary(r_eval, stationary: StationarySet, j: int,
     """
     _check_j(j)
     Sj = stationary.S[j - 1]
-    out = 1.0 + 0.0j
-    for k in (1, 2, 3, 4):
-        if k != j:
-            out *= delta_j_at(r_eval, stationary, k, Sj, tol)
-    return out
+    return math.prod(delta_j_at(r_eval, stationary, k, Sj, tol)
+                     for k in (1, 2, 3, 4) if k != j)
 
 
 def delta_j0(ray: RayParams, stationary: StationarySet,
@@ -268,19 +250,31 @@ class CoefficientSet:
 
 def coefficient_set(r_eval, stationary: StationarySet,
                     tol: float = DEFAULT_TOL) -> CoefficientSet:
-    """Compute every coefficient the asymptotic formula needs."""
-    nu = tuple(nu_at(r_eval, stationary, j) for j in (1, 2, 3, 4))
-    chis = tuple(chi_at_stationary(r_eval, stationary, j, tol)
-                 for j in (1, 2, 3, 4))
-    hats = tuple(hat_delta_at_stationary(r_eval, stationary, j, tol)
-                 for j in (1, 2, 3, 4))
-    d0 = delta_at(r_eval, stationary, 0.0, tol)
-    partial = CoefficientSet(nu=nu, chi_at_S=chis, hat_delta_at_S=hats,
-                             delta_j0=(None,) * 4, delta_at_zero=d0)
-    d0s = tuple(delta_j0(stationary.ray, stationary, partial, j)
-                for j in (1, 2, 3, 4))
-    return CoefficientSet(nu=nu, chi_at_S=chis, hat_delta_at_S=hats,
-                          delta_j0=d0s, delta_at_zero=d0)
+    """Compute every coefficient the asymptotic formula needs.
+
+    One sweep per arc T_j -> S_j gives its integral at z = 0 and at every
+    S_k, with g(S_j) subtracted at its own endpoint (chi_j).  delta(0) is
+    prod_j delta_j(0): arc S1 -> S2 through 1 is arc T1 -> S1 reversed
+    followed by arc T2 -> S2, and likewise through -1.
+    """
+    density = functools.partial(log_density, r_eval)
+    g_at_S = density(np.array(stationary.S))
+    exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
+    chis = []
+    for j in (1, 2, 3, 4):
+        shifts = np.where(np.arange(5) == j, g_at_S[j - 1], 0.0)
+        sums = _arc_sums(density, delta_j_arc(stationary, j),
+                         (0.0,) + stationary.S, shifts, tol)
+        chis.append(complex(sums[j]))
+        sums[j] = 0.0
+        exponents += (-1) ** (j - 1) * sums
+    partial = CoefficientSet(
+        nu=tuple(float(-g / (2.0 * math.pi)) for g in g_at_S),
+        chi_at_S=tuple(chis),
+        hat_delta_at_S=tuple(map(cmath.exp, exponents[1:])),
+        delta_j0=(None,) * 4, delta_at_zero=cmath.exp(exponents[0]))
+    return replace(partial, delta_j0=tuple(delta_j0(
+        stationary.ray, stationary, partial, j) for j in (1, 2, 3, 4)))
 
 
 def _check_j(j: int) -> None:

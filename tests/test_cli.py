@@ -78,6 +78,11 @@ def test_exit_codes(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert main(["compare", "--config", missing]) == 3
 
+    out = str(tmp_path / "out.csv")
+    assert main(["scatter", "--set", "grid_size=100", "--output", out]) == 2
+    assert main(["asymptote", "--set", "v_max=2.5", "--set", "rays=[1.95]",
+                 "--output", out]) == 2
+
 
 def test_selftest_subcommand(tmp_path, capsys):
     code = main(["selftest"])

@@ -53,6 +53,11 @@ def test_config_validation():
         zero_config(output_format="xml")
     with pytest.raises(ConfigError):
         zero_config(threads=0)
+    for bad in (dict(v_max=2.5), dict(v_max=0.0), dict(grid_size=100),
+                dict(grid_size=32), dict(quadrature_tol=0.0),
+                dict(realness_tol=-0.01), dict(spill_tol=0.0)):
+        with pytest.raises(ConfigError):
+            zero_config(**bad)
 
 
 def test_config_dict_round_trip():
@@ -180,6 +185,19 @@ def test_row_failure_isolation(monkeypatch):
     assert records[1].fail_reason is not None
     assert "SpillError" in records[1].fail_reason
     assert math.isnan(records[1].q_direct)
+
+
+@pytest.mark.parametrize("v, v_max, t", [(1.94, 1.95, 100.0),
+                                         (1.9, 1.9, 1.0)])
+def test_merging_probe_fails_its_own_row(v, v_max, t):
+    # the asymptotic ray n+1 lands at |v| >= 1.95, past the merging margin
+    config = zero_config(profile=InitialProfile(kind="single_site",
+                                                amplitude=0.2),
+                         v_list=(0.5, v), t_list=(t,), v_max=v_max)
+    records = run_compare(config, compute_direct=False)
+    assert records[0].fail_reason is None
+    assert "MergingPointsError" in records[1].fail_reason
+    assert math.isnan(records[1].q_asym)
 
 
 def test_parallel_rows_identical_output(tmp_path):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmkdv import (
     ArcSpec,
     DomainError,
+    InitialProfile,
     LatticeState,
     QuadratureError,
     RayParams,
@@ -21,9 +24,10 @@ from dmkdv import (
     log_density,
     nu_at,
     reflection_evaluator,
+    staggered,
     stationary_points,
 )
-from dmkdv.weights import delta_arcs, delta_j_arc
+from dmkdv.weights import _GL_NODES, _GL_WEIGHTS, delta_arcs, delta_j_arc
 
 
 def single_site_eval(c):
@@ -36,7 +40,18 @@ def two_site_eval(q0=0.35, q1=-0.2):
     return reflection_evaluator(LatticeState(n_min=0, values=np.array([q0, q1])))
 
 
+def gaussian_eval():
+    profile = InitialProfile(kind="gaussian", amplitude=0.2, width=2.0)
+    return reflection_evaluator(staggered(profile.support_state()))
+
+
 ZERO_EVAL = lambda z: 0.0 + 0.0j
+
+# the two-site data on an interior ray and on both rays v = +-1.8, plus
+# the staggered 217-site gaussian(0.2, 2) support
+COEFFICIENT_CASES = pytest.mark.parametrize("make_eval, n", [
+    (two_site_eval, 30), (two_site_eval, 144), (two_site_eval, -144),
+    (gaussian_eval, 30), (gaussian_eval, 144), (gaussian_eval, -144)])
 
 
 def test_log_density_examples():
@@ -48,6 +63,14 @@ def test_log_density_examples():
     r_big = lambda z: 1.0 - 1e-9
     with pytest.raises(ReflectionTooLargeError):
         log_density(r_big, 1.0 + 0j)
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    # the rule is built without numpy.polynomial; leggauss is the reference
+    nodes, wts = np.polynomial.legendre.leggauss(16)
+    order = np.argsort(_GL_NODES)
+    assert np.max(np.abs(_GL_NODES[order] - nodes)) < 1e-15
+    assert np.max(np.abs(_GL_WEIGHTS[order] - wts) / wts) < 2e-14
 
 
 def test_cauchy_arc_integral_examples():
@@ -84,7 +107,7 @@ def test_cauchy_rejects_point_on_arc():
 def test_quadrature_error_on_unreachable_tolerance():
     arc = ArcSpec.between(cmath.exp(-1j * math.pi / 4),
                           cmath.exp(1j * math.pi / 4))
-    wild = lambda tau: math.sin(200.0 * cmath.phase(tau)) / (abs(tau - 1.02) ** 2)
+    wild = lambda tau: np.sin(200.0 * np.angle(tau)) / (np.abs(tau - 1.02) ** 2)
     with pytest.raises(QuadratureError):
         cauchy_arc_integral(wild, arc, 1.02, tol=1e-30)
 
@@ -139,11 +162,28 @@ def test_delta_product_identity():
     assert worst < 1e-9
 
 
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(-10, 10),
+       st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
+       st.floats(-1.8, 1.8),
+       st.one_of(st.floats(0.3, 0.85), st.floats(1.15, 2.0)),
+       st.floats(-math.pi, math.pi))
+def test_property_delta_product_identity(n_min, values, v, radius, angle):
+    r_eval = reflection_evaluator(
+        LatticeState(n_min=n_min, values=np.array(values)))
+    stat = stationary_points(RayParams(n=round(100 * v), t=100.0))
+    z = radius * cmath.exp(1j * angle)
+    prod = 1.0 + 0.0j
+    for j in (1, 2, 3, 4):
+        prod *= delta_j_at(r_eval, stat, j, z)
+    assert abs(delta_at(r_eval, stat, z) - prod) < 1e-9
+
+
 def test_arc_layout():
     stat = stationary_points(RayParams(n=50, t=100.0))
     a1, a2 = delta_arcs(stat)
-    assert abs(a1.point(0.5) - 1.0) < stat.theta0      # passes through +1
-    assert abs(a2.point(0.5) + 1.0) < stat.theta0      # passes through -1
+    assert a1.contains_angle(0.0)                      # passes through +1
+    assert a2.contains_angle(math.pi)                  # passes through -1
     assert delta_j_arc(stat, 1).start == 1.0 + 0.0j
     assert delta_j_arc(stat, 4).start == -1.0 + 0.0j
     assert delta_j_arc(stat, 2).end == stat.S[1]
@@ -234,10 +274,11 @@ def test_delta_j0_conjugate_pairing():
     assert abs(coeffs.delta_j0[3] - coeffs.delta_j0[2].conjugate()) < 1e-9
 
 
-def test_coefficient_set_matches_individual_operations():
-    ray = RayParams(n=30, t=80.0)
+@COEFFICIENT_CASES
+def test_coefficient_set_matches_individual_operations(make_eval, n):
+    ray = RayParams(n=n, t=80.0)
     stat = stationary_points(ray)
-    r_eval = two_site_eval()
+    r_eval = make_eval()
     coeffs = coefficient_set(r_eval, stat)
     assert coeffs.delta_at_zero == pytest.approx(delta_at(r_eval, stat, 0.0))
     for j in (1, 2, 3, 4):
@@ -250,9 +291,10 @@ def test_coefficient_set_matches_individual_operations():
             delta_j0(ray, stat, coeffs, j), abs=1e-12)
 
 
-def test_quadrature_self_convergence_of_coefficients():
-    stat = stationary_points(RayParams(n=30, t=80.0))
-    r_eval = two_site_eval()
+@COEFFICIENT_CASES
+def test_quadrature_self_convergence_of_coefficients(make_eval, n):
+    stat = stationary_points(RayParams(n=n, t=80.0))
+    r_eval = make_eval()
     loose = coefficient_set(r_eval, stat, tol=1e-9)
     tight = coefficient_set(r_eval, stat, tol=1e-12)
     assert abs(loose.delta_at_zero - tight.delta_at_zero) < 1e-9
