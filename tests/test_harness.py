@@ -200,6 +200,23 @@ def test_merging_probe_fails_its_own_row(v, v_max, t):
     assert math.isnan(records[1].q_asym)
 
 
+def test_short_time_rows_leave_scaled_error_undefined():
+    # t / log t is undefined at t = 1 and negative below; t = 0.5 leaves
+    # no probe site off the merging margin, so that row fails on its own
+    config = zero_config(profile=InitialProfile(kind="single_site",
+                                                amplitude=0.2),
+                         v_list=(-1.5,), t_list=(0.5, 0.9, 1.0, 2.0),
+                         dt=0.01)
+    early, before, at_one, late = run_compare(config)
+    assert "MergingPointsError" in early.fail_reason
+    for rec in (before, at_one):
+        assert rec.fail_reason is None
+        assert math.isfinite(rec.q_direct) and math.isfinite(rec.q_asym)
+        assert rec.abs_err == abs(rec.q_direct - rec.q_asym)
+        assert math.isnan(rec.scaled_err)
+    assert late.scaled_err == late.abs_err * 2.0 / math.log(2.0)
+
+
 def test_parallel_rows_identical_output(tmp_path):
     base = zero_config(profile=InitialProfile(kind="single_site", amplitude=0.2),
                        v_list=(0.2, 0.6), t_list=(4.0, 6.0), dt=0.02)

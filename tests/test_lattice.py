@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmkdv import (
     BlowupError,
@@ -111,6 +113,19 @@ def test_construction_rejects_non_defocusing():
         InitialProfile(kind="single_site", amplitude=1.2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_construction_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        LatticeState(n_min=0, values=np.array([0.1, bad, 0.0]))
+
+
+def test_integrate_raises_on_nan():
+    state = single_site(0.1, half=10)
+    state.values[12] = np.nan  # the array stays writable after validation
+    with pytest.raises(BlowupError):
+        integrate(state, 1.0, 0.1, spill_tol=1.0)
+
+
 def test_blowup_on_oversized_step():
     state = single_site(0.9, half=10)
     with pytest.raises(BlowupError):
@@ -157,3 +172,90 @@ def test_staggered_signs_and_involution():
         assert stag.value_at(n) == pytest.approx((-1) ** n * state.value_at(n))
     again = staggered(stag)
     np.testing.assert_allclose(again.values, state.values)
+
+
+# The plain RK4 loop that `integrate` replaced, kept as its reference: the
+# in-place kernel performs the same floating-point operations in the same
+# order, so the two must agree bit for bit, and fail in the same guard.
+
+def _oracle_rhs(q):
+    shift_up = np.empty_like(q)
+    shift_up[:-1] = q[1:]
+    shift_up[-1] = 0.0
+    shift_dn = np.empty_like(q)
+    shift_dn[1:] = q[:-1]
+    shift_dn[0] = 0.0
+    return (1.0 - q * q) * (shift_up - shift_dn)
+
+
+def _oracle_stage(q, h, k):
+    y = q + h * k
+    if np.max(np.abs(y)) >= 1.0:
+        raise BlowupError("sup|q| reached 1 at an RK stage point")
+    return y
+
+
+def oracle_integrate(initial, t_end, dt, spill_tol=1e-10):
+    span = t_end - initial.t
+    if span == 0.0:
+        return initial
+    nsteps = max(1, int(round(abs(span) / dt)))
+    h = span / nsteps
+    q = initial.values.copy()
+    bound = rho_zero(initial) + 1e-9
+    edge = max(1, len(q) // 10)
+    for _ in range(nsteps):
+        k1 = _oracle_rhs(q)
+        k2 = _oracle_rhs(_oracle_stage(q, 0.5 * h, k1))
+        k3 = _oracle_rhs(_oracle_stage(q, 0.5 * h, k2))
+        k4 = _oracle_rhs(_oracle_stage(q, h, k3))
+        q += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sup = np.max(np.abs(q))
+        if sup >= 1.0:
+            raise BlowupError(f"sup|q| = {sup:.6g} reached 1 during stepping")
+        if sup > bound:
+            raise BlowupError(
+                f"sup|q| = {sup:.6g} exceeds conserved bound {bound:.6g}")
+        spill = max(np.max(np.abs(q[:edge])), np.max(np.abs(q[-edge:])))
+        if spill > spill_tol:
+            raise SpillError(
+                f"boundary amplitude {spill:.3g} exceeds spill tolerance "
+                f"{spill_tol:.3g}; enlarge the window")
+    return LatticeState(n_min=initial.n_min, values=q, t=initial.t + span)
+
+
+def _outcome(fn, state, t_end, dt, spill_tol):
+    try:
+        return fn(state, t_end, dt, spill_tol=spill_tol)
+    except (BlowupError, SpillError) as exc:
+        return type(exc), str(exc)  # the message names the guard that fired
+
+
+# Spans up to 300 steps cross many rescans of the active range; padding
+# up to 150 sites lets the range either reach the window edge or stay
+# inside it, and small padding with spill_tol = 1e-10 trips SpillError.
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(values=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=30),
+       n_min=st.integers(-100, 100),
+       pad=st.tuples(st.integers(0, 150), st.integers(0, 150)),
+       span=st.floats(-6.0, 6.0),
+       dt=st.sampled_from((0.02, 0.05, 0.1, 0.25)),
+       spill_tol=st.sampled_from((1e-10, 1.0)))
+@example(values=[0.6], n_min=0, pad=(10, 10), span=50.0, dt=5.0,
+         spill_tol=1.0)  # stage BlowupError at the first step
+@example(values=[0.3], n_min=0, pad=(6, 6), span=10.0, dt=0.01,
+         spill_tol=1e-10)  # SpillError
+def test_property_integrate_matches_oracle(values, n_min, pad, span, dt,
+                                           spill_tol):
+    state = LatticeState(
+        n_min=n_min - pad[0],
+        values=np.concatenate([np.zeros(pad[0]), values, np.zeros(pad[1])]),
+        t=1.5)
+    got = _outcome(integrate, state, state.t + span, dt, spill_tol)
+    want = _outcome(oracle_integrate, state, state.t + span, dt, spill_tol)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, LatticeState)
+        assert (got.n_min, got.t) == (want.n_min, want.t)
+        assert np.array_equal(got.values, want.values)
