@@ -32,14 +32,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeState:
-    """Real sequence q_n on sites n_min .. n_min+len(values)-1 at time t."""
+    """Real sequence q_n on sites n_min .. n_min+len(values)-1 at time t.
+
+    `values` is a read-only copy of the input, checked once: finite, with
+    sup|q| < 1.
+    """
 
     n_min: int
     values: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        # a private read-only copy: validation holds for the state's
+        # lifetime, and the caller's array keeps its own flags
+        vals = np.array(self.values, dtype=float)
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a nonempty 1-d real array")

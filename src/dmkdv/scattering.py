@@ -17,12 +17,21 @@ support both are Laurent polynomials in z: a has the even exponents
 coefficient arrays; every value of a, b and r = b/a is an evaluation of
 those polynomials.  On |z| = 1 they satisfy |a|^2 - |b|^2 = c_inf, so
 |a| > 0 and the reflection coefficient r = b/a has |r| < 1.
+
+An evaluation at scalar or array z takes a fixed number of array
+operations, whatever the number N of coefficients: from the exponent
+nearest 0 outward, one table of the first 16 powers of z^2 (and of
+z^-2), one matrix product with the coefficients cut into rows of 16
+(laid out once, when the polynomials are built), and Horner in z^32
+(z^-32) over the ~N/16 rows.  Each term c_j z^e_j carries a relative
+rounding error of at most (2 N + 32) eps, so a value is off by at most
+that times sum_j |c_j| |z|^e_j.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +50,8 @@ __all__ = [
 ]
 
 _CIRCLE_TOL = 1e-12
+_BLOCK = 16  # row width of the blocked polynomial evaluation
+_PASS_BYTES = 1 << 16  # largest temporary array of one pass over the points
 
 
 @dataclass(frozen=True)
@@ -83,10 +94,13 @@ class ScatteringPolynomials:
     """a(z) = sum_i a_coeffs[i] z^(a_low + 2i), b(z) likewise, and c_inf.
 
     Coefficients are real; exact zeros at either end are trimmed, so the
-    zero state has a_coeffs = (1.0,) and no b coefficients.  On |z| = 1
-    the rounding error of a and b is O(eps) times prod(1 + |q_k|), the
-    coefficient sum of the same recursion run on |q|: tight for small
-    data, loose relative to |a| for strongly reflecting data.
+    zero state has a_coeffs = (1.0,) and no b coefficients.  Calling it
+    evaluates a and b together by the blocked sum of the module
+    docstring, from a layout of the coefficients in rows of 16 that is
+    built with the polynomials.  On |z| = 1 the rounding error of a and b
+    is O(N eps) times prod(1 + |q_k|), the coefficient sum of the same
+    recursion run on |q|: tight for small data, loose relative to |a| for
+    strongly reflecting data.
     """
 
     a_coeffs: tuple
@@ -94,27 +108,104 @@ class ScatteringPolynomials:
     b_coeffs: tuple
     b_low: int
     c_inf: float
+    _layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_layout", _blocked_layout(
+            ((self.a_coeffs, self.a_low), (self.b_coeffs, self.b_low))))
 
     def __call__(self, z):
         """(a(z), b(z)) at a nonzero scalar or array z."""
-        return (_laurent(self.a_coeffs, self.a_low, z),
-                _laurent(self.b_coeffs, self.b_low, z))
+        return _laurent(self._layout, z)
 
 
-def _laurent(coeffs: tuple, low: int, z):
-    # Horner from both ends toward the exponent nearest 0: the terms there
-    # (a's constant 1 among them) pick up the fewest roundings, and for
-    # data near the origin no large power of z multiplies the sum.
-    p = min(max((1 - low) // 2, 0), len(coeffs))
-    zeta = z * z
-    inv = 1.0 / zeta
-    upper = 0.0
-    for c in reversed(coeffs[p:]):
-        upper = upper * zeta + c
-    lower = 0.0
-    for c in coeffs[:p]:
-        lower = (lower + c) * inv
-    return (upper + lower) * z ** (low + 2 * p)
+def _blocked_layout(polys) -> tuple:
+    """The polynomials sum_i c[i] z^(low + 2i), given as (c, low) pairs,
+    laid out for _laurent: (upper, lower, shifts).
+
+    Each polynomial is split at the exponent nearest 0 into an upper half
+    in powers of zeta = z^2 and a lower half in powers of 1/zeta, both
+    running from there outward: the terms there (a's constant 1 among
+    them) pick up the fewest roundings, and for data near the origin no
+    large power of z multiplies the sum.  Each half is cut into rows of
+    w = min(16, longest half) coefficients, zero-padded; upper and lower
+    are arrays shaped (rows, len(polys), w), lower is None when no
+    polynomial has one, and shifts are the exponents nearest 0.
+    """
+    upper, lower, shifts = [], [], []
+    for coeffs, low in polys:
+        p = min(max((1 - low) // 2, 0), len(coeffs))
+        upper.append(coeffs[p:])
+        lower.append(coeffs[p - 1::-1] if p else ())
+        shifts.append(low + 2 * p)
+    return (_coefficient_rows(upper),
+            _coefficient_rows(lower) if any(lower) else None, tuple(shifts))
+
+
+def _coefficient_rows(series) -> np.ndarray:
+    longest = max(map(len, series))
+    width = max(min(_BLOCK, longest), 1)
+    rows = max(-(-longest // width), 1)
+    padded = np.zeros((len(series), rows * width))
+    for row, coeffs in zip(padded, series):
+        row[:len(coeffs)] = coeffs
+    # row blocks outermost: each Horner step reads one contiguous block
+    return padded.reshape(len(series), rows, width).swapaxes(0, 1).copy()
+
+
+def _laurent(layout: tuple, z) -> tuple:
+    """Values at z of the polynomials laid out by _blocked_layout."""
+    upper, lower, shifts = layout
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    zeta = flat * flat
+    values = _power_sums(upper, zeta)
+    if lower is not None:
+        inv = 1.0 / zeta
+        lower_values = _power_sums(lower, inv)
+        lower_values *= inv
+        values += lower_values
+    return tuple((value * z ** shift if shift else value)[()]
+                 for value, shift in zip(
+                     values.reshape((len(shifts),) + z.shape), shifts))
+
+
+def _power_sums(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c[j] x^j for every sequence c of _coefficient_rows, laid out
+    in `blocks` (rows, sequences, w), at the points x (1-d); shaped
+    (sequences, len(x)).
+
+    Each pass over the points takes a fixed number of array operations:
+    one table holds x^0 .. x^w; one matrix product with the coefficient
+    rows gives every row's sum; Horner in x^w runs over the rows, all
+    sequences at once.  A pass takes as many points as keep its table and
+    its row sums within 64 kB each, so large evaluations reuse memory
+    instead of faulting in fresh pages.
+    """
+    rows, count, width = blocks.shape
+    flat_blocks = blocks.reshape(-1, width)
+    size = max(_PASS_BYTES // (16 * max(width + 1, rows * count)), 1)
+    total = np.empty((count, x.size), dtype=complex)
+    for start in range(0, x.size, size):
+        part = x[start:start + size]
+        table = np.empty((width + 1, part.size), dtype=complex)
+        table[0] = 1.0
+        table[1] = part
+        done = 1  # table[:done + 1] is filled; double it until it is full
+        while done < width:
+            top = min(2 * done, width)
+            np.multiply(table[1:top - done + 1], table[done],
+                        out=table[done + 1:top + 1])
+            done = top
+        # real coefficients times the real view of the table
+        sums = (flat_blocks @ table[:width].view(float)).view(
+            complex).reshape(rows, count, part.size)
+        acc, step = sums[-1], table[width]
+        for row in sums[-2::-1]:
+            acc *= step
+            acc += row
+        total[:, start:start + size] = acc
+    return total
 
 
 def _trimmed(coeffs: np.ndarray, low: int) -> tuple:
@@ -156,8 +247,9 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
 
 def _on_circle(z):
     # z / |z| for scalar or array z, after checking |z| = 1
+    z = np.asarray(z, dtype=complex)
     modulus = abs(z)
-    off = float(np.max(abs(modulus - 1.0)))
+    off = float(abs(modulus - 1.0).max())
     if off > _CIRCLE_TOL:
         raise DomainError(f"|z| is {off:.3e} away from 1, beyond "
                           f"{_CIRCLE_TOL}")

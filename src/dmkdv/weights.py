@@ -111,12 +111,16 @@ class ArcSpec:
 def log_density(r_eval, z):
     """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z (a
     constant r is broadcast); the density of every arc integral."""
-    zc = z.z if hasattr(z, "z") else z
-    m2 = np.broadcast_to(np.abs(r_eval(zc)) ** 2, np.shape(zc))
-    if np.max(m2) >= (1.0 - 1e-8) ** 2:
+    zc = getattr(z, "z", z)
+    m2 = np.abs(r_eval(zc)) ** 2
+    peak = m2.max()
+    if peak >= (1.0 - 1e-8) ** 2:
         raise ReflectionTooLargeError(
-            f"max |r| = {math.sqrt(np.max(m2)):.9f} at the sampled points")
-    return np.log1p(-m2)
+            f"max |r| = {math.sqrt(peak):.9f} at the sampled points")
+    density = np.log1p(-m2)
+    if density.shape != np.shape(zc):
+        density = np.broadcast_to(density, np.shape(zc))
+    return density
 
 
 def _arc_sums(density, arc: ArcSpec, points, shifts=0.0,
@@ -133,10 +137,12 @@ def _arc_sums(density, arc: ArcSpec, points, shifts=0.0,
         half = 0.5 * arc.dtheta / panels
         mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
         tau = np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
-        weights = np.tile(_GL_WEIGHTS, panels) * (half / (2.0 * math.pi))
-        sums = np.sum((density(tau) - c) * tau / (tau - z) * weights, axis=1)
+        terms = ((density(tau) - c) * tau / (tau - z)).reshape(
+            len(z), panels, _GL_NODES.size)
+        sums = (terms * (_GL_WEIGHTS * (half / (2.0 * math.pi)))).sum(
+            axis=(1, 2))
         if previous is not None:
-            residual = float(np.max(np.abs(sums - previous)))
+            residual = float(abs(sums - previous).max())
             if residual <= tol:
                 return sums
         previous = sums

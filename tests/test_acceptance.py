@@ -21,7 +21,6 @@ from dmkdv import (
     chi_at_stationary,
     coefficient_set,
     complex_gamma,
-    conserved_c_inf,
     delta_at,
     delta_j_at,
     m1_entry,
@@ -35,6 +34,7 @@ from dmkdv.harness import (
     integrator_checks,
     probe_site,
     run_compare,
+    unitarity_checks,
 )
 from dmkdv.phase import RayParams
 
@@ -76,16 +76,12 @@ def test_acceptance_2_unitarity():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     state = LatticeState(n_min=-8, values=rng.uniform(-0.5, 0.5, 16))
-    c_inf = conserved_c_inf(state)
-    worst = 0.0
-    for k in range(256):
-        pt = UnitCirclePoint.from_theta(2 * math.pi * k / 256)
-        sd = scattering_coefficients(state, pt)
-        worst = max(worst, abs(abs(sd.a) ** 2 - abs(sd.b) ** 2 - c_inf))
+    [check] = unitarity_checks(state)
     elapsed = time.perf_counter() - started
     report(2, "unitarity on random data",
-           worst < 1e-10 and elapsed < 5.0,
-           f"max_defect={worst:.2e} < 1e-10, {elapsed:.2f}s < 5s")
+           check["pass"] and elapsed < 5.0,
+           f"max_defect={check['measured']:.2e} < 1e-10, "
+           f"{elapsed:.2f}s < 5s")
 
 
 def test_acceptance_3_phase_identities():

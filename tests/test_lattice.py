@@ -15,6 +15,7 @@ from dmkdv import (
     staggered,
     weighted_norm,
 )
+from dmkdv import lattice
 
 
 def single_site(c, half=20, center=0):
@@ -119,11 +120,32 @@ def test_construction_rejects_non_finite(bad):
         LatticeState(n_min=0, values=np.array([0.1, bad, 0.0]))
 
 
-def test_integrate_raises_on_nan():
-    state = single_site(0.1, half=10)
-    state.values[12] = np.nan  # the array stays writable after validation
-    with pytest.raises(BlowupError):
-        integrate(state, 1.0, 0.1, spill_tol=1.0)
+def test_values_are_read_only():
+    raw = np.array([0.1, 0.2, 0.0])
+    state = LatticeState(n_min=0, values=raw)
+    with pytest.raises(ValueError):
+        state.values[1] = np.nan
+    raw[1] = 0.5  # the caller's array is copied, not frozen
+    assert state.values[1] == 0.2
+
+
+def test_integrate_raises_on_nan(monkeypatch):
+    # a validated state cannot hold a NaN, so the first slope evaluation
+    # writes one into the kernel's own copy of q; the stage guard that
+    # follows must catch it
+    slope = lattice._slope
+    calls = []
+
+    def nan_slope(z, *buffers):
+        if not calls:
+            z[z.size // 2] = np.nan
+        calls.append(z.size)
+        slope(z, *buffers)
+
+    monkeypatch.setattr(lattice, "_slope", nan_slope)
+    with pytest.raises(BlowupError, match="RK stage"):
+        integrate(single_site(0.1, half=10), 1.0, 0.1, spill_tol=1.0)
+    assert len(calls) == 2  # k1, then the first stage slope
 
 
 def test_blowup_on_oversized_step():

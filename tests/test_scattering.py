@@ -2,7 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmkdv import (
@@ -18,6 +18,7 @@ from dmkdv import (
     scattering_polynomials,
     staggered,
 )
+from dmkdv.scattering import ScatteringPolynomials
 
 
 def single_site(c, site=0):
@@ -285,7 +286,8 @@ def test_unit_circle_point_validation():
 
 # Property tests over admissible finite-support data.  Each identity is
 # checked to within the a-priori rounding bound of the polynomials on
-# |z| = 1: the recursion and the Horner sums each add O(eps) per step,
+# |z| = 1: the recursion adds O(eps) per site and the blocked evaluation
+# O(eps) per coefficient (see test_property_blocked_matches_horner),
 # relative to the coefficients of the same recursion run on |q|, whose
 # sum is prod(1 + |q_k|).  That bound is sharp for small data and grows
 # with prod(1 + |q_k|) for strongly reflecting data.
@@ -354,3 +356,95 @@ def test_property_zero_padding_invariance(state, left, right):
         (poly.b_coeffs, poly.b_low)
     assert np.array_equal(reflection_evaluator(padded)(CIRCLE),
                           reflection_evaluator(state)(CIRCLE))
+
+
+# The blocked evaluation against a plain two-sided Horner sum, the
+# test-only oracle.  Both are sums of the terms c_j z^e_j with
+# relative errors in the terms only: Horner's at most 2 N eps, the
+# blocked sum's at most (2 N + 32) eps (a table power x^k, k <= 16,
+# carries k - 1 complex products of at most 1.5 eps each, a row sum of
+# w <= 16 terms w/2 eps, and each of the N/w Horner steps in x^w about
+# (3w + 1)/2 eps), for the N coefficients of the polynomial's longer
+# half.  So the two differ by at most 4 (N + 16) eps sum_j |c_j| |z|^e_j,
+# plus an underflow allowance of N times the smallest normal number in
+# that sum; fixed before the first run.
+
+def horner_oracle(coeffs, low, z):
+    p = min(max((1 - low) // 2, 0), len(coeffs))
+    zeta = z * z
+    inv = 1.0 / zeta
+    upper = 0.0
+    for c in reversed(coeffs[p:]):
+        upper = upper * zeta + c
+    lower = 0.0
+    for c in coeffs[:p]:
+        lower = (lower + c) * inv
+    return (upper + lower) * z ** (low + 2 * p)
+
+
+def evaluation_bound(coeffs, low, z):
+    p = min(max((1 - low) // 2, 0), len(coeffs))
+    longest = max(p, len(coeffs) - p)
+    exponents = low + 2 * np.arange(len(coeffs))
+    scale = sum(abs(c) * np.abs(z) ** float(e)
+                for c, e in zip(coeffs, exponents))
+    scale += len(coeffs) * np.finfo(float).tiny
+    return 4 * (longest + 16) * np.finfo(float).eps * scale
+
+
+# lengths 0..300 drawn directly, the coefficients from a seeded generator
+coefficient_lists = st.builds(
+    lambda size, seed: tuple(
+        np.random.default_rng(seed).uniform(-1.0, 1.0, size).tolist()),
+    st.integers(0, 300), st.integers(0, 2 ** 32))
+point_shapes = st.sampled_from([(), (7,), (3, 5)])
+
+
+def points(seed, shape, radius=1.0):
+    rng = np.random.default_rng(seed)
+    return radius * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+
+
+def assert_matches_horner(coeffs, low, z, value):
+    expected = horner_oracle(coeffs, low, z)
+    assert np.shape(value) == np.shape(z)
+    if len(coeffs) <= 1:
+        assert np.array_equal(value, expected)
+    assert np.all(np.abs(value - expected)
+                  <= evaluation_bound(coeffs, low, z))
+
+
+LONG = tuple(np.random.default_rng(5).uniform(-1.0, 1.0, 300).tolist())
+
+
+@PROPERTY
+@given(coefficient_lists, st.integers(-320, 320), coefficient_lists,
+       st.integers(-320, 320), st.integers(0, 2 ** 32), point_shapes)
+@example((0.7,), -5, (-0.3,), 301, 1, (3, 5))
+@example((1.0,), 0, (), 17, 2, ())
+@example((), -320, (0.25,), 1, 3, (7,))
+@example((0.5,), -1, LONG, -100, 4, (7,))
+def test_property_blocked_matches_horner(a_coeffs, a_low, b_coeffs, b_low,
+                                         seed, shape):
+    poly = ScatteringPolynomials(a_coeffs=a_coeffs, a_low=a_low,
+                                 b_coeffs=b_coeffs, b_low=b_low, c_inf=1.0)
+    z = np.asarray(points(seed, shape))
+    a, b = poly(z)
+    assert_matches_horner(poly.a_coeffs, a_low, z, a)
+    assert_matches_horner(poly.b_coeffs, b_low, z, b)
+
+
+@PROPERTY
+@given(coefficient_lists, st.sampled_from([10.0, 100.0]),
+       st.integers(0, 2 ** 32), point_shapes)
+def test_property_blocked_matches_horner_off_circle(coeffs, radius, seed,
+                                                   shape):
+    # a's shape: exponents -2(N - 1) .. 0, so its terms shrink off the
+    # circle, while b's would overflow
+    low = -2 * max(len(coeffs) - 1, 0)
+    poly = ScatteringPolynomials(a_coeffs=coeffs, a_low=low, b_coeffs=(),
+                                 b_low=0, c_inf=1.0)
+    z = np.asarray(points(seed, shape, radius))
+    a, b = poly(z)
+    assert_matches_horner(poly.a_coeffs, low, z, a)
+    assert np.array_equal(b, np.zeros(shape))
