@@ -1,8 +1,9 @@
 """Cross-validate the explicit long-time formula against integration.
 
-For each (v, t) the harness integrates the initial-value problem with
-RK4 and independently evaluates the leading-order stationary-phase
-value from the scattering data of the initial profile alone.  The
+The harness integrates the initial-value problem once with RK4, reading
+every ray at each time on the way, and for each (v, t) independently
+evaluates the leading-order stationary-phase value from the scattering
+data of the initial profile alone.  The
 difference decays like t^-1 log t while the solution itself only decays
 like t^-1/2.
 

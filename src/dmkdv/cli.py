@@ -110,10 +110,12 @@ def _cmd_compare(config: RunConfig, plot_stem: str | None) -> int:
             print(f"plot data: {path}")
     failed = [r for r in records if r.fail_reason]
     total = sum(r.wall_time for r in records)
+    integrating = sum(r.integrate_time for r in records)
     slowest = max(records, key=lambda r: r.wall_time)
     print(f"wrote {len(records)} rows to {config.output_path} "
-          f"({total:.1f}s total, slowest row v={slowest.v:g} "
-          f"t={slowest.t:g} at {slowest.wall_time:.1f}s)")
+          f"({total:.1f}s total, {integrating:.1f}s integrating, "
+          f"slowest row v={slowest.v:g} t={slowest.t:g} "
+          f"at {slowest.wall_time:.1f}s)")
     for rec in failed:
         print(f"row v={rec.v:g} t={rec.t:g} failed: {rec.fail_reason}",
               file=sys.stderr)

@@ -1,10 +1,10 @@
 """End-to-end experiment harness.
 
 Runs the full chain for a sweep of rays and times: integrate the lattice
-directly, build the scattering data of the initial profile, evaluate the
-leading-order asymptotic value, and record the comparison.  Also hosts
-the machine-readable emitters and the invariant self-test used by the
-CLI.
+directly, once per profile through the sorted times, build the
+scattering data of the initial profile, evaluate the leading-order
+asymptotic value per row, and record the comparison.  Also hosts the
+machine-readable emitters and the invariant self-test used by the CLI.
 """
 
 from __future__ import annotations
@@ -146,7 +146,12 @@ class RunConfig:
 
 @dataclass(frozen=True, slots=True)
 class ComparisonRecord:
-    """One (n, t) comparison row; failed rows carry NaNs and a reason."""
+    """One (n, t) comparison row; failed rows carry NaNs and a reason.
+
+    `wall_time` is the row's asymptotic time plus `integrate_time`, its
+    equal share of the trajectory segment that ended at its t, so the
+    rows' wall times add up to the sweep's time.
+    """
 
     n: int
     t: float
@@ -158,6 +163,7 @@ class ComparisonRecord:
     imag_residual: float
     fail_reason: str | None = None
     wall_time: float = 0.0
+    integrate_time: float = 0.0
 
 
 def probe_site(v: float, t: float, v_max: float) -> int:
@@ -166,22 +172,6 @@ def probe_site(v: float, t: float, v_max: float) -> int:
     if abs(n) > v_max * t:
         n = int(math.floor(abs(v) * t)) * (1 if v >= 0 else -1)
     return n
-
-
-def direct_value(config: RunConfig, v: float, t: float) -> tuple:
-    """Integrate the profile to time t; return (n, q_n(t)).
-
-    Window half-width is 2.5 t + margin: the light cone has speed 2, and
-    the extra half-t keeps the outermost-10% spill-guard region strictly
-    outside the cone, where only the (superexponentially small) tail and
-    integrator front noise live.
-    """
-    n = probe_site(v, t, config.v_max)
-    center = config.profile.center
-    half = int(math.ceil(2.5 * t + config.window_margin))
-    state0 = config.profile.realize(center - half, center + half)
-    final = integrate(state0, t, config.dt, spill_tol=config.spill_tol)
-    return n, final.value_at(n)
 
 
 def asymptotic_value(config: RunConfig, v: float, t: float,
@@ -218,33 +208,67 @@ def asymptotic_value(config: RunConfig, v: float, t: float,
     return replace(res, n=n, q_asym=(-1) ** n * res.q_asym)
 
 
-def _compare_row(config: RunConfig, v: float, t: float,
-                 compute_direct: bool = True,
-                 compute_asym: bool = True) -> ComparisonRecord:
+_NOT_INTEGRATED = (math.nan, None, 0.0)
+
+
+def _trajectory(config: RunConfig) -> dict:
+    """{(v, t): (q_direct, fail_reason, seconds)} for every row, from one
+    integration through the sorted distinct times.
+
+    Window half-width is 2.5 max(t) + margin: the light cone has speed 2,
+    and the extra half-t keeps the outermost-10% spill-guard region
+    strictly outside the cone, where only the (superexponentially small)
+    tail and integrator front noise live.  `seconds` is the row's equal
+    share of the segment that ended at its time.
+    """
+    center = config.profile.center
+    half = int(math.ceil(2.5 * max(config.t_list) + config.window_margin))
     started = time.perf_counter()
-    n = probe_site(v, t, config.v_max)
-    q_direct = math.nan
-    q_asym = math.nan
-    imag_residual = math.nan
-    try:
-        if compute_direct:
-            n, q_direct = direct_value(config, v, t)
-        if compute_asym:
+    state = config.profile.realize(center - half, center + half)
+    reason = None
+    direct = {}
+    for t in sorted(set(config.t_list)):
+        if reason is None:
+            try:
+                state = integrate(state, t, config.dt,
+                                  spill_tol=config.spill_tol)
+            except DmkdvError as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+        now = time.perf_counter()
+        share = (now - started) / (len(config.v_list) * config.t_list.count(t))
+        started = now
+        for v in config.v_list:
+            q = (state.value_at(probe_site(v, t, config.v_max))
+                 if reason is None else math.nan)
+            direct[v, t] = (q, reason, share)
+    return direct
+
+
+def _compare_row(config: RunConfig, v: float, t: float, direct: tuple,
+                 compute_asym: bool = True) -> ComparisonRecord:
+    """One row from its (q_direct, fail_reason, seconds) of the trajectory;
+    a row the trajectory failed skips the asymptotic value."""
+    started = time.perf_counter()
+    q_direct, reason, integrate_time = direct
+    q_asym = imag_residual = math.nan
+    if reason is None and compute_asym:
+        try:
             result = asymptotic_value(config, v, t)
             q_asym = result.q_asym
             imag_residual = result.imag_residual
-        abs_err = (abs(q_direct - q_asym)
-                   if compute_direct and compute_asym else math.nan)
-        # t / log t is undefined at t = 1 and negative below it
-        scaled_err = abs_err * t / math.log(t) if t > 1.0 else math.nan
-        reason = None
-    except DmkdvError as exc:
-        abs_err = scaled_err = q_direct = q_asym = imag_residual = math.nan
-        reason = f"{type(exc).__name__}: {exc}"
+        except DmkdvError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+    if reason is not None:
+        q_direct = q_asym = imag_residual = math.nan
+    abs_err = abs(q_direct - q_asym)  # NaN unless both were computed
+    # t / log t is undefined at t = 1 and negative below it
+    scaled_err = abs_err * t / math.log(t) if t > 1.0 else math.nan
     return ComparisonRecord(
-        n=n, t=t, v=v, q_direct=q_direct, q_asym=q_asym, abs_err=abs_err,
-        scaled_err=scaled_err, imag_residual=imag_residual,
-        fail_reason=reason, wall_time=time.perf_counter() - started)
+        n=probe_site(v, t, config.v_max), t=t, v=v, q_direct=q_direct,
+        q_asym=q_asym, abs_err=abs_err, scaled_err=scaled_err,
+        imag_residual=imag_residual, fail_reason=reason,
+        wall_time=time.perf_counter() - started + integrate_time,
+        integrate_time=integrate_time)
 
 
 def _row_worker(args) -> ComparisonRecord:
@@ -255,14 +279,19 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
                 compute_asym: bool = True) -> list:
     """Full sweep: one record per (v, t), v-major, t increasing.
 
-    Row failures (spill, quadrature, convention) mark the row failed and
-    leave every other row untouched.  Rows are independent and pure, so
-    with threads > 1 they run in a process pool; assembly order is fixed
-    regardless of parallelism.
+    The profile is integrated once, on one window sized by max(t_list),
+    and q_n is read at every ray's probe site at each stop.  When every
+    time is a multiple of dt, each segment takes the per-row step, so
+    q_direct is bitwise what a fresh integration from 0 gives.  A guard
+    tripping in the segment ending at t_k fails every row at t >= t_k;
+    earlier rows keep their values.  An asymptotic failure fails its own
+    row only.  With threads > 1 the asymptotic rows run in a process
+    pool; assembly order is fixed regardless of parallelism.
     """
-    jobs = [(config, v, t, compute_direct, compute_asym)
+    direct = _trajectory(config) if compute_direct and config.v_list else {}
+    jobs = [(config, v, t, direct.get((v, t), _NOT_INTEGRATED), compute_asym)
             for v in config.v_list for t in config.t_list]
-    if config.threads > 1 and len(jobs) > 1:
+    if compute_asym and config.threads > 1 and len(jobs) > 1:
         import concurrent.futures  # only pooled sweeps pay for its import
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=config.threads) as pool:

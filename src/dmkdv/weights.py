@@ -62,6 +62,10 @@ __all__ = [
 DEFAULT_TOL = 1e-11
 _T_ANCHORS = (1.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, -1.0 + 0.0j)
 _MAX_LEVEL = 12  # panel budget: 4,096 panels per arc
+_EPS = float(np.finfo(float).eps)
+# Two levels' sums each round at about 16 eps sum|terms|: a handful of
+# roundings per term, plus pairwise summation over up to 65,536 terms.
+_FLOOR_ULPS = 32.0
 
 
 def _gauss_legendre(m: int) -> tuple:
@@ -128,10 +132,16 @@ def _arc_sums(density, arc: ArcSpec, points, shifts=0.0,
     """(1/2pi i) int_arc (density(tau) - shift_k) dtau / (tau - z_k) for
     every z_k, with dtau/(2pi i) = tau dtheta/(2pi) at tau = e^(i theta).
     The density is sampled once per level of 2^m panels; m grows until no
-    sum moves by more than `tol`."""
+    sum moves by more than `tol`.
+
+    QuadratureError past the panel budget, or earlier, at the first level
+    where the residual has stopped falling while `tol` lies below the
+    rounding floor _FLOOR_ULPS * eps * max_k sum |weighted terms_k|: no
+    finer level can then be trusted to meet `tol`."""
     z = np.reshape(np.asarray(points, dtype=complex), (-1, 1))
     c = np.reshape(shifts, (-1, 1))
     previous = None
+    residual = math.inf
     for level in range(_MAX_LEVEL + 1):
         panels = 2 ** level
         half = 0.5 * arc.dtheta / panels
@@ -139,12 +149,21 @@ def _arc_sums(density, arc: ArcSpec, points, shifts=0.0,
         tau = np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
         terms = ((density(tau) - c) * tau / (tau - z)).reshape(
             len(z), panels, _GL_NODES.size)
-        sums = (terms * (_GL_WEIGHTS * (half / (2.0 * math.pi)))).sum(
-            axis=(1, 2))
+        terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))
+        sums = terms.sum(axis=(1, 2))
         if previous is not None:
-            residual = float(abs(sums - previous).max())
+            last, residual = residual, float(abs(sums - previous).max())
             if residual <= tol:
                 return sums
+            if residual >= last:
+                floor = _FLOOR_ULPS * _EPS * float(
+                    abs(terms).sum(axis=(1, 2)).max())
+                if tol < floor:
+                    raise QuadratureError(
+                        f"arc quadrature stalled at {panels} panels: "
+                        f"residual {residual:.3e} stopped falling and tol "
+                        f"{tol:.3e} is below the rounding floor "
+                        f"{floor:.3e}")
         previous = sums
     raise QuadratureError(
         f"arc quadrature unsettled at {panels} panels "

@@ -26,6 +26,9 @@ def test_compare_subcommand(tmp_path, capsys):
     assert lines[0] == "n,t,v,q_direct,q_asym,abs_err,scaled_err,imag_residual"
     assert len(lines) == 2
     assert (tmp_path / "plot_ray0.4.dat").exists()
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith(f"wrote 1 rows to {out} (")
+    assert "s integrating, slowest row v=0.4 t=4 at " in summary
 
 
 def test_simulate_and_asymptote_agree(tmp_path):

@@ -1,22 +1,51 @@
 import dataclasses
 import json
 import math
+import time
 
+import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmkdv import ConfigError, InitialProfile, RunConfig, SpillError
+from dmkdv import (
+    ConfigError,
+    DmkdvError,
+    InitialProfile,
+    RunConfig,
+    SpillError,
+    integrate,
+)
 from dmkdv.harness import (
     CSV_HEADER,
     ComparisonRecord,
     asymptotic_value,
-    direct_value,
     emit,
     emit_plot_data,
     probe_site,
     run_compare,
     selftest,
 )
+
+
+def oracle_direct(config, v, t):
+    """Per-row integration: a fresh run from 0 to t on its own window of
+    half-width 2.5 t + margin; returns (n, q_n(t))."""
+    n = probe_site(v, t, config.v_max)
+    center = config.profile.center
+    half = int(math.ceil(2.5 * t + config.window_margin))
+    state0 = config.profile.realize(center - half, center + half)
+    final = integrate(state0, t, config.dt, spill_tol=config.spill_tol)
+    return n, final.value_at(n)
+
+
+def oracle_row(config, v, t):
+    """(q_direct, fail_reason) of the per-row oracle."""
+    try:
+        return oracle_direct(config, v, t)[1], None
+    except DmkdvError as exc:
+        return math.nan, f"{type(exc).__name__}: {exc}"
 
 
 def zero_config(**kw):
@@ -170,21 +199,30 @@ def test_zero_profile_rows_are_zero():
 def test_row_failure_isolation(monkeypatch):
     import dmkdv.harness as hn
 
-    real = hn.direct_value
+    real = hn.integrate
 
-    def failing(config, v, t):
-        if v > 0.25:
-            raise SpillError("forced failure for this ray")
-        return real(config, v, t)
+    def failing(state, t_end, dt, **kw):
+        if t_end == 6.0:  # only the segment 4 -> 6 trips
+            raise SpillError("forced failure past t = 5")
+        return real(state, t_end, dt, **kw)
 
-    monkeypatch.setattr(hn, "direct_value", failing)
-    config = zero_config(v_list=(0.1, 0.3), t_list=(4.0,))
+    monkeypatch.setattr(hn, "integrate", failing)
+    config = zero_config(profile=InitialProfile(kind="single_site",
+                                                amplitude=0.2),
+                         v_list=(0.1, 0.6), t_list=(4.0, 6.0, 8.0),
+                         dt=0.02)
     records = hn.run_compare(config)
-    assert records[0].fail_reason is None
-    assert records[0].q_direct == 0.0
-    assert records[1].fail_reason is not None
-    assert "SpillError" in records[1].fail_reason
-    assert math.isnan(records[1].q_direct)
+    assert [(r.v, r.t) for r in records] == [
+        (v, t) for v in (0.1, 0.6) for t in (4.0, 6.0, 8.0)]
+    for rec in records:
+        if rec.t < 5.0:  # the stop before the failed segment keeps its row
+            assert rec.fail_reason is None
+            assert rec.q_direct == oracle_direct(config, rec.v, rec.t)[1]
+            assert rec.q_direct != 0.0 and math.isfinite(rec.q_asym)
+        else:  # the failed segment and every later stop fail with it
+            assert rec.fail_reason == "SpillError: forced failure past t = 5"
+            assert math.isnan(rec.q_direct) and math.isnan(rec.q_asym)
+            assert math.isnan(rec.abs_err)
 
 
 @pytest.mark.parametrize("v, v_max, t", [(1.94, 1.95, 100.0),
@@ -215,6 +253,24 @@ def test_short_time_rows_leave_scaled_error_undefined():
         assert rec.abs_err == abs(rec.q_direct - rec.q_asym)
         assert math.isnan(rec.scaled_err)
     assert late.scaled_err == late.abs_err * 2.0 / math.log(2.0)
+
+
+def test_row_times_share_the_trajectory():
+    config = zero_config(profile=InitialProfile(kind="single_site",
+                                                amplitude=0.2),
+                         v_list=(0.2, 0.6), t_list=(4.0, 6.0, 6.0), dt=0.02)
+    started = time.perf_counter()
+    records = run_compare(config)
+    elapsed = time.perf_counter() - started
+    assert sum(r.wall_time for r in records) <= elapsed
+    for rec in records:
+        assert 0.0 < rec.integrate_time < rec.wall_time
+        # the rays and repeats at one stop split its segment equally
+        assert rec.integrate_time == records[0 if rec.t == 4.0 else 1
+                                             ].integrate_time
+    assert records[1].q_direct == records[2].q_direct
+    assert all(r.integrate_time == 0.0
+               for r in run_compare(config, compute_direct=False))
 
 
 def test_parallel_rows_identical_output(tmp_path):
@@ -248,11 +304,59 @@ def test_asymptotics_match_integration_two_site():
     # asymmetric data exercises both parities of the probe site
     config = RunConfig(
         profile=InitialProfile(kind="custom_list", center=0, custom=(0.3, -0.2)),
-        dt=0.01)
-    for (v, t) in ((0.5, 50.0), (0.5, 54.0)):
-        n, qd = direct_value(config, v, t)
-        res = asymptotic_value(config, v, t)
-        assert abs(qd - res.q_asym) < 0.02 * max(abs(qd), 1e-3)
+        v_list=(0.5,), t_list=(50.0, 54.0), dt=0.01)
+    records = run_compare(config)
+    assert [r.n for r in records] == [25, 27]
+    for rec in records:
+        assert rec.fail_reason is None
+        qd = rec.q_direct
+        assert abs(qd - rec.q_asym) < 0.02 * max(abs(qd), 1e-3)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(values=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
+       rays=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       stops=st.lists(st.integers(5, 30), min_size=1, max_size=4),
+       dt=st.sampled_from((0.02, 0.05, 0.25)))
+def test_property_trajectory_matches_per_row_oracle(values, rays, stops, dt):
+    # every stop is a multiple of dt, so each segment takes the per-row
+    # step and the zero padding of the wider window changes no bit
+    config = RunConfig(
+        profile=InitialProfile(kind="custom_list", custom=tuple(values)),
+        v_list=tuple(rays), t_list=tuple(float(t) for t in sorted(stops)),
+        dt=dt)
+    records = run_compare(config, compute_asym=False)
+    assert len(records) == len(rays) * len(stops)
+    for rec in records:
+        q, reason = oracle_row(config, rec.v, rec.t)
+        assert rec.fail_reason == reason
+        assert np.array_equal(rec.q_direct, q, equal_nan=True)
+
+
+def test_trajectory_off_the_step_grid_matches_per_row_oracle():
+    # no stop is a multiple of dt: the chain's segments take other steps
+    # than the per-row runs, so the two agree only to RK4's O(h^4) error.
+    # Each route's global error is at most t (L h)^5 / (120 h) ||q(0)||_2,
+    # with L = 2 + 4 rho_0^2 bounding the Jacobian of the right-hand side
+    # (the linear part has symbol 2i sin k, and |q| <= rho_0 for all t)
+    custom = (0.3, -0.2, 0.15)
+    config = RunConfig(profile=InitialProfile(kind="custom_list",
+                                              custom=custom),
+                       v_list=(0.0, 0.5, -0.7), t_list=(5.013, 11.72, 20.137),
+                       dt=0.05)
+    spans = [b - a for a, b in zip((0.0,) + config.t_list, config.t_list)]
+    steps = [span / round(span / config.dt)
+             for span in spans + list(config.t_list)]
+    assert max(abs(h - config.dt) for h in steps) > 1e-6  # really off-grid
+    h = max(steps)
+    rho0_sq = 1.0 - math.prod(1.0 - q * q for q in custom)
+    lip = 2.0 + 4.0 * rho0_sq
+    norm = math.sqrt(sum(q * q for q in custom))
+    for rec in run_compare(config, compute_asym=False):
+        bound = 2.0 * rec.t * lip ** 5 * h ** 4 / 120.0 * norm
+        q, reason = oracle_row(config, rec.v, rec.t)
+        assert rec.fail_reason is None and reason is None
+        assert abs(rec.q_direct - q) <= bound
 
 
 def test_selftest_green_and_audit():

@@ -112,6 +112,26 @@ def test_quadrature_error_on_unreachable_tolerance():
         cauchy_arc_integral(wild, arc, 1.02, tol=1e-30)
 
 
+@pytest.mark.parametrize("tol", [1e-14, 1e-16])
+def test_quadrature_stops_at_the_rounding_floor(tol):
+    # gaussian(0.5, 3) on the ray of v = -1.8, t = 50: the first arc's
+    # residual falls to 5.8e-14 at 8 panels and rises to 1.1e-13 at 16,
+    # rounding noise above both tolerances; without the floor the sweep
+    # walks to 4,096 panels (65,536 nodes)
+    profile = InitialProfile(kind="gaussian", amplitude=0.5, width=3.0)
+    r_eval = reflection_evaluator(staggered(profile.support_state()))
+    sampled = []
+
+    def counting(z):
+        sampled.append(np.size(z))
+        return r_eval(z)
+
+    stat = stationary_points(RayParams(n=-89, t=50.0, v_max=1.8))
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        coefficient_set(counting, stat, tol=tol)
+    assert max(sampled) == 16 * 16  # stopped at 16 panels
+
+
 def test_arcspec_validation():
     with pytest.raises(ValueError):
         ArcSpec.between(1.0 + 0.0j, -1.0 + 0.0j)  # central angle pi
