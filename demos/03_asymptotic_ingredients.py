@@ -56,7 +56,7 @@ for j in (1, 2, 3, 4):
 print(f"\nproduct identity at z = {z:.3f}: "
       f"|delta - prod delta_j| = {abs(delta_at(r_eval, stat, z) - product):.2e}")
 
-crosses = cross_solutions(r_eval, stat, coeffs)
+crosses = cross_solutions(stat, coeffs)
 print(f"\n{'j':>2} {'(m1^j)_12':>24} {'|m1| - sqrt(nu)':>16}")
 for cross in crosses:
     gap = abs(abs(cross.m1_12) - math.sqrt(cross.nu))

@@ -2,9 +2,10 @@
 
 Runs the full chain for a sweep of rays and times: integrate the lattice
 directly, once per profile through the sorted times, build the
-scattering data of the initial profile, evaluate the leading-order
-asymptotic value per row, and record the comparison.  Also hosts the
-machine-readable emitters and the invariant self-test used by the CLI.
+reflection coefficient r(z) of the initial profile once per sweep,
+evaluate the leading-order asymptotic value per row from it, and record
+the comparison.  Also hosts the machine-readable emitters and the
+invariant self-test used by the CLI.
 """
 
 from __future__ import annotations
@@ -188,8 +189,23 @@ def asymptotic_value(config: RunConfig, v: float, t: float,
     The gauge is pinned by two independent oracles: direct integration,
     and the exact linearization q_n = q_0 (-1)^n J_n(2t) for small
     single-site data (Bessel asymptotics fix both the site shift and the
-    sign alternation; see tests).
+    sign alternation; see tests).  Builds r_u for this one value; a sweep
+    builds it once and shares it between its rows.
     """
+    return _asymptotic_row(config, _reflection(config.profile), v, t,
+                           sign_convention, check_realness)
+
+
+def _reflection(profile: InitialProfile):
+    """r_u(z), u_k = (-1)^k q_k(0): the reflection coefficient that every
+    asymptotic value of the profile is built from (see asymptotic_value)."""
+    return reflection_evaluator(staggered(profile.support_state()))
+
+
+def _asymptotic_row(config: RunConfig, r_eval, v: float, t: float,
+                    sign_convention: str | None = None,
+                    check_realness: bool = True) -> model.AsymptoticResult:
+    """asymptotic_value from a prebuilt r_u (see _reflection)."""
     n = probe_site(v, t, config.v_max)
     # n+1 may overshoot v_max by 1/t; only the merging-point guard applies
     v_ray = abs(n + 1) / t
@@ -197,11 +213,10 @@ def asymptotic_value(config: RunConfig, v: float, t: float,
         raise MergingPointsError(
             f"|(n+1)/t| = {v_ray:.4f} is within the merging margin of 2")
     ray = RayParams(n=n + 1, t=t, v_max=max(config.v_max, v_ray))
-    r_eval = reflection_evaluator(staggered(config.profile.support_state()))
     stat = stationary_points(ray)
     coeffs = weights.coefficient_set(r_eval, stat, tol=config.quadrature_tol)
     crosses = model.cross_solutions(
-        r_eval, stat, coeffs, sign_convention or config.sign_convention)
+        stat, coeffs, sign_convention or config.sign_convention)
     calibration = config.realness_tol if check_realness else None
     res = model.leading_term(ray, stat, coeffs, crosses,
                              realness_calibration=calibration)
@@ -245,15 +260,16 @@ def _trajectory(config: RunConfig) -> dict:
 
 
 def _compare_row(config: RunConfig, v: float, t: float, direct: tuple,
-                 compute_asym: bool = True) -> ComparisonRecord:
-    """One row from its (q_direct, fail_reason, seconds) of the trajectory;
-    a row the trajectory failed skips the asymptotic value."""
+                 r_eval) -> ComparisonRecord:
+    """One row from its (q_direct, fail_reason, seconds) of the trajectory
+    and the sweep's r_u (None: no asymptotic value); a row the trajectory
+    failed skips the asymptotic value."""
     started = time.perf_counter()
     q_direct, reason, integrate_time = direct
     q_asym = imag_residual = math.nan
-    if reason is None and compute_asym:
+    if reason is None and r_eval is not None:
         try:
-            result = asymptotic_value(config, v, t)
+            result = _asymptotic_row(config, r_eval, v, t)
             q_asym = result.q_asym
             imag_residual = result.imag_residual
         except DmkdvError as exc:
@@ -284,12 +300,17 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     time is a multiple of dt, each segment takes the per-row step, so
     q_direct is bitwise what a fresh integration from 0 gives.  A guard
     tripping in the segment ending at t_k fails every row at t >= t_k;
-    earlier rows keep their values.  An asymptotic failure fails its own
-    row only.  With threads > 1 the asymptotic rows run in a process
-    pool; assembly order is fixed regardless of parallelism.
+    earlier rows keep their values.  r(z) is built once per sweep and
+    shared by its rows; each row evaluates r at its four stationary
+    points once, for nu_j and the cross entries alike.  An asymptotic
+    failure fails its own row only.  With threads > 1 the asymptotic
+    rows run in a process pool, whose workers receive the sweep's r(z)
+    with their jobs and build none; assembly order is fixed regardless
+    of parallelism.
     """
     direct = _trajectory(config) if compute_direct and config.v_list else {}
-    jobs = [(config, v, t, direct.get((v, t), _NOT_INTEGRATED), compute_asym)
+    r_eval = _reflection(config.profile) if compute_asym else None
+    jobs = [(config, v, t, direct.get((v, t), _NOT_INTEGRATED), r_eval)
             for v in config.v_list for t in config.t_list]
     if compute_asym and config.threads > 1 and len(jobs) > 1:
         import concurrent.futures  # only pooled sweeps pay for its import
@@ -404,6 +425,29 @@ def unitarity_checks(state: lattice.LatticeState) -> list:
     return [_check("unitarity", defect.max(), 1e-10)]
 
 
+def realness_checks(sign_convention: str = DEFAULT_SIGN_CONVENTION) -> list:
+    """The sign-convention audit on single-site 0.3 data at v = 0.5,
+    t = 800, realness guard off: the imaginary residual over t^-1/2 must
+    stay below 0.05 under `sign_convention` and reach 0.05 under the
+    other convention.
+    """
+    config = RunConfig(profile=InitialProfile(kind="single_site",
+                                              amplitude=0.3))
+    t = 800.0
+    scale = t ** -0.5
+    ratios = {}
+    for conv in SIGN_CONVENTIONS:
+        res = asymptotic_value(config, 0.5, t, sign_convention=conv,
+                               check_realness=False)
+        ratios[conv] = res.imag_residual / scale
+    rejected = [c for c in SIGN_CONVENTIONS if c != sign_convention][0]
+    return [
+        _check(f"realness_{sign_convention}", ratios[sign_convention], 0.05),
+        _check(f"realness_rejected_{rejected}", ratios[rejected], 0.05,
+               larger_is_fail=False),
+    ]
+
+
 def selftest(sign_convention: str = DEFAULT_SIGN_CONVENTION,
              seed: int = 20240901,
              quadrature_tol: float = 1e-11) -> dict:
@@ -482,26 +526,9 @@ def selftest(sign_convention: str = DEFAULT_SIGN_CONVENTION,
             worst = max(worst, abs(d - prod))
         return [_check("delta_product_identity", worst, 1e-9)]
 
-    def convention_checks():
-        config = RunConfig(profile=InitialProfile(kind="single_site",
-                                                  amplitude=0.3))
-        t = 800.0
-        scale = t ** -0.5
-        ratios = {}
-        for conv in SIGN_CONVENTIONS:
-            res = asymptotic_value(config, 0.5, t, sign_convention=conv,
-                                   check_realness=False)
-            ratios[conv] = res.imag_residual / scale
-        rejected = [c for c in SIGN_CONVENTIONS if c != sign_convention][0]
-        return [
-            _check(f"realness_{sign_convention}", ratios[sign_convention], 0.05),
-            _check(f"realness_rejected_{rejected}", ratios[rejected], 0.05,
-                   larger_is_fail=False),
-        ]
-
     for fn in (gamma_checks, modulus_checks, seeded_unitarity_checks,
                phase_checks, delta_product_checks, integrator_checks,
-               convention_checks):
+               lambda: realness_checks(sign_convention)):
         run(fn)
 
     return {

@@ -128,13 +128,18 @@ def m1_entry(nu: float, r_at_S: complex, j: int,
         / (r_at_S * complex_gamma((-1) ** j * 1j * nu))
 
 
-def cross_solutions(r_eval, stationary: StationarySet, coeffs: CoefficientSet,
+def cross_solutions(stationary: StationarySet, coeffs: CoefficientSet,
                     sign_convention: str = DEFAULT_SIGN_CONVENTION) -> tuple:
-    """All four CrossSolution records under one convention."""
+    """All four CrossSolution records under one convention.
+
+    `coeffs` must come from coefficient_set on `stationary`: r(S_j) is
+    read from coeffs.r_at_S, the values nu_j was taken from, and no r is
+    evaluated here.
+    """
     _check_convention(sign_convention)
     out = []
     for j in (1, 2, 3, 4):
-        r_at = r_eval(stationary.S[j - 1])
+        r_at = coeffs.r_at_S[j - 1]
         nu = coeffs.nu[j - 1]
         out.append(CrossSolution(j=j, nu=nu, r_at_S=r_at,
                                  m1_12=m1_entry(nu, r_at, j, sign_convention),

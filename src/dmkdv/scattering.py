@@ -31,6 +31,7 @@ that times sum_j |c_j| |z|^e_j.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,13 +266,14 @@ def scattering_coefficients(q: LatticeState, z) -> ScatteringData:
 
 
 def reflection_evaluator(q: LatticeState):
-    """Callable z -> r(z) for scalar or array z on |z| = 1."""
-    poly = scattering_polynomials(q)
+    """Callable z -> r(z) for scalar or array z on |z| = 1.  It pickles,
+    so one build can serve every worker of a process pool."""
+    return functools.partial(_reflection_at, scattering_polynomials(q))
 
-    def r_eval(z):
-        a, b = poly(_on_circle(z))
-        return b / a
-    return r_eval
+
+def _reflection_at(poly: ScatteringPolynomials, z):
+    a, b = poly(_on_circle(z))
+    return b / a
 
 
 @dataclass(frozen=True)

@@ -116,15 +116,21 @@ def log_density(r_eval, z):
     """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z (a
     constant r is broadcast); the density of every arc integral."""
     zc = getattr(z, "z", z)
-    m2 = np.abs(r_eval(zc)) ** 2
+    density = _density_of(r_eval(zc))
+    if density.shape != np.shape(zc):
+        density = np.broadcast_to(density, np.shape(zc))
+    return density
+
+
+def _density_of(r_values):
+    """log(1 - |r|^2) of values of r; ReflectionTooLargeError when some
+    |r| reaches 1 - 1e-8."""
+    m2 = np.abs(r_values) ** 2
     peak = m2.max()
     if peak >= (1.0 - 1e-8) ** 2:
         raise ReflectionTooLargeError(
             f"max |r| = {math.sqrt(peak):.9f} at the sampled points")
-    density = np.log1p(-m2)
-    if density.shape != np.shape(zc):
-        density = np.broadcast_to(density, np.shape(zc))
-    return density
+    return np.log1p(-m2)
 
 
 def _arc_sums(density, arc: ArcSpec, points, shifts=0.0,
@@ -264,8 +270,10 @@ def delta_j0(ray: RayParams, stationary: StationarySet,
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """All per-point coefficients plus delta(0) for one ray."""
+    """All per-point coefficients plus delta(0) for one ray; r_at_S holds
+    r(S_j), from which nu_j is taken and which the cross entries read."""
 
+    r_at_S: tuple
     nu: tuple
     chi_at_S: tuple
     hat_delta_at_S: tuple
@@ -277,13 +285,17 @@ def coefficient_set(r_eval, stationary: StationarySet,
                     tol: float = DEFAULT_TOL) -> CoefficientSet:
     """Compute every coefficient the asymptotic formula needs.
 
-    One sweep per arc T_j -> S_j gives its integral at z = 0 and at every
-    S_k, with g(S_j) subtracted at its own endpoint (chi_j).  delta(0) is
-    prod_j delta_j(0): arc S1 -> S2 through 1 is arc T1 -> S1 reversed
-    followed by arc T2 -> S2, and likewise through -1.
+    r is evaluated at the four S_j in one call; those values give
+    g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are kept as r_at_S for
+    the cross entries.  One sweep per arc T_j -> S_j gives its integral
+    at z = 0 and at every S_k, with g(S_j) subtracted at its own endpoint
+    (chi_j).  delta(0) is prod_j delta_j(0): arc S1 -> S2 through 1 is
+    arc T1 -> S1 reversed followed by arc T2 -> S2, and likewise through
+    -1.
     """
     density = functools.partial(log_density, r_eval)
-    g_at_S = density(np.array(stationary.S))
+    r_at_S = np.broadcast_to(r_eval(np.array(stationary.S)), (4,))
+    g_at_S = _density_of(r_at_S)
     exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
     chis = []
     for j in (1, 2, 3, 4):
@@ -294,6 +306,7 @@ def coefficient_set(r_eval, stationary: StationarySet,
         sums[j] = 0.0
         exponents += (-1) ** (j - 1) * sums
     partial = CoefficientSet(
+        r_at_S=tuple(r_at_S.tolist()),
         nu=tuple(float(-g / (2.0 * math.pi)) for g in g_at_S),
         chi_at_S=tuple(chis),
         hat_delta_at_S=tuple(map(cmath.exp, exponents[1:])),

@@ -15,7 +15,6 @@ from dmkdv import (
     InitialProfile,
     LatticeState,
     RunConfig,
-    SIGN_CONVENTIONS,
     UnitCirclePoint,
     amplitude_envelope,
     chi_at_stationary,
@@ -33,6 +32,7 @@ from dmkdv.harness import (
     asymptotic_value,
     integrator_checks,
     probe_site,
+    realness_checks,
     run_compare,
     unitarity_checks,
 )
@@ -198,14 +198,8 @@ def test_acceptance_8c_scaled_error_band(sweep):
 
 
 def test_acceptance_9_realness_selects_convention():
-    config = RunConfig(profile=REFERENCE)
-    t = 800.0
-    ratios = {}
-    for conv in SIGN_CONVENTIONS:
-        res = asymptotic_value(config, 0.5, t, sign_convention=conv,
-                               check_realness=False)
-        ratios[conv] = res.imag_residual / t ** -0.5
-    ok = ratios["conjugate_pair"] < 0.05 and ratios["uniform_phase"] >= 0.05
-    report(9, "realness under selected sign convention", ok,
-           f"imag/t^-0.5: conjugate_pair={ratios['conjugate_pair']:.2e} < 0.05, "
-           f"uniform_phase={ratios['uniform_phase']:.2e} >= 0.05")
+    selected, rejected = realness_checks("conjugate_pair")
+    report(9, "realness under selected sign convention",
+           selected["pass"] and rejected["pass"],
+           f"imag/t^-0.5: conjugate_pair={selected['measured']:.2e} < 0.05, "
+           f"uniform_phase={rejected['measured']:.2e} >= 0.05")

@@ -9,13 +9,23 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmkdv.harness as hn
+import dmkdv.model as model
 from dmkdv import (
     ConfigError,
+    CrossSolution,
     DmkdvError,
     InitialProfile,
+    RayParams,
     RunConfig,
     SpillError,
+    coefficient_set,
     integrate,
+    leading_term,
+    m1_entry,
+    reflection_evaluator,
+    staggered,
+    stationary_points,
 )
 from dmkdv.harness import (
     CSV_HEADER,
@@ -46,6 +56,32 @@ def oracle_row(config, v, t):
         return oracle_direct(config, v, t)[1], None
     except DmkdvError as exc:
         return math.nan, f"{type(exc).__name__}: {exc}"
+
+
+def oracle_asymptotic(config, v, t):
+    """(q_asym, imag_residual, fail_reason) by the per-row path: a fresh
+    r(z) for the row, and the cross entries from four scalar r(S_j)
+    calls.  No merging-point guard: callers keep |(n+1)/t| well below 2."""
+    n = probe_site(v, t, config.v_max)
+    try:
+        ray = RayParams(n=n + 1, t=t,
+                        v_max=max(config.v_max, abs(n + 1) / t))
+        r_eval = reflection_evaluator(staggered(config.profile.support_state()))
+        stat = stationary_points(ray)
+        coeffs = coefficient_set(r_eval, stat, tol=config.quadrature_tol)
+        crosses = []
+        for j in (1, 2, 3, 4):
+            r_at = r_eval(stat.S[j - 1])
+            nu = coeffs.nu[j - 1]
+            crosses.append(CrossSolution(
+                j=j, nu=nu, r_at_S=r_at,
+                m1_12=m1_entry(nu, r_at, j, config.sign_convention),
+                sign_convention=config.sign_convention))
+        res = leading_term(ray, stat, coeffs, crosses,
+                           realness_calibration=config.realness_tol)
+    except DmkdvError as exc:
+        return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
+    return (-1) ** n * res.q_asym, res.imag_residual, None
 
 
 def zero_config(**kw):
@@ -197,8 +233,6 @@ def test_zero_profile_rows_are_zero():
 
 
 def test_row_failure_isolation(monkeypatch):
-    import dmkdv.harness as hn
-
     real = hn.integrate
 
     def failing(state, t_end, dt, **kw):
@@ -282,6 +316,77 @@ def test_parallel_rows_identical_output(tmp_path):
     emit(seq, str(p1), "csv")
     emit(par, str(p2), "csv")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(values=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
+       rays=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+       times=st.lists(st.floats(20.0, 60.0), min_size=1, max_size=2,
+                      unique=True))
+def test_property_output_does_not_depend_on_threads(tmp_path_factory,
+                                                    values, rays, times):
+    config = RunConfig(
+        profile=InitialProfile(kind="custom_list", custom=tuple(values)),
+        v_list=tuple(rays), t_list=tuple(sorted(times)))
+    paths = []
+    for threads in (1, 2):
+        path = tmp_path_factory.mktemp("threads") / f"{threads}.csv"
+        emit(run_compare(dataclasses.replace(config, threads=threads),
+                         compute_direct=False), str(path), "csv")
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_sweep_builds_r_once_and_crosses_evaluate_none(monkeypatch):
+    builds, calls, calls_in_crosses = [], [], []
+    real_build, real_crosses = hn.reflection_evaluator, model.cross_solutions
+
+    def counting_build(state):
+        r_eval = real_build(state)
+        builds.append(state)
+
+        def counted(z):
+            calls.append(z)
+            return r_eval(z)
+        return counted
+
+    def watched_crosses(*args, **kwargs):
+        before = len(calls)
+        out = real_crosses(*args, **kwargs)
+        calls_in_crosses.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(hn, "reflection_evaluator", counting_build)
+    monkeypatch.setattr(model, "cross_solutions", watched_crosses)
+    config = RunConfig(profile=InitialProfile(kind="gaussian", amplitude=0.2,
+                                              width=2.0),
+                       v_list=(0.0, 0.5, -1.2), t_list=(30.0, 60.0))
+    records = run_compare(config, compute_direct=False)
+    assert [r.fail_reason for r in records] == [None] * 6
+    assert len(builds) == 1
+    assert calls_in_crosses == [0] * 6
+    assert calls  # the rows did evaluate r, through the one evaluator
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(values=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=6),
+       rays=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+       times=st.lists(st.floats(20.0, 60.0), min_size=1, max_size=2,
+                      unique=True))
+def test_property_shared_r_matches_per_row_oracle(values, rays, times):
+    # the sweep's r(S_j) come from one array call, the oracle's from four
+    # scalar calls: the two differ in the last bits of m1_12 only
+    config = RunConfig(
+        profile=InitialProfile(kind="custom_list", custom=tuple(values)),
+        v_list=tuple(rays), t_list=tuple(sorted(times)))
+    records = run_compare(config, compute_direct=False)
+    assert len(records) == len(rays) * len(times)
+    for rec in records:
+        q_asym, imag_residual, reason = oracle_asymptotic(config, rec.v, rec.t)
+        assert rec.fail_reason == reason
+        if reason is None:
+            assert abs(rec.q_asym - q_asym) <= 1e-14
+            assert abs(rec.imag_residual - imag_residual) <= 1e-14
 
 
 def test_asymptotics_match_linear_limit():
