@@ -51,8 +51,9 @@ b_top = poly.b_low + 2 * (len(poly.b_coeffs) - 1)
 print(f"\na(z): exponents {poly.a_low}..{a_top} step 2, "
       f"b(z): exponents {poly.b_low}..{b_top} step 2")
 
-grid = reflection_grid(random_state, 256)
-print(f"reflection grid (256 angles): max |r| = {grid.max_abs_r:.6f} < 1")
-gap = max(abs(v - scattering_coefficients(random_state, p).r)
-          for p, v in zip(grid.points, grid.values))
+theta, r = reflection_grid(random_state, 256)
+print(f"reflection grid (256 angles): max |r| = {np.abs(r).max():.6f} < 1")
+gap = max(abs(value - scattering_coefficients(
+              random_state, UnitCirclePoint.from_theta(angle)).r)
+          for angle, value in zip(theta, r))
 print(f"grid samples vs the polynomials at each point: max gap = {gap:.2e}")

@@ -56,13 +56,12 @@ for j in (1, 2, 3, 4):
 print(f"\nproduct identity at z = {z:.3f}: "
       f"|delta - prod delta_j| = {abs(delta_at(r_eval, stat, z) - product):.2e}")
 
-crosses = cross_solutions(stat, coeffs)
+m1 = cross_solutions(coeffs)
 print(f"\n{'j':>2} {'(m1^j)_12':>24} {'|m1| - sqrt(nu)':>16}")
-for cross in crosses:
-    gap = abs(abs(cross.m1_12) - math.sqrt(cross.nu))
-    print(f"{cross.j:2d} {cross.m1_12:24.6e} {gap:16.2e}")
+for j, (entry, nu) in enumerate(zip(m1, coeffs.nu), start=1):
+    print(f"{j:2d} {entry:24.6e} {abs(abs(entry) - math.sqrt(nu)):16.2e}")
 
-result = leading_term(ray, stat, coeffs, crosses)
+result = leading_term(ray, stat, coeffs, m1)
 print(f"\nleading term at (n=50, t=100): {result.q_asym:+.6e} "
       f"(imaginary residual {result.imag_residual:.2e})")
 for j in (1, 2, 3, 4):

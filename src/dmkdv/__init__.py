@@ -11,6 +11,10 @@ Building blocks:
                     asymptotic value of q_n
 * ``harness``    -- end-to-end sweeps, self-test, emitters, used by the
                     ``dmkdv`` command-line tool
+
+The names below are the ones the command-line tool, the demos and the
+tests import from the package; everything else is imported from its
+module.
 """
 
 from .errors import (
@@ -25,22 +29,17 @@ from .errors import (
     ReflectionTooLargeError,
     SpillError,
 )
-from .harness import ComparisonRecord, RunConfig, emit, run_compare, selftest
+from .harness import RunConfig
 from .lattice import (
     InitialProfile,
     LatticeState,
     conserved_c_inf,
     integrate,
     rho_zero,
-    rhs,
     staggered,
-    weighted_norm,
 )
 from .model import (
-    DEFAULT_SIGN_CONVENTION,
     SIGN_CONVENTIONS,
-    AsymptoticResult,
-    CrossSolution,
     amplitude_envelope,
     complex_gamma,
     cross_solutions,
@@ -48,16 +47,8 @@ from .model import (
     m1_entry,
     oscillation_decomposition,
 )
-from .phase import (
-    RayParams,
-    StationarySet,
-    phase_at,
-    phase_derivative,
-    stationary_points,
-)
+from .phase import RayParams, phase_at, phase_derivative, stationary_points
 from .scattering import (
-    ReflectionGrid,
-    ScatteringData,
     UnitCirclePoint,
     reflection_evaluator,
     reflection_grid,
@@ -66,7 +57,6 @@ from .scattering import (
 )
 from .weights import (
     ArcSpec,
-    CoefficientSet,
     cauchy_arc_integral,
     chi_at_stationary,
     coefficient_set,

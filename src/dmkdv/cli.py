@@ -7,9 +7,10 @@
     dmkdv selftest  ...
 
 Configuration comes from an optional JSON file plus dotted --set
-overrides (e.g. --set profile.amplitude=0.2 --set output.format=json).
-Exit codes: 0 success, 1 check/row failure, 2 configuration error,
-3 I/O error.
+overrides (e.g. --set profile.amplitude=0.2 --set output.format=json);
+an unknown key is a configuration error.  Every table is written by
+harness.write_table.  Exit codes: 0 success, 1 check/row failure,
+2 configuration error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -18,9 +19,18 @@ import argparse
 import json
 import sys
 
-from . import harness, scattering
+import numpy as np
+
+from . import scattering
 from .errors import ConfigError
-from .harness import RunConfig, emit, emit_plot_data, run_compare, selftest
+from .harness import (
+    RunConfig,
+    emit,
+    emit_plot_data,
+    run_compare,
+    selftest,
+    write_table,
+)
 from .lattice import conserved_c_inf, rho_zero
 
 
@@ -57,24 +67,10 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _write_rows(path: str, fmt: str, header: tuple, rows: list) -> None:
-    if fmt == "json":
-        payload = json.dumps([dict(zip(header, row)) for row in rows],
-                             indent=2) + "\n"
-    else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(int(x)) if isinstance(x, int)
-                                  else repr(float(x)) for x in row))
-        payload = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(payload)
-
-
 def _cmd_simulate(config: RunConfig) -> int:
     records = run_compare(config, compute_asym=False)
     rows = [(r.n, r.t, r.v, r.q_direct) for r in records]
-    _write_rows(config.output_path, config.output_format,
+    write_table(config.output_path, config.output_format,
                 ("n", "t", "v", "q_direct"), rows)
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return 1 if any(r.fail_reason for r in records) else 0
@@ -83,7 +79,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 def _cmd_asymptote(config: RunConfig) -> int:
     records = run_compare(config, compute_direct=False)
     rows = [(r.n, r.t, r.v, r.q_asym, r.imag_residual) for r in records]
-    _write_rows(config.output_path, config.output_format,
+    write_table(config.output_path, config.output_format,
                 ("n", "t", "v", "q_asym", "imag_residual"), rows)
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return 1 if any(r.fail_reason for r in records) else 0
@@ -91,13 +87,12 @@ def _cmd_asymptote(config: RunConfig) -> int:
 
 def _cmd_scatter(config: RunConfig) -> int:
     state = config.profile.support_state()
-    grid = scattering.reflection_grid(state, config.grid_size)
-    rows = [(p.theta, v.real, v.imag, abs(v))
-            for p, v in zip(grid.points, grid.values)]
-    _write_rows(config.output_path, config.output_format,
+    theta, r = scattering.reflection_grid(state, config.grid_size)
+    rows = [(th, v.real, v.imag, abs(v)) for th, v in zip(theta, r)]
+    write_table(config.output_path, config.output_format,
                 ("theta", "re_r", "im_r", "abs_r"), rows)
     print(f"c_inf = {conserved_c_inf(state)!r}  rho0 = {rho_zero(state)!r}  "
-          f"max|r| = {grid.max_abs_r!r}")
+          f"max|r| = {float(np.abs(r).max())!r}")
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return 0
 

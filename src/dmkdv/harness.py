@@ -4,8 +4,10 @@ Runs the full chain for a sweep of rays and times: integrate the lattice
 directly, once per profile through the sorted times, build the
 reflection coefficient r(z) of the initial profile once per sweep,
 evaluate the leading-order asymptotic value per row from it, and record
-the comparison.  Also hosts the machine-readable emitters and the
-invariant self-test used by the CLI.
+the comparison.  Also hosts what the CLI writes and checks with:
+write_table, the one writer of every output table (emit is its form for
+comparison records), and the invariant checks, each written once at
+module level and shared by selftest and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,13 +32,23 @@ __all__ = [
     "run_compare",
     "selftest",
     "emit",
+    "write_table",
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "n,t,v,q_direct,q_asym,abs_err,scaled_err,imag_residual"
-
 _EMIT_FIELDS = ("n", "t", "v", "q_direct", "q_asym", "abs_err",
                 "scaled_err", "imag_residual")
+CSV_HEADER = ",".join(_EMIT_FIELDS)
+
+# the keys RunConfig.from_dict reads; a section maps to its own keys
+_SCHEMA = {
+    "profile": ("kind", "amplitude", "width", "center", "custom"),
+    "rays": None, "times": None, "dt": None, "window_margin": None,
+    "grid_size": None,
+    "tolerances": ("quadrature", "realness", "spill"),
+    "sign_convention": None, "v_max": None, "threads": None,
+    "output": ("path", "format"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,12 +73,16 @@ class RunConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if not self.window_margin >= 0:
+            raise ConfigError("window_margin must be >= 0")
         if not 0 < self.v_max < 2:
             raise ConfigError("v_max must lie in (0, 2)")
         if self.grid_size < 64 or self.grid_size & (self.grid_size - 1):
             raise ConfigError("grid_size must be a power of two >= 64")
         if min(self.quadrature_tol, self.realness_tol, self.spill_tol) <= 0:
             raise ConfigError("tolerances must be positive")
+        if len(self.v_list) == 0:
+            raise ConfigError("rays must be a nonempty list")
         if any(abs(v) > self.v_max for v in self.v_list):
             raise ConfigError(f"every |v| must be <= v_max = {self.v_max}")
         if list(self.t_list) != sorted(self.t_list) or len(self.t_list) == 0:
@@ -83,16 +99,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Build from the JSON schema:
+        """Build from the JSON schema (every key optional; an unknown key
+        is a ConfigError naming it):
 
-        {"profile": {"kind", "amplitude", "width", "center"},
+        {"profile": {"kind", "amplitude", "width", "center", "custom"},
          "rays": [v...], "times": [t...], "dt": ..., "grid_size": ...,
          "window_margin": ..., "tolerances": {"quadrature", "realness",
-         "spill"}, "sign_convention": ..., "threads": ...,
+         "spill"}, "sign_convention": ..., "v_max": ..., "threads": ...,
          "output": {"path", "format"}}
         """
         try:
-            prof = dict(d.get("profile", {}))
+            d = _known_keys(d, _SCHEMA)
+            prof, tols, out = (_known_keys(d.get(name, {}), _SCHEMA[name],
+                                           name + ".")
+                               for name in ("profile", "tolerances", "output"))
             profile = InitialProfile(
                 kind=prof.get("kind", "single_site"),
                 amplitude=float(prof.get("amplitude", 0.3)),
@@ -100,8 +120,6 @@ class RunConfig:
                 center=int(prof.get("center", 0)),
                 custom=tuple(prof.get("custom", ())),
             )
-            tols = dict(d.get("tolerances", {}))
-            out = dict(d.get("output", {}))
             kwargs = dict(
                 profile=profile,
                 dt=float(d.get("dt", cls.dt)),
@@ -124,25 +142,15 @@ class RunConfig:
             raise ConfigError(f"bad configuration: {exc}") from exc
         return cls(**kwargs)
 
-    def to_dict(self) -> dict:
-        p = self.profile
-        return {
-            "profile": {"kind": p.kind, "amplitude": p.amplitude,
-                        "width": p.width, "center": p.center,
-                        "custom": list(p.custom)},
-            "rays": list(self.v_list),
-            "times": list(self.t_list),
-            "dt": self.dt,
-            "window_margin": self.window_margin,
-            "grid_size": self.grid_size,
-            "tolerances": {"quadrature": self.quadrature_tol,
-                           "realness": self.realness_tol,
-                           "spill": self.spill_tol},
-            "sign_convention": self.sign_convention,
-            "v_max": self.v_max,
-            "threads": self.threads,
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
+
+def _known_keys(section, keys, prefix: str = "") -> dict:
+    """`section` as a dict, once every key in it is one of `keys`."""
+    section = dict(section)
+    unknown = [key for key in section if key not in keys]
+    if unknown:
+        raise ConfigError("unknown configuration key "
+                          + ", ".join(repr(prefix + key) for key in unknown))
+    return section
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,10 +223,10 @@ def _asymptotic_row(config: RunConfig, r_eval, v: float, t: float,
     ray = RayParams(n=n + 1, t=t, v_max=max(config.v_max, v_ray))
     stat = stationary_points(ray)
     coeffs = weights.coefficient_set(r_eval, stat, tol=config.quadrature_tol)
-    crosses = model.cross_solutions(
-        stat, coeffs, sign_convention or config.sign_convention)
+    m1 = model.cross_solutions(coeffs,
+                               sign_convention or config.sign_convention)
     calibration = config.realness_tol if check_realness else None
-    res = model.leading_term(ray, stat, coeffs, crosses,
+    res = model.leading_term(ray, stat, coeffs, m1,
                              realness_calibration=calibration)
     return replace(res, n=n, q_asym=(-1) ** n * res.q_asym)
 
@@ -308,7 +316,7 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     with their jobs and build none; assembly order is fixed regardless
     of parallelism.
     """
-    direct = _trajectory(config) if compute_direct and config.v_list else {}
+    direct = _trajectory(config) if compute_direct else {}
     r_eval = _reflection(config.profile) if compute_asym else None
     jobs = [(config, v, t, direct.get((v, t), _NOT_INTEGRATED), r_eval)
             for v in config.v_list for t in config.t_list]
@@ -329,37 +337,40 @@ def _fmt(value) -> str:
     return repr(float(value))  # shortest round-trip decimal
 
 
-def emit(records, path: str, fmt: str = "csv") -> str:
-    """Write records as CSV (pinned header) or JSON; returns the path.
+def write_table(path: str, fmt: str, header: tuple, rows) -> str:
+    """Write `rows`, sequences of numbers in `header` order, as CSV or
+    JSON; returns the path.
 
-    Output is byte-identical for identical records.  Failed rows emit
-    NaN columns (null in JSON).
+    CSV is the header line, then integers as integers and floats as
+    their shortest round-trip decimal (nan for a failed value).  JSON is
+    a list of objects with NaN written as null.  Output is byte-identical
+    for identical rows.  An empty table is refused before the file is
+    created.
     """
-    if not records:
-        raise ValueError("no records to emit; refusing to create the file")
+    if not rows:
+        raise ValueError("no rows to write; refusing to create the file")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for rec in records:
-            lines.append(",".join(_fmt(getattr(rec, name))
-                                  for name in _EMIT_FIELDS))
+        lines = [",".join(header)]
+        lines += [",".join(map(_fmt, row)) for row in rows]
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
-        rows = []
-        for rec in records:
-            row = {}
-            for name in _EMIT_FIELDS:
-                value = getattr(rec, name)
-                if isinstance(value, float) and math.isnan(value):
-                    row[name] = None
-                else:
-                    row[name] = value
-            rows.append(row)
-        payload = json.dumps(rows, indent=2) + "\n"
+        payload = json.dumps(
+            [{name: None if isinstance(value, float) and math.isnan(value)
+              else value for name, value in zip(header, row)}
+             for row in rows], indent=2) + "\n"
     else:
         raise ValueError("format must be csv or json")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(payload)
     return path
+
+
+def emit(records, path: str, fmt: str = "csv") -> str:
+    """Write comparison records under CSV_HEADER by write_table; failed
+    rows carry NaN columns (null in JSON)."""
+    return write_table(path, fmt, _EMIT_FIELDS,
+                       [[getattr(rec, name) for name in _EMIT_FIELDS]
+                        for rec in records])
 
 
 def emit_plot_data(records, path_stem: str) -> list:
@@ -448,6 +459,68 @@ def realness_checks(sign_convention: str = DEFAULT_SIGN_CONVENTION) -> list:
     ]
 
 
+def gamma_checks() -> list:
+    """Gamma(1) = 1, Gamma(1/2) = pi^(1/2) and |Gamma(i/4)|^2 =
+    pi / ((1/4) sinh(pi/4)), within 1e-12."""
+    worst = max(
+        abs(model.complex_gamma(1.0) - 1.0),
+        abs(model.complex_gamma(0.5) - math.sqrt(math.pi)),
+        abs(abs(model.complex_gamma(0.25j)) ** 2
+            - math.pi / (0.25 * math.sinh(math.pi * 0.25))),
+    )
+    return [_check("gamma_identities", worst, 1e-12)]
+
+
+def modulus_checks(angle: float,
+                   sign_convention: str = DEFAULT_SIGN_CONVENTION) -> list:
+    """|(m1^j)_12| = nu^(1/2) within 1e-10 for j = 1..4 and nu = 0.001,
+    0.01, 0.1, 0.5, at r(S_j) = (1 - e^(-2 pi nu))^(1/2) e^(i angle)."""
+    worst = 0.0
+    for nu in (0.001, 0.01, 0.1, 0.5):
+        r_val = math.sqrt(1.0 - math.exp(-2.0 * math.pi * nu)) \
+            * np.exp(1j * angle)
+        for j in (1, 2, 3, 4):
+            m1 = model.m1_entry(nu, r_val, j, sign_convention)
+            worst = max(worst, abs(abs(m1) - math.sqrt(nu)))
+    return [_check("model_modulus_sqrt_nu", worst, 1e-10)]
+
+
+def phase_checks(rng: np.random.Generator) -> list:
+    """phi'(S_j) = 0 within 1e-10 and phi''(S_j) beta_j^2 = (-1)^(j-1) i/2
+    within 1e-12 at the stationary points of 100 rays drawn from `rng`,
+    v then t per ray: v uniform in (-1.8, 1.8), t in (1, 1000)."""
+    worst_d1 = worst_identity = 0.0
+    for _ in range(100):
+        v = rng.uniform(-1.8, 1.8)
+        t = rng.uniform(1.0, 1000.0)
+        ray = RayParams(n=probe_site(v, t, 1.8), t=t)
+        stat = stationary_points(ray)
+        for k in range(4):
+            worst_d1 = max(worst_d1, abs(
+                phase.phase_derivative(stat.S[k], ray)))
+            worst_identity = max(worst_identity, abs(
+                stat.phi_dd[k] * stat.beta[k] ** 2 - (-1) ** k * 0.5j))
+    return [_check("phase_first_derivative", worst_d1, 1e-10),
+            _check("phase_beta_identity", worst_identity, 1e-12)]
+
+
+def delta_product_checks(points, tol: float = weights.DEFAULT_TOL) -> list:
+    """delta(z) = prod_j delta_j(z) within 1e-9 at every z of `points`, on
+    single-site 0.3 data and the ray n = 50, t = 100, with the arc
+    quadrature at `tol`."""
+    profile = InitialProfile(kind="single_site", amplitude=0.3)
+    r_eval = reflection_evaluator(profile.support_state())
+    stat = stationary_points(RayParams(n=50, t=100.0))
+    worst = 0.0
+    for z in points:
+        d = weights.delta_at(r_eval, stat, z, tol=tol)
+        prod = 1.0 + 0.0j
+        for j in (1, 2, 3, 4):
+            prod *= weights.delta_j_at(r_eval, stat, j, z, tol=tol)
+        worst = max(worst, abs(d - prod))
+    return [_check("delta_product_identity", worst, 1e-9)]
+
+
 def selftest(sign_convention: str = DEFAULT_SIGN_CONVENTION,
              seed: int = 20240901,
              quadrature_tol: float = 1e-11) -> dict:
@@ -455,81 +528,31 @@ def selftest(sign_convention: str = DEFAULT_SIGN_CONVENTION,
 
     Returns {"pass": bool, "sign_convention": ..., "checks": [
     {"name", "pass", "measured", "threshold"}, ...]}; every check also
-    records its wall time.  Loosening quadrature_tol degrades the
-    delta-product check proportionally (it is the knob under test there).
+    records its wall time.  The seeded generator draws the unitarity
+    data, then the phase-check rays.  Loosening quadrature_tol degrades
+    the delta-product check proportionally (it is the knob under test
+    there).
     """
     rng = np.random.default_rng(seed)
+    radii = [0.3 + 0.55 * (k / 9.0) for k in range(10)] \
+        + [1.15 + 0.85 * (k / 9.0) for k in range(10)]
+    product_points = [radius * np.exp(2j * math.pi * k / 20.0)
+                      for k, radius in enumerate(radii)]
     checks = []
-
-    def run(fn):
+    for fn in (gamma_checks,
+               lambda: modulus_checks(0.3, sign_convention),
+               lambda: unitarity_checks(lattice.LatticeState(
+                   n_min=-8, values=rng.uniform(-0.5, 0.5, 16))),
+               lambda: phase_checks(rng),
+               lambda: delta_product_checks(product_points, quadrature_tol),
+               integrator_checks,
+               lambda: realness_checks(sign_convention)):
         started = time.perf_counter()
         results = fn()
         elapsed = time.perf_counter() - started
         for res in results:
             res["seconds"] = round(elapsed / len(results), 4)
-            checks.append(res)
-
-    def gamma_checks():
-        worst = max(
-            abs(model.complex_gamma(1.0) - 1.0),
-            abs(model.complex_gamma(0.5) - math.sqrt(math.pi)),
-            abs(abs(model.complex_gamma(0.25j)) ** 2
-                - math.pi / (0.25 * math.sinh(math.pi * 0.25))),
-        )
-        return [_check("gamma_identities", worst, 1e-12)]
-
-    def modulus_checks():
-        worst = 0.0
-        for nu in (0.001, 0.01, 0.1, 0.5):
-            r_mod = math.sqrt(1.0 - math.exp(-2.0 * math.pi * nu))
-            r_val = r_mod * np.exp(0.3j)
-            for j in (1, 2, 3, 4):
-                m1 = model.m1_entry(nu, r_val, j, sign_convention)
-                worst = max(worst, abs(abs(m1) - math.sqrt(nu)))
-        return [_check("model_modulus_sqrt_nu", worst, 1e-10)]
-
-    def seeded_unitarity_checks():
-        return unitarity_checks(lattice.LatticeState(
-            n_min=-8, values=rng.uniform(-0.5, 0.5, 16)))
-
-    def phase_checks():
-        worst_d1 = 0.0
-        worst_identity = 0.0
-        for _ in range(100):
-            v = rng.uniform(-1.8, 1.8)
-            t = rng.uniform(1.0, 1000.0)
-            ray = RayParams(n=probe_site(v, t, 1.8), t=t)
-            stat = stationary_points(ray)
-            for k in range(4):
-                worst_d1 = max(worst_d1, abs(
-                    phase.phase_derivative(stat.S[k], ray)))
-                worst_identity = max(worst_identity, abs(
-                    stat.phi_dd[k] * stat.beta[k] ** 2
-                    - (-1) ** (k + 2) * 0.5j))
-        return [_check("phase_first_derivative", worst_d1, 1e-10),
-                _check("phase_beta_identity", worst_identity, 1e-12)]
-
-    def delta_product_checks():
-        profile = InitialProfile(kind="single_site", amplitude=0.3)
-        r_eval = reflection_evaluator(profile.support_state())
-        stat = stationary_points(RayParams(n=50, t=100.0))
-        worst = 0.0
-        radii = [0.3 + 0.55 * (k / 9.0) for k in range(10)] \
-            + [1.15 + 0.85 * (k / 9.0) for k in range(10)]
-        for k, radius in enumerate(radii):
-            zp = radius * np.exp(2j * math.pi * k / 20.0)
-            d = weights.delta_at(r_eval, stat, zp, tol=quadrature_tol)
-            prod = 1.0 + 0.0j
-            for j in (1, 2, 3, 4):
-                prod *= weights.delta_j_at(r_eval, stat, j, zp,
-                                           tol=quadrature_tol)
-            worst = max(worst, abs(d - prod))
-        return [_check("delta_product_identity", worst, 1e-9)]
-
-    for fn in (gamma_checks, modulus_checks, seeded_unitarity_checks,
-               phase_checks, delta_product_checks, integrator_checks,
-               lambda: realness_checks(sign_convention)):
-        run(fn)
+        checks += results
 
     return {
         "sign_convention": sign_convention,

@@ -21,11 +21,9 @@ from .errors import BlowupError, SpillError
 __all__ = [
     "LatticeState",
     "InitialProfile",
-    "rhs",
     "integrate",
     "conserved_c_inf",
     "rho_zero",
-    "weighted_norm",
     "staggered",
 ]
 
@@ -90,6 +88,8 @@ class InitialProfile:
             raise ValueError("amplitude must lie in (-1, 1)")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("width must be positive")
+        if not all(abs(float(q)) < 1.0 for q in self.custom):  # rejects NaN
+            raise ValueError("custom values must be finite with |q| < 1")
 
     def realize(self, n_min: int, n_max: int) -> LatticeState:
         """Materialize the profile on the window [n_min, n_max] at t = 0."""
@@ -123,13 +123,6 @@ class InitialProfile:
         return self.realize(self.center - pad, self.center + pad)
 
 
-def rhs(state: LatticeState) -> np.ndarray:
-    """Time derivative (1-q_n^2)(q_{n+1}-q_{n-1}) with zero padding."""
-    q = state.values
-    padded = np.pad(q, 1)
-    return (1.0 - q * q) * (padded[2:] - padded[:-2])
-
-
 def staggered(state: LatticeState) -> LatticeState:
     """Sign-alternated copy (-1)^n q_n at t = 0.
 
@@ -149,13 +142,6 @@ def conserved_c_inf(state: LatticeState) -> float:
 def rho_zero(state: LatticeState) -> float:
     """Conserved sup bound rho_0 = (1 - c_inf)^(1/2); sup|q(t)| <= rho_0."""
     return float(np.sqrt(max(1.0 - conserved_c_inf(state), 0.0)))
-
-
-def weighted_norm(state: LatticeState, s: int = 0) -> float:
-    """Weighted l^1 norm sum_n (1+|n|)^s |q_n|."""
-    if s < 0:
-        raise ValueError("s must be a nonnegative integer")
-    return float(np.sum((1.0 + np.abs(state.sites)) ** s * np.abs(state.values)))
 
 
 # One RK4 step widens the support by at most 4 sites (one per stage).

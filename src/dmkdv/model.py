@@ -18,6 +18,10 @@ for real lattice data, which is what forces the assembled leading term
 
 to be real up to the error scale.  Both conventions stay selectable so
 the self-test can demonstrate the failure of the rejected one.
+
+cross_solutions returns the four (m1^j)_12 as plain complex numbers,
+built from the r(S_j) and nu_j that a CoefficientSet already holds;
+leading_term assembles them with that set's delta_j^0 and delta(0).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .weights import CoefficientSet
 __all__ = [
     "SIGN_CONVENTIONS",
     "DEFAULT_SIGN_CONVENTION",
-    "CrossSolution",
     "AsymptoticResult",
     "complex_gamma",
     "m1_entry",
@@ -82,17 +85,6 @@ def complex_gamma(w: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class CrossSolution:
-    """First-moment entry of the model problem at one stationary point."""
-
-    j: int
-    nu: float
-    r_at_S: complex
-    m1_12: complex
-    sign_convention: str
-
-
-@dataclass(frozen=True)
 class AsymptoticResult:
     """Leading-order asymptotic value at (n, t) with diagnostics."""
 
@@ -107,7 +99,9 @@ class AsymptoticResult:
 def m1_entry(nu: float, r_at_S: complex, j: int,
              sign_convention: str = DEFAULT_SIGN_CONVENTION) -> complex:
     """(m1^j)_12 for one cross; returns 0 at nu = 0 by continuity."""
-    _check_convention(sign_convention)
+    if sign_convention not in SIGN_CONVENTIONS:
+        raise ValueError(f"unknown sign convention {sign_convention!r}; "
+                         f"expected one of {SIGN_CONVENTIONS}")
     if j not in (1, 2, 3, 4):
         raise ValueError("j must be one of 1, 2, 3, 4")
     if nu < 0:
@@ -128,44 +122,33 @@ def m1_entry(nu: float, r_at_S: complex, j: int,
         / (r_at_S * complex_gamma((-1) ** j * 1j * nu))
 
 
-def cross_solutions(stationary: StationarySet, coeffs: CoefficientSet,
+def cross_solutions(coeffs: CoefficientSet,
                     sign_convention: str = DEFAULT_SIGN_CONVENTION) -> tuple:
-    """All four CrossSolution records under one convention.
+    """The four (m1^j)_12, j = 1..4, under one convention.
 
-    `coeffs` must come from coefficient_set on `stationary`: r(S_j) is
-    read from coeffs.r_at_S, the values nu_j was taken from, and no r is
-    evaluated here.
+    r(S_j) is read from coeffs.r_at_S, the values nu_j was taken from,
+    and no r is evaluated here.
     """
-    _check_convention(sign_convention)
-    out = []
-    for j in (1, 2, 3, 4):
-        r_at = coeffs.r_at_S[j - 1]
-        nu = coeffs.nu[j - 1]
-        out.append(CrossSolution(j=j, nu=nu, r_at_S=r_at,
-                                 m1_12=m1_entry(nu, r_at, j, sign_convention),
-                                 sign_convention=sign_convention))
-    return tuple(out)
+    return tuple(m1_entry(coeffs.nu[k], coeffs.r_at_S[k], k + 1,
+                          sign_convention) for k in range(4))
 
 
 def leading_term(ray: RayParams, stationary: StationarySet,
-                 coeffs: CoefficientSet, crosses,
+                 coeffs: CoefficientSet, m1,
                  realness_calibration: float | None = 0.02) -> AsymptoticResult:
-    """Assemble the leading-order value at (n, t).
+    """Assemble the leading-order value at (n, t) from the four
+    (m1^j)_12 of cross_solutions.
 
     realness_calibration is the constant C in the guard threshold
     10 C t^-1 log t on the imaginary residual; pass None to skip the
     guard (used by the sign-convention audit, which wants to look at the
     residual of the rejected branch instead of dying on it).
     """
-    conventions = {c.sign_convention for c in crosses}
-    if len(conventions) != 1:
-        raise ConventionError("crosses mix sign conventions")
     total = 0.0 + 0.0j
     contributions = []
-    for cross in crosses:  # fixed order j = 1..4 for bit-stable output
-        k = cross.j - 1
+    for k in range(4):  # fixed order j = 1..4 for bit-stable output
         term = (stationary.beta[k] / (stationary.S[k] * stationary.S[k])
-                * coeffs.delta_j0[k] ** 2 * cross.m1_12)
+                * coeffs.delta_j0[k] ** 2 * m1[k])
         contributions.append(term)
         total += term
     total /= coeffs.delta_at_zero
@@ -208,9 +191,3 @@ def oscillation_decomposition(ray: RayParams, stationary: StationarySet,
                  * abs(coeffs.delta_j0[k]) ** 2)
     kappa = (stationary.S[k] * stationary.S[k]).imag
     return amplitude, -kappa, (-1) ** j * coeffs.nu[k] / 2.0
-
-
-def _check_convention(name: str) -> None:
-    if name not in SIGN_CONVENTIONS:
-        raise ValueError(
-            f"unknown sign convention {name!r}; expected one of {SIGN_CONVENTIONS}")

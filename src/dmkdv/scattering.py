@@ -43,7 +43,6 @@ __all__ = [
     "UnitCirclePoint",
     "ScatteringData",
     "ScatteringPolynomials",
-    "ReflectionGrid",
     "scattering_polynomials",
     "scattering_coefficients",
     "reflection_grid",
@@ -276,24 +275,17 @@ def _reflection_at(poly: ScatteringPolynomials, z):
     return b / a
 
 
-@dataclass(frozen=True)
-class ReflectionGrid:
-    """r sampled at uniformly spaced angles (diagnostics and plots)."""
-
-    points: tuple
-    values: np.ndarray
-    max_abs_r: float
-
-
-def reflection_grid(q: LatticeState, size: int = 256) -> ReflectionGrid:
-    """Sample r at `size` (a power of two >= 64) uniform angles."""
+def reflection_grid(q: LatticeState, size: int = 256) -> tuple:
+    """(theta, r): r at `size` (a power of two >= 64) uniform angles
+    theta in (-pi, pi], for diagnostics and plots."""
     if size < 64 or (size & (size - 1)) != 0:
         raise ValueError("grid size must be a power of two >= 64")
-    thetas = 2.0 * np.pi * np.arange(size) / size
-    points = tuple(UnitCirclePoint.from_theta(th) for th in thetas)
-    values = reflection_evaluator(q)(np.array([p.z for p in points]))
-    max_abs = float(np.max(np.abs(values)))
+    theta = 2.0 * np.pi * np.arange(size) / size
+    theta = (theta + np.pi) % (2.0 * np.pi) - np.pi
+    theta[theta == -np.pi] = np.pi
+    r = reflection_evaluator(q)(np.exp(1j * theta))
+    max_abs = float(np.max(np.abs(r)))
     if max_abs >= 1.0 - 1e-8:
         raise ReflectionTooLargeError(
             f"max |r| = {max_abs:.12f} is not strictly below 1")
-    return ReflectionGrid(points=points, values=values, max_abs_r=max_abs)
+    return theta, r

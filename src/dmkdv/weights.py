@@ -115,10 +115,9 @@ class ArcSpec:
 def log_density(r_eval, z):
     """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z (a
     constant r is broadcast); the density of every arc integral."""
-    zc = getattr(z, "z", z)
-    density = _density_of(r_eval(zc))
-    if density.shape != np.shape(zc):
-        density = np.broadcast_to(density, np.shape(zc))
+    density = _density_of(r_eval(z))
+    if density.shape != np.shape(z):
+        density = np.broadcast_to(density, np.shape(z))
     return density
 
 

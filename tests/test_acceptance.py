@@ -18,20 +18,18 @@ from dmkdv import (
     UnitCirclePoint,
     amplitude_envelope,
     chi_at_stationary,
-    coefficient_set,
-    complex_gamma,
     delta_at,
-    delta_j_at,
-    m1_entry,
-    phase_derivative,
     reflection_evaluator,
     scattering_coefficients,
     stationary_points,
 )
 from dmkdv.harness import (
     asymptotic_value,
+    delta_product_checks,
+    gamma_checks,
     integrator_checks,
-    probe_site,
+    modulus_checks,
+    phase_checks,
     realness_checks,
     run_compare,
     unitarity_checks,
@@ -86,41 +84,26 @@ def test_acceptance_2_unitarity():
 
 def test_acceptance_3_phase_identities():
     started = time.perf_counter()
-    rng = np.random.default_rng(77)
-    worst_d1, worst_id = 0.0, 0.0
-    for _ in range(100):
-        v = rng.uniform(-1.8, 1.8)
-        t = rng.uniform(1.0, 1000.0)
-        ray = RayParams(n=probe_site(v, t, 1.8), t=t)
-        stat = stationary_points(ray)
-        for k in range(4):
-            worst_d1 = max(worst_d1, abs(phase_derivative(stat.S[k], ray)))
-            worst_id = max(worst_id, abs(
-                stat.phi_dd[k] * stat.beta[k] ** 2 - (-1) ** k * 0.5j))
+    d1, ident = phase_checks(np.random.default_rng(77))
     elapsed = time.perf_counter() - started
     report(3, "stationary phase identities",
-           worst_d1 < 1e-10 and worst_id < 1e-12 and elapsed < 1.0,
-           f"max|phi'|={worst_d1:.2e} < 1e-10, "
-           f"max|phi''b^2-(+-i/2)|={worst_id:.2e} < 1e-12, {elapsed:.2f}s < 1s")
+           d1["pass"] and ident["pass"] and elapsed < 1.0,
+           f"max|phi'|={d1['measured']:.2e} < 1e-10, "
+           f"max|phi''b^2-(+-i/2)|={ident['measured']:.2e} < 1e-12, "
+           f"{elapsed:.2f}s < 1s")
 
 
 def test_acceptance_4_delta_product_identity():
     started = time.perf_counter()
-    r_eval = reflection_evaluator(REFERENCE.support_state())
-    stat = stationary_points(RayParams(n=50, t=100.0))
     radii = list(np.linspace(0.3, 0.85, 10)) + list(np.linspace(1.15, 2.0, 10))
-    worst = 0.0
-    for k, radius in enumerate(radii):
-        z = radius * cmath.exp(2j * math.pi * (k + 0.35) / len(radii))
-        d = delta_at(r_eval, stat, z)
-        prod = 1.0 + 0.0j
-        for j in (1, 2, 3, 4):
-            prod *= delta_j_at(r_eval, stat, j, z)
-        worst = max(worst, abs(d - prod))
+    points = [radius * cmath.exp(2j * math.pi * (k + 0.35) / len(radii))
+              for k, radius in enumerate(radii)]
+    [check] = delta_product_checks(points)
     elapsed = time.perf_counter() - started
     report(4, "delta product identity",
-           worst < 1e-9 and elapsed < 10.0,
-           f"max|delta-prod|={worst:.2e} < 1e-9, {elapsed:.2f}s < 10s")
+           check["pass"] and elapsed < 10.0,
+           f"max|delta-prod|={check['measured']:.2e} < 1e-9, "
+           f"{elapsed:.2f}s < 10s")
 
 
 def test_acceptance_5_constant_modulus_closed_form():
@@ -138,22 +121,12 @@ def test_acceptance_5_constant_modulus_closed_form():
 
 
 def test_acceptance_6_model_modulus_and_gamma():
-    worst_m1 = 0.0
-    for nu in (0.001, 0.01, 0.1, 0.5):
-        r_val = math.sqrt(1.0 - math.exp(-2 * math.pi * nu)) * cmath.exp(0.7j)
-        for j in (1, 2, 3, 4):
-            worst_m1 = max(worst_m1, abs(
-                abs(m1_entry(nu, r_val, j)) - math.sqrt(nu)))
-    worst_gamma = max(
-        abs(complex_gamma(1.0) - 1.0),
-        abs(complex_gamma(0.5) - math.sqrt(math.pi)),
-        abs(abs(complex_gamma(0.25j)) ** 2
-            - math.pi / (0.25 * math.sinh(0.25 * math.pi))),
-    )
+    [modulus] = modulus_checks(0.7)
+    [gamma] = gamma_checks()
     report(6, "model modulus and gamma identities",
-           worst_m1 < 1e-10 and worst_gamma < 1e-12,
-           f"max||m1|-sqrt(nu)|={worst_m1:.2e} < 1e-10, "
-           f"gamma_defect={worst_gamma:.2e} < 1e-12")
+           modulus["pass"] and gamma["pass"],
+           f"max||m1|-sqrt(nu)|={modulus['measured']:.2e} < 1e-10, "
+           f"gamma_defect={gamma['measured']:.2e} < 1e-12")
 
 
 def test_acceptance_7_integrator_order_and_drift():

@@ -1,5 +1,7 @@
 import json
 
+import dmkdv.harness as harness
+from dmkdv import SpillError
 from dmkdv.cli import main
 
 TINY = {
@@ -85,6 +87,45 @@ def test_exit_codes(tmp_path):
     assert main(["scatter", "--set", "grid_size=100", "--output", out]) == 2
     assert main(["asymptote", "--set", "v_max=2.5", "--set", "rays=[1.95]",
                  "--output", out]) == 2
+    # an unknown key fails instead of leaving its default in place
+    for bad in (["--set", "time=[10]"], ["--set", "tolerances.quad=1"],
+                ["--set", "profile.amp=0.2"], ["--set", "output.fmt=json"]):
+        assert main(["compare", *bad, "--output", out]) == 2
+    for bad in (["--set", "profile.kind=custom_list",
+                 "--set", "profile.custom=[1.5]"],
+                ["--set", "window_margin=-1000"],
+                ["--set", "rays=[]"]):
+        assert main(["compare", *bad, "--output", out]) == 2
+
+
+def strict_json(path):
+    """Parsed JSON file; a bare NaN or Infinity in it fails the test."""
+    def refuse(constant):
+        raise AssertionError(f"bare {constant} in {path}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_failed_rows_write_null_in_every_json_table(tmp_path, monkeypatch):
+    def failing(state, t_end, dt, **kw):
+        raise SpillError("forced failure")
+
+    monkeypatch.setattr(harness, "integrate", failing)
+    cfg = write_config(tmp_path, TINY)
+    for command in ("simulate", "compare"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", cfg, "--output", str(out),
+                     "--format", "json"]) == 1
+        [row] = strict_json(out)
+        assert row["q_direct"] is None
+
+    # the second ray's asymptotic row fails at the merging points
+    out = tmp_path / "asymptote.json"
+    assert main(["asymptote", "--config", cfg, "--set", "v_max=1.95",
+                 "--set", "rays=[0.5,1.94]", "--set", "times=[100]",
+                 "--output", str(out), "--format", "json"]) == 1
+    good, merging = strict_json(out)
+    assert isinstance(good["q_asym"], float)
+    assert merging["q_asym"] is None and merging["imag_residual"] is None
 
 
 def test_selftest_subcommand(tmp_path, capsys):

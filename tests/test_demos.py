@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script", ["01_lattice_evolution.py",
                                     "02_scattering_circle.py",
-                                    "03_asymptotic_ingredients.py"])
+                                    "03_asymptotic_ingredients.py",
+                                    "04_compare_asymptotics.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -13,7 +13,6 @@ import dmkdv.harness as hn
 import dmkdv.model as model
 from dmkdv import (
     ConfigError,
-    CrossSolution,
     DmkdvError,
     InitialProfile,
     RayParams,
@@ -69,15 +68,9 @@ def oracle_asymptotic(config, v, t):
         r_eval = reflection_evaluator(staggered(config.profile.support_state()))
         stat = stationary_points(ray)
         coeffs = coefficient_set(r_eval, stat, tol=config.quadrature_tol)
-        crosses = []
-        for j in (1, 2, 3, 4):
-            r_at = r_eval(stat.S[j - 1])
-            nu = coeffs.nu[j - 1]
-            crosses.append(CrossSolution(
-                j=j, nu=nu, r_at_S=r_at,
-                m1_12=m1_entry(nu, r_at, j, config.sign_convention),
-                sign_convention=config.sign_convention))
-        res = leading_term(ray, stat, coeffs, crosses,
+        m1 = [m1_entry(coeffs.nu[j - 1], r_eval(stat.S[j - 1]), j,
+                       config.sign_convention) for j in (1, 2, 3, 4)]
+        res = leading_term(ray, stat, coeffs, m1,
                            realness_calibration=config.realness_tol)
     except DmkdvError as exc:
         return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
@@ -118,11 +111,24 @@ def test_config_validation():
         zero_config(output_format="xml")
     with pytest.raises(ConfigError):
         zero_config(threads=0)
-    for bad in (dict(v_max=2.5), dict(v_max=0.0), dict(grid_size=100),
+    for bad in (dict(v_list=()), dict(window_margin=-1.0),
+                dict(window_margin=math.nan),
+                dict(v_max=2.5), dict(v_max=0.0), dict(grid_size=100),
                 dict(grid_size=32), dict(quadrature_tol=0.0),
                 dict(realness_tol=-0.01), dict(spill_tol=0.0)):
         with pytest.raises(ConfigError):
             zero_config(**bad)
+    # an unknown key is named instead of leaving its default in place
+    for data, key in (({"time": [10], "ray": [0.1]}, "'time', 'ray'"),
+                      ({"profile": {"amp": 0.2}}, "'profile.amp'"),
+                      ({"tolerances": {"quad": 1}}, "'tolerances.quad'"),
+                      ({"output": {"fmt": "json"}}, "'output.fmt'")):
+        with pytest.raises(ConfigError,
+                           match=f"unknown configuration key {key}$"):
+            RunConfig.from_dict(data)
+    with pytest.raises(ConfigError, match=r"\|q\| < 1"):
+        RunConfig.from_dict({"profile": {"kind": "custom_list",
+                                         "custom": [0.2, math.nan]}})
 
 
 def test_config_dict_round_trip():
@@ -132,17 +138,25 @@ def test_config_dict_round_trip():
         "rays": [0.1, -0.4],
         "times": [10, 20],
         "dt": 0.01,
+        "window_margin": 40,
+        "grid_size": 128,
         "tolerances": {"quadrature": 1e-10, "realness": 0.01, "spill": 1e-9},
         "sign_convention": "conjugate_pair",
+        "v_max": 1.5,
         "output": {"path": "out.json", "format": "json"},
         "threads": 2,
     })
-    assert cfg.profile.kind == "gaussian"
-    assert cfg.v_list == (0.1, -0.4)
-    assert cfg.quadrature_tol == 1e-10
-    assert cfg.output_format == "json"
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
+    # every key of the schema lands in its field
+    assert cfg == RunConfig(
+        profile=InitialProfile(kind="gaussian", amplitude=0.2, width=2.5,
+                               center=3),
+        v_list=(0.1, -0.4), t_list=(10.0, 20.0), dt=0.01,
+        window_margin=40.0, grid_size=128, quadrature_tol=1e-10,
+        realness_tol=0.01, spill_tol=1e-9, sign_convention="conjugate_pair",
+        v_max=1.5, output_path="out.json", output_format="json", threads=2)
+    custom = RunConfig.from_dict(
+        {"profile": {"kind": "custom_list", "custom": [0.1, -0.2]}})
+    assert custom.profile.custom == (0.1, -0.2)
 
     defaults = RunConfig.from_dict({})
     assert defaults.profile.kind == "single_site"
@@ -151,7 +165,6 @@ def test_config_dict_round_trip():
 
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"dt": "fast"})
-
 
 def test_probe_site_nudges_overshoot():
     assert probe_site(0.5, 100.0, 1.8) == 50

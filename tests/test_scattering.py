@@ -243,16 +243,16 @@ def test_a_tends_to_one_radially():
 
 def test_reflection_grid_single_site():
     c = 0.3
-    grid = reflection_grid(single_site(c), 64)
-    for pt, val in zip(grid.points, grid.values):
-        assert abs(val - c * pt.z) < 1e-13
-    assert grid.max_abs_r == pytest.approx(c, abs=1e-13)
+    theta, r = reflection_grid(single_site(c), 64)
+    assert theta.shape == r.shape == (64,)
+    assert theta[0] == 0.0 and theta[32] == np.pi and theta[33] < 0.0
+    assert np.all(np.abs(r - c * np.exp(1j * theta)) < 1e-13)
 
 
 def test_reflection_grid_zero_and_validation():
     zero = LatticeState(n_min=-2, values=np.zeros(5))
-    grid = reflection_grid(zero, 64)
-    assert np.all(grid.values == 0.0)
+    _, r = reflection_grid(zero, 64)
+    assert np.all(r == 0.0)
     with pytest.raises(ValueError):
         reflection_grid(zero, 63)
     with pytest.raises(ValueError):
