@@ -39,7 +39,6 @@ from .lattice import (
     staggered,
 )
 from .model import (
-    SIGN_CONVENTIONS,
     amplitude_envelope,
     complex_gamma,
     cross_solutions,
@@ -61,7 +60,6 @@ from .weights import (
     chi_at_stationary,
     coefficient_set,
     delta_at,
-    delta_j0,
     delta_j_at,
     hat_delta_at_stationary,
     log_density,

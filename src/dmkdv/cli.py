@@ -117,8 +117,8 @@ def _cmd_compare(config: RunConfig, plot_stem: str | None) -> int:
     return 1 if failed else 0
 
 
-def _cmd_selftest(config: RunConfig) -> int:
-    report = selftest(sign_convention=config.sign_convention)
+def _cmd_selftest() -> int:
+    report = selftest()
     print(json.dumps(report, indent=2))
     return 0 if report["pass"] else 1
 
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
             return _cmd_asymptote(config)
         if args.command == "compare":
             return _cmd_compare(config, args.plot_stem)
-        return _cmd_selftest(config)
+        return _cmd_selftest()
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,9 @@ evaluate the leading-order asymptotic value per row from it, and record
 the comparison.  Also hosts what the CLI writes and checks with:
 write_table, the one writer of every output table (emit is its form for
 comparison records), and the invariant checks, each written once at
-module level and shared by selftest and the acceptance suite.
+module level and shared by selftest and the acceptance suite.  The
+cross entries follow model.m1_entry alone; the realness audit rotates
+them to show that the rejected form fails.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lattice, model, phase, scattering, weights
-from .errors import ConfigError, DmkdvError, MergingPointsError
+from .errors import ConfigError, DmkdvError
 from .lattice import InitialProfile, integrate, staggered
-from .model import DEFAULT_SIGN_CONVENTION, SIGN_CONVENTIONS
 from .phase import RayParams, stationary_points
 from .scattering import reflection_evaluator
 
@@ -46,7 +47,7 @@ _SCHEMA = {
     "rays": None, "times": None, "dt": None, "window_margin": None,
     "grid_size": None,
     "tolerances": ("quadrature", "realness", "spill"),
-    "sign_convention": None, "v_max": None, "threads": None,
+    "v_max": None, "threads": None,
     "output": ("path", "format"),
 }
 
@@ -64,8 +65,7 @@ class RunConfig:
     quadrature_tol: float = 1e-11
     realness_tol: float = 0.02
     spill_tol: float = 1e-10
-    sign_convention: str = DEFAULT_SIGN_CONVENTION
-    v_max: float = phase.DEFAULT_V_MAX
+    v_max: float = 1.8
     output_path: str = "compare.csv"
     output_format: str = "csv"
     threads: int = 1
@@ -89,9 +89,6 @@ class RunConfig:
             raise ConfigError("times must be a nonempty increasing list")
         if any(t <= 0 for t in self.t_list):
             raise ConfigError("times must be positive")
-        if self.sign_convention not in SIGN_CONVENTIONS:
-            raise ConfigError(
-                f"sign_convention must be one of {SIGN_CONVENTIONS}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output format must be csv or json")
         if self.threads < 1:
@@ -105,8 +102,10 @@ class RunConfig:
         {"profile": {"kind", "amplitude", "width", "center", "custom"},
          "rays": [v...], "times": [t...], "dt": ..., "grid_size": ...,
          "window_margin": ..., "tolerances": {"quadrature", "realness",
-         "spill"}, "sign_convention": ..., "v_max": ..., "threads": ...,
-         "output": {"path", "format"}}
+         "spill"}, "v_max": ..., "threads": ..., "output": {"path",
+         "format"}}
+
+        profile.center, grid_size and threads must be whole numbers.
         """
         try:
             d = _known_keys(d, _SCHEMA)
@@ -117,30 +116,38 @@ class RunConfig:
                 kind=prof.get("kind", "single_site"),
                 amplitude=float(prof.get("amplitude", 0.3)),
                 width=float(prof.get("width", 1.0)),
-                center=int(prof.get("center", 0)),
+                center=_integer(prof.get("center", 0), "profile.center"),
                 custom=tuple(prof.get("custom", ())),
             )
             kwargs = dict(
                 profile=profile,
                 dt=float(d.get("dt", cls.dt)),
                 window_margin=float(d.get("window_margin", cls.window_margin)),
-                grid_size=int(d.get("grid_size", cls.grid_size)),
+                grid_size=_integer(d.get("grid_size", cls.grid_size),
+                                   "grid_size"),
                 quadrature_tol=float(tols.get("quadrature", cls.quadrature_tol)),
                 realness_tol=float(tols.get("realness", cls.realness_tol)),
                 spill_tol=float(tols.get("spill", cls.spill_tol)),
-                sign_convention=d.get("sign_convention", DEFAULT_SIGN_CONVENTION),
-                v_max=float(d.get("v_max", phase.DEFAULT_V_MAX)),
+                v_max=float(d.get("v_max", cls.v_max)),
                 output_path=out.get("path", cls.output_path),
                 output_format=out.get("format", cls.output_format),
-                threads=int(d.get("threads", cls.threads)),
+                threads=_integer(d.get("threads", cls.threads), "threads"),
             )
             if "rays" in d:
                 kwargs["v_list"] = tuple(float(v) for v in d["rays"])
             if "times" in d:
                 kwargs["t_list"] = tuple(float(t) for t in d["times"])
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
         return cls(**kwargs)
+
+
+def _integer(value, key: str) -> int:
+    """`value` as an int, once it equals its integer conversion."""
+    whole = int(value)
+    if whole != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return whole
 
 
 def _known_keys(section, keys, prefix: str = "") -> dict:
@@ -184,7 +191,6 @@ def probe_site(v: float, t: float, v_max: float) -> int:
 
 
 def asymptotic_value(config: RunConfig, v: float, t: float,
-                     sign_convention: str | None = None,
                      check_realness: bool = True) -> model.AsymptoticResult:
     """Leading-order asymptotic value of q_n(t) at n = round(v t).
 
@@ -197,11 +203,13 @@ def asymptotic_value(config: RunConfig, v: float, t: float,
     The gauge is pinned by two independent oracles: direct integration,
     and the exact linearization q_n = q_0 (-1)^n J_n(2t) for small
     single-site data (Bessel asymptotics fix both the site shift and the
-    sign alternation; see tests).  Builds r_u for this one value; a sweep
-    builds it once and shares it between its rows.
+    sign alternation; see tests).  The ray n+1 may lie 1/t past v_max;
+    stationary_points refuses it only near the merging points.  Builds
+    r_u for this one value; a sweep builds it once and shares it between
+    its rows.
     """
     return _asymptotic_row(config, _reflection(config.profile), v, t,
-                           sign_convention, check_realness)
+                           check_realness)
 
 
 def _reflection(profile: InitialProfile):
@@ -211,20 +219,13 @@ def _reflection(profile: InitialProfile):
 
 
 def _asymptotic_row(config: RunConfig, r_eval, v: float, t: float,
-                    sign_convention: str | None = None,
                     check_realness: bool = True) -> model.AsymptoticResult:
     """asymptotic_value from a prebuilt r_u (see _reflection)."""
     n = probe_site(v, t, config.v_max)
-    # n+1 may overshoot v_max by 1/t; only the merging-point guard applies
-    v_ray = abs(n + 1) / t
-    if v_ray >= 2.0 - phase.MERGING_MARGIN:
-        raise MergingPointsError(
-            f"|(n+1)/t| = {v_ray:.4f} is within the merging margin of 2")
-    ray = RayParams(n=n + 1, t=t, v_max=max(config.v_max, v_ray))
+    ray = RayParams(n=n + 1, t=t)
     stat = stationary_points(ray)
     coeffs = weights.coefficient_set(r_eval, stat, tol=config.quadrature_tol)
-    m1 = model.cross_solutions(coeffs,
-                               sign_convention or config.sign_convention)
+    m1 = model.cross_solutions(coeffs)
     calibration = config.realness_tol if check_realness else None
     res = model.leading_term(ray, stat, coeffs, m1,
                              realness_calibration=calibration)
@@ -374,13 +375,14 @@ def emit(records, path: str, fmt: str = "csv") -> str:
 
 
 def emit_plot_data(records, path_stem: str) -> list:
-    """Gnuplot-compatible two-column (t, abs_err) file per ray."""
+    """Gnuplot-compatible two-column (t, abs_err) file per ray, named by
+    the ray's v exactly as the CSV table prints it."""
     paths = []
     by_ray = {}
     for rec in records:
         by_ray.setdefault(rec.v, []).append(rec)
     for v, rows in by_ray.items():
-        path = f"{path_stem}_ray{v:g}.dat"
+        path = f"{path_stem}_ray{_fmt(v)}.dat"
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("# t abs_err\n")
             for rec in rows:
@@ -436,25 +438,24 @@ def unitarity_checks(state: lattice.LatticeState) -> list:
     return [_check("unitarity", defect.max(), 1e-10)]
 
 
-def realness_checks(sign_convention: str = DEFAULT_SIGN_CONVENTION) -> list:
-    """The sign-convention audit on single-site 0.3 data at v = 0.5,
-    t = 800, realness guard off: the imaginary residual over t^-1/2 must
-    stay below 0.05 under `sign_convention` and reach 0.05 under the
-    other convention.
+def realness_checks() -> list:
+    """The realness audit on single-site 0.3 data at v = 0.5, t = 800,
+    realness guard off: the imaginary residual over t^-1/2 must stay below
+    0.05 for the cross entries of model.m1_entry, and reach 0.05 once the
+    odd crosses are rotated by -i (e^(-i pi/4) for every j, the form the
+    model rejects).  Both residuals come from one asymptotic value.
     """
     config = RunConfig(profile=InitialProfile(kind="single_site",
                                               amplitude=0.3))
     t = 800.0
     scale = t ** -0.5
-    ratios = {}
-    for conv in SIGN_CONVENTIONS:
-        res = asymptotic_value(config, 0.5, t, sign_convention=conv,
-                               check_realness=False)
-        ratios[conv] = res.imag_residual / scale
-    rejected = [c for c in SIGN_CONVENTIONS if c != sign_convention][0]
+    res = asymptotic_value(config, 0.5, t, check_realness=False)
+    rotated = sum(rot * c for rot, c in zip((-1j, 1, -1j, 1),
+                                            res.contributions))
+    rejected = abs((rotated / res.delta_at_zero).imag)
     return [
-        _check(f"realness_{sign_convention}", ratios[sign_convention], 0.05),
-        _check(f"realness_rejected_{rejected}", ratios[rejected], 0.05,
+        _check("realness_conjugate_pair", res.imag_residual / scale, 0.05),
+        _check("realness_rejected_uniform_phase", rejected / scale, 0.05,
                larger_is_fail=False),
     ]
 
@@ -471,8 +472,7 @@ def gamma_checks() -> list:
     return [_check("gamma_identities", worst, 1e-12)]
 
 
-def modulus_checks(angle: float,
-                   sign_convention: str = DEFAULT_SIGN_CONVENTION) -> list:
+def modulus_checks(angle: float) -> list:
     """|(m1^j)_12| = nu^(1/2) within 1e-10 for j = 1..4 and nu = 0.001,
     0.01, 0.1, 0.5, at r(S_j) = (1 - e^(-2 pi nu))^(1/2) e^(i angle)."""
     worst = 0.0
@@ -480,7 +480,7 @@ def modulus_checks(angle: float,
         r_val = math.sqrt(1.0 - math.exp(-2.0 * math.pi * nu)) \
             * np.exp(1j * angle)
         for j in (1, 2, 3, 4):
-            m1 = model.m1_entry(nu, r_val, j, sign_convention)
+            m1 = model.m1_entry(nu, r_val, j)
             worst = max(worst, abs(abs(m1) - math.sqrt(nu)))
     return [_check("model_modulus_sqrt_nu", worst, 1e-10)]
 
@@ -521,32 +521,28 @@ def delta_product_checks(points, tol: float = weights.DEFAULT_TOL) -> list:
     return [_check("delta_product_identity", worst, 1e-9)]
 
 
-def selftest(sign_convention: str = DEFAULT_SIGN_CONVENTION,
-             seed: int = 20240901,
-             quadrature_tol: float = 1e-11) -> dict:
-    """Run the invariant suite and the sign-convention audit.
+def selftest() -> dict:
+    """Run the invariant suite and the realness audit.
 
-    Returns {"pass": bool, "sign_convention": ..., "checks": [
-    {"name", "pass", "measured", "threshold"}, ...]}; every check also
-    records its wall time.  The seeded generator draws the unitarity
-    data, then the phase-check rays.  Loosening quadrature_tol degrades
-    the delta-product check proportionally (it is the knob under test
-    there).
+    Returns {"pass": bool, "checks": [{"name", "pass", "measured",
+    "threshold"}, ...]}; every check also records its wall time.  A
+    generator seeded with 20240901 draws the unitarity data, then the
+    phase-check rays.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240901)
     radii = [0.3 + 0.55 * (k / 9.0) for k in range(10)] \
         + [1.15 + 0.85 * (k / 9.0) for k in range(10)]
     product_points = [radius * np.exp(2j * math.pi * k / 20.0)
                       for k, radius in enumerate(radii)]
     checks = []
     for fn in (gamma_checks,
-               lambda: modulus_checks(0.3, sign_convention),
+               lambda: modulus_checks(0.3),
                lambda: unitarity_checks(lattice.LatticeState(
                    n_min=-8, values=rng.uniform(-0.5, 0.5, 16))),
                lambda: phase_checks(rng),
-               lambda: delta_product_checks(product_points, quadrature_tol),
+               lambda: delta_product_checks(product_points),
                integrator_checks,
-               lambda: realness_checks(sign_convention)):
+               realness_checks):
         started = time.perf_counter()
         results = fn()
         elapsed = time.perf_counter() - started
@@ -554,8 +550,4 @@ def selftest(sign_convention: str = DEFAULT_SIGN_CONVENTION,
             res["seconds"] = round(elapsed / len(results), 4)
         checks += results
 
-    return {
-        "sign_convention": sign_convention,
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
+    return {"pass": all(c["pass"] for c in checks), "checks": checks}

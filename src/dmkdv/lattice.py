@@ -111,8 +111,10 @@ class InitialProfile:
             q[lo:lo + vals.size] = vals
         return LatticeState(n_min=n_min, values=q, t=0.0)
 
-    def support_state(self, pad: int = 2) -> LatticeState:
-        """Minimal window holding the (numerically nonzero) support."""
+    def support_state(self) -> LatticeState:
+        """Minimal window holding the (numerically nonzero) support, padded
+        by two sites on either side."""
+        pad = 2
         if self.kind == "gaussian":
             # |amplitude| * exp(-d^2/(2w^2)) < 1e-300 safely past d = 53 w
             half = int(np.ceil(53.0 * self.width)) + pad

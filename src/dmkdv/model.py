@@ -6,18 +6,17 @@ first moment has the Gamma-function closed form
     odd j :  (m1^j)_12 =  i (2pi)^(1/2) e^(+i pi/4) e^(-pi nu/2)
                           / (r(S_j) Gamma(-i nu_j)),
     even j:  (m1^j)_12 = -i (2pi)^(1/2) e^(-i pi/4) e^(-pi nu/2)
-                          / (r(S_j) Gamma(+i nu_j)),
+                          / (r(S_j) Gamma(+i nu_j)).
 
-(the "conjugate_pair" convention).  The alternative "uniform_phase"
-convention uses
-e^(-i pi/4) for every j.  The two differ by a factor i on odd crosses and
-cannot both be right; only conjugate_pair makes (m1^2)_12 = conj((m1^1)_12)
-for real lattice data, which is what forces the assembled leading term
+This is the "conjugate_pair" form.  Writing e^(-i pi/4) for every j
+("uniform_phase") would multiply the odd crosses by -i.  Only the form
+above makes (m1^2)_12 = conj((m1^1)_12) for real lattice data, which is
+what forces the assembled leading term
 
     q_n ~ Re[ delta(0)^-1 sum_j beta_j S_j^-2 (delta_j^0)^2 (m1^j)_12 ]
 
-to be real up to the error scale.  Both conventions stay selectable so
-the self-test can demonstrate the failure of the rejected one.
+to be real up to the error scale; the self-test's realness audit applies
+that rotation to the contributions to show the rejected form fails.
 
 cross_solutions returns the four (m1^j)_12 as plain complex numbers,
 built from the r(S_j) and nu_j that a CoefficientSet already holds;
@@ -35,8 +34,6 @@ from .phase import RayParams, StationarySet
 from .weights import CoefficientSet
 
 __all__ = [
-    "SIGN_CONVENTIONS",
-    "DEFAULT_SIGN_CONVENTION",
     "AsymptoticResult",
     "complex_gamma",
     "m1_entry",
@@ -45,9 +42,6 @@ __all__ = [
     "amplitude_envelope",
     "oscillation_decomposition",
 ]
-
-SIGN_CONVENTIONS = ("conjugate_pair", "uniform_phase")
-DEFAULT_SIGN_CONVENTION = "conjugate_pair"
 
 # Lanczos coefficients, g = 7, n = 9 (Godfrey / GSL set)
 _LANCZOS_G = 7.0
@@ -96,12 +90,8 @@ class AsymptoticResult:
     delta_at_zero: complex
 
 
-def m1_entry(nu: float, r_at_S: complex, j: int,
-             sign_convention: str = DEFAULT_SIGN_CONVENTION) -> complex:
+def m1_entry(nu: float, r_at_S: complex, j: int) -> complex:
     """(m1^j)_12 for one cross; returns 0 at nu = 0 by continuity."""
-    if sign_convention not in SIGN_CONVENTIONS:
-        raise ValueError(f"unknown sign convention {sign_convention!r}; "
-                         f"expected one of {SIGN_CONVENTIONS}")
     if j not in (1, 2, 3, 4):
         raise ValueError("j must be one of 1, 2, 3, 4")
     if nu < 0:
@@ -109,28 +99,21 @@ def m1_entry(nu: float, r_at_S: complex, j: int,
     if nu == 0.0 or r_at_S == 0.0:
         return 0.0 + 0.0j
     root = math.sqrt(2.0 * math.pi) * math.exp(-math.pi * nu / 2.0)
-    odd = j % 2 == 1
-    if sign_convention == "conjugate_pair":
-        if odd:
-            return 1j * root * cmath.exp(0.25j * math.pi) \
-                / (r_at_S * complex_gamma(-1j * nu))
-        return -1j * root * cmath.exp(-0.25j * math.pi) \
-            / (r_at_S * complex_gamma(1j * nu))
-    # uniform_phase: e^(-i pi/4) for every j
-    sgn = (-1) ** (j - 1)
-    return sgn * 1j * root * cmath.exp(-0.25j * math.pi) \
-        / (r_at_S * complex_gamma((-1) ** j * 1j * nu))
+    if j % 2 == 1:
+        return 1j * root * cmath.exp(0.25j * math.pi) \
+            / (r_at_S * complex_gamma(-1j * nu))
+    return -1j * root * cmath.exp(-0.25j * math.pi) \
+        / (r_at_S * complex_gamma(1j * nu))
 
 
-def cross_solutions(coeffs: CoefficientSet,
-                    sign_convention: str = DEFAULT_SIGN_CONVENTION) -> tuple:
-    """The four (m1^j)_12, j = 1..4, under one convention.
+def cross_solutions(coeffs: CoefficientSet) -> tuple:
+    """The four (m1^j)_12, j = 1..4.
 
     r(S_j) is read from coeffs.r_at_S, the values nu_j was taken from,
     and no r is evaluated here.
     """
-    return tuple(m1_entry(coeffs.nu[k], coeffs.r_at_S[k], k + 1,
-                          sign_convention) for k in range(4))
+    return tuple(m1_entry(coeffs.nu[k], coeffs.r_at_S[k], k + 1)
+                 for k in range(4))
 
 
 def leading_term(ray: RayParams, stationary: StationarySet,
@@ -141,8 +124,8 @@ def leading_term(ray: RayParams, stationary: StationarySet,
 
     realness_calibration is the constant C in the guard threshold
     10 C t^-1 log t on the imaginary residual; pass None to skip the
-    guard (used by the sign-convention audit, which wants to look at the
-    residual of the rejected branch instead of dying on it).
+    guard (used by the realness audit, which reports the residual
+    against its own threshold).
     """
     total = 0.0 + 0.0j
     contributions = []

@@ -12,6 +12,8 @@ points on the unit circle,
 
 and the local scaling factors beta_j satisfy phi''(S_j) beta_j^2 =
 (-1)^(j+1) i/2, which is the identity everything downstream leans on.
+The points coalesce at z = +-1 as |v| -> 2; stationary_points is the one
+place that refuses a ray within MERGING_MARGIN of that edge.
 """
 
 from __future__ import annotations
@@ -30,26 +32,19 @@ __all__ = [
     "stationary_points",
 ]
 
-DEFAULT_V_MAX = 1.8
 MERGING_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
 class RayParams:
-    """Space-time ray n/t inside the light cone |v| <= v_max < 2."""
+    """Space-time ray v = n/t; stationary_points needs |v| < 2 - margin."""
 
     n: int
     t: float
-    v_max: float = DEFAULT_V_MAX
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("t must be positive")
-        if not (0 < self.v_max < 2):
-            raise ValueError("v_max must lie in (0, 2)")
-        if abs(self.v) > self.v_max:
-            raise ValueError(
-                f"|n/t| = {abs(self.v):.4f} exceeds v_max = {self.v_max}")
 
     @property
     def v(self) -> float:
@@ -83,17 +78,17 @@ def phase_derivative(z: complex, ray: RayParams) -> complex:
     return ray.t * (zc + zc ** -3) - ray.n / zc
 
 
-def stationary_points(ray: RayParams, margin: float = MERGING_MARGIN,
-                      residual_tol: float = 1e-10) -> StationarySet:
+def stationary_points(ray: RayParams) -> StationarySet:
     """Locate S_1..S_4 and precompute phi''(S_j) and beta_j.
 
-    Raises MergingPointsError within `margin` of the light-cone edge
-    |v| = 2, where the points coalesce at z = +-1.
+    Raises MergingPointsError when |v| >= 2 - MERGING_MARGIN, near the
+    light-cone edge |v| = 2 where the points coalesce at z = +-1.
     """
     v = ray.v
-    if 2.0 - abs(v) < margin:
+    if abs(v) >= 2.0 - MERGING_MARGIN:
         raise MergingPointsError(
-            f"|v| = {abs(v):.4f} is within {margin} of the merging value 2")
+            f"|v| = {abs(v):.4f} is within {MERGING_MARGIN} of the merging "
+            "value 2")
     A = 0.5 * (math.sqrt(2.0 + v) - 1j * math.sqrt(2.0 - v))
     S = (A, A.conjugate(), -A, -A.conjugate())
     theta0 = -cmath.phase(A)
@@ -106,7 +101,7 @@ def stationary_points(ray: RayParams, margin: float = MERGING_MARGIN,
 
     worst = max(abs(phase_derivative(s, ray)) for s in S)
     # residual of the algebraic zero scales with t * eps
-    if worst > residual_tol * max(1.0, ray.t):
+    if worst > 1e-10 * max(1.0, ray.t):
         raise DomainError(f"stationary-point residual {worst:.3e} too large")
     return StationarySet(S=S, theta0=theta0, phi_dd=phi_dd, beta=beta, ray=ray)
 

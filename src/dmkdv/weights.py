@@ -38,12 +38,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ReflectionTooLargeError
-from .phase import RayParams, StationarySet
+from .phase import StationarySet
 
 __all__ = [
     "ArcSpec",
@@ -55,7 +55,6 @@ __all__ = [
     "nu_at",
     "chi_at_stationary",
     "hat_delta_at_stationary",
-    "delta_j0",
     "coefficient_set",
 ]
 
@@ -249,24 +248,6 @@ def hat_delta_at_stationary(r_eval, stationary: StationarySet, j: int,
                      for k in (1, 2, 3, 4) if k != j)
 
 
-def delta_j0(ray: RayParams, stationary: StationarySet,
-             coeffs: "CoefficientSet", j: int) -> complex:
-    """Per-cross constant delta_j^0 of the scaled local problem."""
-    _check_j(j)
-    Sj = stationary.S[j - 1]
-    Tj = _T_ANCHORS[j - 1]
-    beta = stationary.beta[j - 1]
-    sgn = (-1) ** (j - 1)
-    nu = coeffs.nu[j - 1]
-
-    theta_j = cmath.phase(Sj)
-    kappa_j = (Sj * Sj).imag  # S_j^-2 = conj(S_j^2) on the circle
-    osc = cmath.exp(1j * (ray.n * theta_j - ray.t * kappa_j))
-    power = cmath.exp(sgn * 1j * nu * cmath.log(beta / (Sj - Tj)))
-    return (osc * power * cmath.exp(sgn * coeffs.chi_at_S[j - 1])
-            * coeffs.hat_delta_at_S[j - 1])
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
     """All per-point coefficients plus delta(0) for one ray; r_at_S holds
@@ -290,7 +271,8 @@ def coefficient_set(r_eval, stationary: StationarySet,
     at z = 0 and at every S_k, with g(S_j) subtracted at its own endpoint
     (chi_j).  delta(0) is prod_j delta_j(0): arc S1 -> S2 through 1 is
     arc T1 -> S1 reversed followed by arc T2 -> S2, and likewise through
-    -1.
+    -1.  delta_j^0 is then assembled from nu_j, chi_j(S_j) and
+    hat_delta_j(S_j) by the formula of the module docstring.
     """
     density = functools.partial(log_density, r_eval)
     r_at_S = np.broadcast_to(r_eval(np.array(stationary.S)), (4,))
@@ -304,14 +286,22 @@ def coefficient_set(r_eval, stationary: StationarySet,
         chis.append(complex(sums[j]))
         sums[j] = 0.0
         exponents += (-1) ** (j - 1) * sums
-    partial = CoefficientSet(
-        r_at_S=tuple(r_at_S.tolist()),
-        nu=tuple(float(-g / (2.0 * math.pi)) for g in g_at_S),
-        chi_at_S=tuple(chis),
-        hat_delta_at_S=tuple(map(cmath.exp, exponents[1:])),
-        delta_j0=(None,) * 4, delta_at_zero=cmath.exp(exponents[0]))
-    return replace(partial, delta_j0=tuple(delta_j0(
-        stationary.ray, stationary, partial, j) for j in (1, 2, 3, 4)))
+    nu = tuple(float(-g / (2.0 * math.pi)) for g in g_at_S)
+    hat_delta_at_S = tuple(map(cmath.exp, exponents[1:]))
+    ray = stationary.ray
+    delta_j0 = []
+    for k in range(4):
+        Sj, sgn = stationary.S[k], (-1) ** k
+        kappa_j = (Sj * Sj).imag  # S_j^-2 = conj(S_j^2) on the circle
+        osc = cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * kappa_j))
+        power = cmath.exp(sgn * 1j * nu[k] * cmath.log(
+            stationary.beta[k] / (Sj - _T_ANCHORS[k])))
+        delta_j0.append(osc * power * cmath.exp(sgn * chis[k])
+                        * hat_delta_at_S[k])
+    return CoefficientSet(
+        r_at_S=tuple(r_at_S.tolist()), nu=nu, chi_at_S=tuple(chis),
+        hat_delta_at_S=hat_delta_at_S, delta_j0=tuple(delta_j0),
+        delta_at_zero=cmath.exp(exponents[0]))
 
 
 def _check_j(j: int) -> None:

@@ -171,7 +171,7 @@ def test_acceptance_8c_scaled_error_band(sweep):
 
 
 def test_acceptance_9_realness_selects_convention():
-    selected, rejected = realness_checks("conjugate_pair")
+    selected, rejected = realness_checks()
     report(9, "realness under selected sign convention",
            selected["pass"] and rejected["pass"],
            f"imag/t^-0.5: conjugate_pair={selected['measured']:.2e} < 0.05, "

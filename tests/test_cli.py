@@ -91,10 +91,14 @@ def test_exit_codes(tmp_path):
     for bad in (["--set", "time=[10]"], ["--set", "tolerances.quad=1"],
                 ["--set", "profile.amp=0.2"], ["--set", "output.fmt=json"]):
         assert main(["compare", *bad, "--output", out]) == 2
+    assert main(["selftest", "--set", "sign_convention=uniform_phase"]) == 2
     for bad in (["--set", "profile.kind=custom_list",
                  "--set", "profile.custom=[1.5]"],
                 ["--set", "window_margin=-1000"],
-                ["--set", "rays=[]"]):
+                ["--set", "rays=[]"],
+                # an integer key that is not whole, or overflows
+                ["--set", "profile.center=2.7"], ["--set", "threads=1.9"],
+                ["--set", "grid_size=128.5"], ["--set", "threads=1e999"]):
         assert main(["compare", *bad, "--output", out]) == 2
 
 

@@ -10,7 +10,6 @@ from dmkdv import (
     LatticeState,
     PoleError,
     RayParams,
-    SIGN_CONVENTIONS,
     amplitude_envelope,
     coefficient_set,
     complex_gamma,
@@ -29,6 +28,20 @@ def single_site_eval(c):
     q = np.zeros(5)
     q[2] = c
     return reflection_evaluator(LatticeState(n_min=-2, values=q))
+
+
+# The rejected "uniform_phase" form of (m1^j)_12 takes e^(-i pi/4) for
+# every j.  It is written out here as an oracle for the rotation that the
+# bad-convention tests and the realness audit apply to m1_entry instead.
+ROTATIONS = {"conjugate_pair": (1, 1, 1, 1),
+             "uniform_phase": (-1j, 1, -1j, 1)}
+
+
+def _oracle_uniform_phase(nu, r_at_S, j):
+    root = math.sqrt(2.0 * math.pi) * math.exp(-math.pi * nu / 2.0)
+    sgn = (-1) ** (j - 1)
+    return sgn * 1j * root * cmath.exp(-0.25j * math.pi) \
+        / (r_at_S * complex_gamma((-1) ** j * 1j * nu))
 
 
 def test_gamma_special_values():
@@ -69,18 +82,30 @@ def test_m1_entry_trivial_limits():
         m1_entry(-0.1, 0.3, 1)
     with pytest.raises(ValueError):
         m1_entry(0.1, 0.3, 5)
-    with pytest.raises(ValueError):
-        m1_entry(0.1, 0.3, 1, "somethingelse")
 
 
 @pytest.mark.parametrize("nu", [0.001, 0.01, 0.1, 0.5])
-@pytest.mark.parametrize("convention", SIGN_CONVENTIONS)
+@pytest.mark.parametrize("convention", ROTATIONS)
 def test_m1_modulus_is_sqrt_nu(nu, convention):
     r_mod = math.sqrt(1.0 - math.exp(-2.0 * math.pi * nu))
     r_val = r_mod * cmath.exp(0.4j)
     for j in (1, 2, 3, 4):
-        m1 = m1_entry(nu, r_val, j, convention)
+        m1 = ROTATIONS[convention][j - 1] * m1_entry(nu, r_val, j)
         assert abs(abs(m1) - math.sqrt(nu)) < 1e-10
+
+
+@pytest.mark.parametrize("nu", [0.001, 0.07, 0.5, 2.0])
+def test_uniform_phase_is_the_odd_cross_rotation(nu):
+    r_mod = math.sqrt(1.0 - math.exp(-2.0 * math.pi * nu))
+    for angle in (-2.5, -0.9, 0.0, 0.4, 3.0):
+        r_val = r_mod * cmath.exp(1j * angle)
+        for j in (1, 2, 3, 4):
+            oracle = _oracle_uniform_phase(nu, r_val, j)
+            got = ROTATIONS["uniform_phase"][j - 1] * m1_entry(nu, r_val, j)
+            if j % 2 == 0:
+                assert got == oracle
+            else:
+                assert abs(got - oracle) <= 1e-15 * abs(oracle)
 
 
 def test_m1_conjugate_pairing_selects_convention():
@@ -88,10 +113,9 @@ def test_m1_conjugate_pairing_selects_convention():
     r_mod = math.sqrt(1.0 - math.exp(-2.0 * math.pi * nu))
     r1 = r_mod * cmath.exp(-0.9j)
     r2 = r1.conjugate()
-    good = abs(m1_entry(nu, r2, 2, "conjugate_pair")
-               - m1_entry(nu, r1, 1, "conjugate_pair").conjugate())
-    bad = abs(m1_entry(nu, r2, 2, "uniform_phase")
-              - m1_entry(nu, r1, 1, "uniform_phase").conjugate())
+    good = abs(m1_entry(nu, r2, 2) - m1_entry(nu, r1, 1).conjugate())
+    # the rotation leaves j = 2 alone and turns j = 1 by -i
+    bad = abs(m1_entry(nu, r2, 2) - (-1j * m1_entry(nu, r1, 1)).conjugate())
     assert good < 1e-14
     assert bad > 0.1 * math.sqrt(nu)
 
@@ -134,11 +158,11 @@ def test_leading_term_realness_and_convention_guard():
     r_eval = single_site_eval(0.3)
     coeffs = coefficient_set(r_eval, stat)
 
-    good = leading_term(ray, stat, coeffs,
-                        cross_solutions(coeffs, "conjugate_pair"))
+    good = leading_term(ray, stat, coeffs, cross_solutions(coeffs))
     assert good.imag_residual < 1e-12
 
-    bad_m1 = cross_solutions(coeffs, "uniform_phase")
+    bad_m1 = tuple(rot * m for rot, m in zip(ROTATIONS["uniform_phase"],
+                                             cross_solutions(coeffs)))
     with pytest.raises(ConventionError):
         leading_term(ray, stat, coeffs, bad_m1)
     unchecked = leading_term(ray, stat, coeffs, bad_m1,

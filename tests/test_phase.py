@@ -126,14 +126,15 @@ def test_scaling_factor_homogeneity():
 
 
 def test_merging_points_guard():
-    with pytest.raises(MergingPointsError):
-        stationary_points(RayParams(n=196, t=100.0, v_max=1.97))
+    # refused from |v| = 2 - margin = 1.95 on, the edge included
+    for n in (196, -195, 195, 250):
+        with pytest.raises(MergingPointsError):
+            stationary_points(RayParams(n=n, t=100.0))
+    assert stationary_points(RayParams(n=194, t=100.0)).ray.v == 1.94
 
 
 def test_ray_validation():
     with pytest.raises(ValueError):
         RayParams(n=10, t=-1.0)
-    with pytest.raises(ValueError):
-        RayParams(n=190, t=100.0)  # |v| > default 1.8
     ray = RayParams(n=-90, t=100.0)
     assert ray.v == pytest.approx(-0.9)

@@ -18,7 +18,6 @@ from dmkdv import (
     chi_at_stationary,
     coefficient_set,
     delta_at,
-    delta_j0,
     delta_j_at,
     hat_delta_at_stationary,
     log_density,
@@ -126,7 +125,7 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
         sampled.append(np.size(z))
         return r_eval(z)
 
-    stat = stationary_points(RayParams(n=-89, t=50.0, v_max=1.8))
+    stat = stationary_points(RayParams(n=-89, t=50.0))
     with pytest.raises(QuadratureError, match="rounding floor"):
         coefficient_set(counting, stat, tol=tol)
     assert max(sampled) == 16 * 16  # stopped at 16 panels
@@ -296,8 +295,7 @@ def test_delta_j0_conjugate_pairing():
 
 @COEFFICIENT_CASES
 def test_coefficient_set_matches_individual_operations(make_eval, n):
-    ray = RayParams(n=n, t=80.0)
-    stat = stationary_points(ray)
+    stat = stationary_points(RayParams(n=n, t=80.0))
     r_eval = make_eval()
     coeffs = coefficient_set(r_eval, stat)
     assert coeffs.delta_at_zero == pytest.approx(delta_at(r_eval, stat, 0.0))
@@ -307,8 +305,6 @@ def test_coefficient_set_matches_individual_operations(make_eval, n):
             chi_at_stationary(r_eval, stat, j), abs=1e-12)
         assert coeffs.hat_delta_at_S[j - 1] == pytest.approx(
             hat_delta_at_stationary(r_eval, stat, j), abs=1e-11)
-        assert coeffs.delta_j0[j - 1] == pytest.approx(
-            delta_j0(ray, stat, coeffs, j), abs=1e-12)
 
 
 @COEFFICIENT_CASES
