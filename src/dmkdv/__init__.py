@@ -57,13 +57,10 @@ from .scattering import (
 from .weights import (
     ArcSpec,
     cauchy_arc_integral,
-    chi_at_stationary,
     coefficient_set,
     delta_at,
     delta_j_at,
-    hat_delta_at_stationary,
     log_density,
-    nu_at,
 )
 
 __version__ = "0.1.0"

@@ -4,12 +4,13 @@
     dmkdv scatter   ...
     dmkdv asymptote ...
     dmkdv compare   [--plot-data STEM] ...
-    dmkdv selftest  ...
+    dmkdv selftest
 
-Configuration comes from an optional JSON file plus dotted --set
-overrides (e.g. --set profile.amplitude=0.2 --set output.format=json);
-an unknown key is a configuration error.  Every table is written by
-harness.write_table.  Exit codes: 0 success, 1 check/row failure,
+The first four take their configuration from an optional JSON file
+plus dotted --set overrides (e.g. --set profile.amplitude=0.2
+--set output.format=json); an unknown key is a configuration error.
+selftest runs fixed checks and takes no options.  Every table is written
+by harness.write_table.  Exit codes: 0 success, 1 check/row failure,
 2 configuration error, 3 I/O error.
 """
 
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
         description="discrete defocusing mKdV lattice: simulation, "
                     "scattering, and long-time asymptotics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "scatter", "asymptote", "compare", "selftest"):
+    for name in ("simulate", "scatter", "asymptote", "compare"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -142,8 +143,11 @@ def main(argv=None) -> int:
             p.add_argument("--plot-data", dest="plot_stem", default=None,
                            metavar="STEM",
                            help="write a two-column (t, abs_err) file per ray")
+    sub.add_parser("selftest")  # fixed checks: no configuration
     args = parser.parse_args(argv)
 
+    if args.command == "selftest":
+        return _cmd_selftest()
     try:
         config = _load_config(args)
         if args.command == "simulate":
@@ -152,9 +156,7 @@ def main(argv=None) -> int:
             return _cmd_scatter(config)
         if args.command == "asymptote":
             return _cmd_asymptote(config)
-        if args.command == "compare":
-            return _cmd_compare(config, args.plot_stem)
-        return _cmd_selftest()
+        return _cmd_compare(config, args.plot_stem)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

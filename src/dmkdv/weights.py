@@ -52,9 +52,6 @@ __all__ = [
     "cauchy_arc_integral",
     "delta_at",
     "delta_j_at",
-    "nu_at",
-    "chi_at_stationary",
-    "hat_delta_at_stationary",
     "coefficient_set",
 ]
 
@@ -215,37 +212,6 @@ def delta_j_at(r_eval, stationary: StationarySet, j: int, z: complex,
     val = cauchy_arc_integral(functools.partial(log_density, r_eval),
                               delta_j_arc(stationary, j), z, tol)
     return cmath.exp((-1) ** (j - 1) * val)
-
-
-def nu_at(r_eval, stationary: StationarySet, j: int) -> float:
-    """Local exponent nu_j = -(1/2pi) log(1 - |r(S_j)|^2) >= 0."""
-    _check_j(j)
-    return float(-log_density(r_eval, stationary.S[j - 1]) / (2.0 * math.pi))
-
-
-def chi_at_stationary(r_eval, stationary: StationarySet, j: int,
-                      tol: float = DEFAULT_TOL) -> complex:
-    """chi_j evaluated at z = S_j, the endpoint of its own arc.
-
-    The integrand (g(tau) - g(S_j)) / (tau - S_j) is analytic there, and
-    the Gauss nodes never touch the endpoint.
-    """
-    arc = delta_j_arc(stationary, j)
-    density = functools.partial(log_density, r_eval)
-    Sj = stationary.S[j - 1]
-    return complex(_arc_sums(density, arc, Sj, density(Sj), tol)[0])
-
-
-def hat_delta_at_stationary(r_eval, stationary: StationarySet, j: int,
-                            tol: float = DEFAULT_TOL) -> complex:
-    """hat_delta_j(S_j) = prod_{k != j} delta_k(S_j).
-
-    Regular because S_j never lies on the arc of any k != j.
-    """
-    _check_j(j)
-    Sj = stationary.S[j - 1]
-    return math.prod(delta_j_at(r_eval, stationary, k, Sj, tol)
-                     for k in (1, 2, 3, 4) if k != j)
 
 
 @dataclass(frozen=True)

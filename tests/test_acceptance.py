@@ -17,7 +17,6 @@ from dmkdv import (
     RunConfig,
     UnitCirclePoint,
     amplitude_envelope,
-    chi_at_stationary,
     delta_at,
     reflection_evaluator,
     scattering_coefficients,
@@ -35,6 +34,7 @@ from dmkdv.harness import (
     unitarity_checks,
 )
 from dmkdv.phase import RayParams
+from weights_oracles import chi_at_stationary
 
 REFERENCE = InitialProfile(kind="single_site", amplitude=0.3)
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import dmkdv.harness as harness
 from dmkdv import SpillError
 from dmkdv.cli import main
@@ -71,7 +73,10 @@ def test_set_overrides(tmp_path):
 def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["selftest", "--config", str(bad)]) == 2
+    # selftest takes no configuration: a passed flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--config", str(bad)])
+    assert exc.value.code == 2
 
     cfg = write_config(tmp_path, {**TINY, "dt": -1})
     assert main(["compare", "--config", cfg]) == 2
@@ -91,7 +96,11 @@ def test_exit_codes(tmp_path):
     for bad in (["--set", "time=[10]"], ["--set", "tolerances.quad=1"],
                 ["--set", "profile.amp=0.2"], ["--set", "output.fmt=json"]):
         assert main(["compare", *bad, "--output", out]) == 2
-    assert main(["selftest", "--set", "sign_convention=uniform_phase"]) == 2
+    for flags in (["--set", "sign_convention=uniform_phase"],
+                  ["--output", out], ["--format", "csv"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", *flags])
+        assert exc.value.code == 2
     for bad in (["--set", "profile.kind=custom_list",
                  "--set", "profile.custom=[1.5]"],
                 ["--set", "window_margin=-1000"],

@@ -189,6 +189,80 @@ def test_staggered_signs_and_involution():
     np.testing.assert_allclose(again.values, state.values)
 
 
+def _centred_single_site(amplitude, center, half):
+    """single_site data on the odd window center - half .. center + half."""
+    profile = InitialProfile(kind="single_site", amplitude=amplitude,
+                             center=center)
+    return profile.realize(center - half, center + half)
+
+
+def _bits(state):
+    return state.values.view(np.uint64)
+
+
+# With 25 sites either side the active range spans the window from the
+# first step; with 400 it stays inside (the support reaches about 300
+# sites by |t| = 10).  Two cases step backwards in time, one crosses 0.
+@pytest.mark.parametrize("center, amplitude, half, stops", [
+    (0, 0.3, 25, (2.0, 5.0, 9.5)),
+    (-7, -0.45, 400, (-1.5, -4.0, -10.0)),
+    (12, 0.6, 25, (3.0, -2.0, 6.0)),
+    (3, 0.2, 400, (0.7, 8.0)),
+])
+def test_mirror_path_matches_whole_window_bitwise(monkeypatch, center,
+                                                  amplitude, half, stops):
+    state = _centred_single_site(amplitude, center, half)
+    assert lattice._mirror_half(state.values) == half
+
+    def trajectory():
+        current, out = state, []
+        for t in stops:
+            current = integrate(current, t, 0.05, spill_tol=1.0)
+            out.append(current)
+        return out
+
+    mirrored = trajectory()
+    monkeypatch.setattr(lattice, "_mirror_half", lambda values: None)
+    for got, want in zip(mirrored, trajectory()):
+        assert (got.n_min, got.t) == (want.n_min, want.t)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize(
+    "amplitude, half, t_end, dt, spill_tol, error, guard", [
+    (0.3, 6, 10.0, 0.01, 1e-10, SpillError, "spill tolerance"),
+    (0.9, 10, 50.0, 5.0, 1.0, BlowupError, "RK stage"),
+    (0.05, 30, 200.0, 1.5, 1.0, BlowupError, "conserved bound"),
+])
+def test_mirror_path_fails_like_whole_window(monkeypatch, amplitude, half,
+                                            t_end, dt, spill_tol, error,
+                                            guard):
+    state = _centred_single_site(amplitude, 4, half)
+    assert lattice._mirror_half(state.values) == half
+    got = _outcome(integrate, state, t_end, dt, spill_tol)
+    monkeypatch.setattr(lattice, "_mirror_half", lambda values: None)
+    want = _outcome(integrate, state, t_end, dt, spill_tol)
+    assert want[0] is error and guard in want[1]
+    assert got == want
+
+
+def test_asymmetric_twins_take_the_whole_window():
+    symmetric = _centred_single_site(0.3, 0, 20)
+    perturbed = symmetric.values.copy()
+    perturbed[25] = 1e-12
+    twins = (
+        LatticeState(n_min=-20, values=np.append(symmetric.values, 0.0)),
+        InitialProfile(kind="single_site", amplitude=0.3,
+                       center=1).realize(-20, 20),  # off the midpoint
+        LatticeState(n_min=-20, values=perturbed),  # site 5 perturbed
+    )
+    for state in twins:
+        assert lattice._mirror_half(state.values) is None
+        got = integrate(state, 4.0, 0.05, spill_tol=1.0)
+        want = oracle_integrate(state, 4.0, 0.05, spill_tol=1.0)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 # The plain RK4 loop that `integrate` replaced, kept as its reference: the
 # in-place kernel performs the same floating-point operations in the same
 # order, so the two must agree bit for bit, and fail in the same guard.
@@ -249,23 +323,34 @@ def _outcome(fn, state, t_end, dt, spill_tol):
 # Spans up to 300 steps cross many rescans of the active range; padding
 # up to 150 sites lets the range either reach the window edge or stay
 # inside it, and small padding with spill_tol = 1e-10 trips SpillError.
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+# A mirrored draw reflects `values` about its first entry, q_{c-n} =
+# (-1)^n q_{c+n}, on an odd window, so `integrate` steps half of it.
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(values=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=30),
+       mirror=st.booleans(),
        n_min=st.integers(-100, 100),
        pad=st.tuples(st.integers(0, 150), st.integers(0, 150)),
        span=st.floats(-6.0, 6.0),
        dt=st.sampled_from((0.02, 0.05, 0.1, 0.25)),
        spill_tol=st.sampled_from((1e-10, 1.0)))
-@example(values=[0.6], n_min=0, pad=(10, 10), span=50.0, dt=5.0,
-         spill_tol=1.0)  # stage BlowupError at the first step
-@example(values=[0.3], n_min=0, pad=(6, 6), span=10.0, dt=0.01,
-         spill_tol=1e-10)  # SpillError
-def test_property_integrate_matches_oracle(values, n_min, pad, span, dt,
-                                           spill_tol):
+@example(values=[0.6], mirror=False, n_min=0, pad=(10, 10), span=50.0,
+         dt=5.0, spill_tol=1.0)  # stage BlowupError at the first step
+@example(values=[0.3], mirror=False, n_min=0, pad=(6, 6), span=10.0,
+         dt=0.01, spill_tol=1e-10)  # SpillError
+@example(values=[0.3, -0.2], mirror=True, n_min=0, pad=(5, 0), span=10.0,
+         dt=0.01, spill_tol=1e-10)  # SpillError on a mirrored window
+def test_property_integrate_matches_oracle(values, mirror, n_min, pad, span,
+                                           dt, spill_tol):
+    if mirror:
+        values = [(-1) ** n * values[n]
+                  for n in range(len(values) - 1, 0, -1)] + values
+        pad = (pad[0], pad[0])
     state = LatticeState(
         n_min=n_min - pad[0],
         values=np.concatenate([np.zeros(pad[0]), values, np.zeros(pad[1])]),
         t=1.5)
+    if mirror:
+        assert lattice._mirror_half(state.values) is not None
     got = _outcome(integrate, state, state.t + span, dt, spill_tol)
     want = _outcome(oracle_integrate, state, state.t + span, dt, spill_tol)
     if isinstance(want, tuple):

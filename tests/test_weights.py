@@ -15,18 +15,16 @@ from dmkdv import (
     RayParams,
     ReflectionTooLargeError,
     cauchy_arc_integral,
-    chi_at_stationary,
     coefficient_set,
     delta_at,
     delta_j_at,
-    hat_delta_at_stationary,
     log_density,
-    nu_at,
     reflection_evaluator,
     staggered,
     stationary_points,
 )
 from dmkdv.weights import _GL_NODES, _GL_WEIGHTS, delta_arcs, delta_j_arc
+from weights_oracles import chi_at_stationary, hat_delta_at_stationary, nu_at
 
 
 def single_site_eval(c):

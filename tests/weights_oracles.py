@@ -1,0 +1,47 @@
+"""One coefficient at a time, by its definition in the weights module
+docstring: the oracles that `weights.coefficient_set`, which computes
+them all from one sweep per arc, is checked against.
+"""
+
+import functools
+import math
+
+from dmkdv.weights import (
+    DEFAULT_TOL,
+    _arc_sums,
+    _check_j,
+    delta_j_arc,
+    delta_j_at,
+    log_density,
+)
+
+
+def nu_at(r_eval, stationary, j: int) -> float:
+    """Local exponent nu_j = -(1/2pi) log(1 - |r(S_j)|^2) >= 0."""
+    _check_j(j)
+    return float(-log_density(r_eval, stationary.S[j - 1]) / (2.0 * math.pi))
+
+
+def chi_at_stationary(r_eval, stationary, j: int,
+                      tol: float = DEFAULT_TOL) -> complex:
+    """chi_j evaluated at z = S_j, the endpoint of its own arc.
+
+    The integrand (g(tau) - g(S_j)) / (tau - S_j) is analytic there, and
+    the Gauss nodes never touch the endpoint.
+    """
+    arc = delta_j_arc(stationary, j)
+    density = functools.partial(log_density, r_eval)
+    Sj = stationary.S[j - 1]
+    return complex(_arc_sums(density, arc, Sj, density(Sj), tol)[0])
+
+
+def hat_delta_at_stationary(r_eval, stationary, j: int,
+                            tol: float = DEFAULT_TOL) -> complex:
+    """hat_delta_j(S_j) = prod_{k != j} delta_k(S_j).
+
+    Regular because S_j never lies on the arc of any k != j.
+    """
+    _check_j(j)
+    Sj = stationary.S[j - 1]
+    return math.prod(delta_j_at(r_eval, stationary, k, Sj, tol)
+                     for k in (1, 2, 3, 4) if k != j)
