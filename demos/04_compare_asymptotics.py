@@ -4,8 +4,8 @@ The harness integrates the initial-value problem once with RK4, reading
 every ray at each time on the way, and for each (v, t) independently
 evaluates the leading-order stationary-phase value from the scattering
 data of the initial profile alone.  The
-difference decays like t^-1 log t while the solution itself only decays
-like t^-1/2.
+difference is bounded by t^-1 log t (measured about t^-3/2) while the
+solution itself only decays like t^-1/2.
 
 The same sweep is available from the shell:
 
@@ -35,5 +35,6 @@ for rec in records:
 
 print()
 print("already at t = 100 the formula matches the integrator to a fraction")
-print("of a percent of the wave amplitude; the absolute error keeps falling")
-print("like t^-1 log t while the amplitude only falls like t^-1/2.")
+print("of a percent of the wave amplitude; the absolute error is bounded by")
+print("t^-1 log t (measured about t^-3/2) while the amplitude only falls")
+print("like t^-1/2.")

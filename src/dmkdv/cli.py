@@ -9,9 +9,12 @@
 The first four take their configuration from an optional JSON file
 plus dotted --set overrides (e.g. --set profile.amplitude=0.2
 --set output.format=json); an unknown key is a configuration error.
-selftest runs fixed checks and takes no options.  Every table is written
-by harness.write_table.  Exit codes: 0 success, 1 check/row failure,
-2 configuration error, 3 I/O error.
+simulate, asymptote and compare are one row command that differ in
+their columns and in the side of the sweep they skip.  selftest runs
+fixed checks and takes no options.  Every table is written by
+harness.write_table.  Exit codes: 0 success, 1 check/row failure (a
+failed row or check prints one stderr line), 2 configuration error,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import sys
 import numpy as np
 
 from . import scattering
-from .errors import ConfigError
+from .errors import ConfigError, DmkdvError
 from .harness import (
+    CSV_HEADER,
     RunConfig,
-    emit,
     emit_plot_data,
     run_compare,
     selftest,
@@ -34,56 +37,64 @@ from .harness import (
 )
 from .lattice import conserved_c_inf, rho_zero
 
-
-def _apply_override(config: dict, spec: str) -> None:
-    if "=" not in spec:
-        raise ConfigError(f"--set expects key=value, got {spec!r}")
-    key, raw = spec.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"cannot descend into {part!r} in {key!r}")
-    node[parts[-1]] = value
+# row subcommand -> (its columns, the side of run_compare it skips)
+_ROW_COMMANDS = {
+    "simulate": (("n", "t", "v", "q_direct"), {"compute_asym": False}),
+    "asymptote": (("n", "t", "v", "q_asym", "imag_residual"),
+                  {"compute_direct": False}),
+    "compare": (tuple(CSV_HEADER.split(",")), {}),
+}
 
 
 def _load_config(args) -> RunConfig:
+    """The JSON file's object, then each --set, then the flags, as dotted
+    keys; a later key wins (see RunConfig.from_dict)."""
     data: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object")
+    overrides = []
     for spec in args.set or ():
-        _apply_override(data, spec)
-    if args.threads is not None:
-        data["threads"] = args.threads
-    if args.output is not None:
-        data.setdefault("output", {})["path"] = args.output
-    if args.format is not None:
-        data.setdefault("output", {})["format"] = args.format
+        if "=" not in spec:
+            raise ConfigError(f"--set expects key=value, got {spec!r}")
+        key, raw = spec.split("=", 1)
+        try:
+            overrides.append((key, json.loads(raw)))
+        except json.JSONDecodeError:
+            overrides.append((key, raw))
+    overrides += [(key, value) for key, value in (
+        ("threads", args.threads), ("output.path", args.output),
+        ("output.format", args.format)) if value is not None]
+    for key, value in overrides:
+        data.pop(key, None)  # re-inserted last, so that it wins
+        data[key] = value
     return RunConfig.from_dict(data)
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    records = run_compare(config, compute_asym=False)
-    rows = [(r.n, r.t, r.v, r.q_direct) for r in records]
-    write_table(config.output_path, config.output_format,
-                ("n", "t", "v", "q_direct"), rows)
-    print(f"wrote {len(rows)} rows to {config.output_path}")
-    return 1 if any(r.fail_reason for r in records) else 0
-
-
-def _cmd_asymptote(config: RunConfig) -> int:
-    records = run_compare(config, compute_direct=False)
-    rows = [(r.n, r.t, r.v, r.q_asym, r.imag_residual) for r in records]
-    write_table(config.output_path, config.output_format,
-                ("n", "t", "v", "q_asym", "imag_residual"), rows)
-    print(f"wrote {len(rows)} rows to {config.output_path}")
-    return 1 if any(r.fail_reason for r in records) else 0
+def _cmd_rows(command: str, config: RunConfig, plot_stem: str | None) -> int:
+    """simulate, asymptote or compare: run the sweep, write its table;
+    compare also writes --plot-data and its timing summary."""
+    columns, skip = _ROW_COMMANDS[command]
+    records = run_compare(config, **skip)
+    write_table(config.output_path, config.output_format, columns,
+                [[getattr(rec, name) for name in columns] for rec in records])
+    summary = ""
+    if command == "compare":
+        for path in emit_plot_data(records, plot_stem) if plot_stem else ():
+            print(f"plot data: {path}")
+        slowest = max(records, key=lambda r: r.wall_time)
+        summary = (f" ({sum(r.wall_time for r in records):.1f}s total, "
+                   f"{sum(r.integrate_time for r in records):.1f}s "
+                   f"integrating, slowest row v={slowest.v:g} "
+                   f"t={slowest.t:g} at {slowest.wall_time:.1f}s)")
+    print(f"wrote {len(records)} rows to {config.output_path}{summary}")
+    failed = [r for r in records if r.fail_reason]
+    for rec in failed:
+        print(f"row v={rec.v:g} t={rec.t:g} failed: {rec.fail_reason}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_scatter(config: RunConfig) -> int:
@@ -96,26 +107,6 @@ def _cmd_scatter(config: RunConfig) -> int:
           f"max|r| = {float(np.abs(r).max())!r}")
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return 0
-
-
-def _cmd_compare(config: RunConfig, plot_stem: str | None) -> int:
-    records = run_compare(config)
-    emit(records, config.output_path, config.output_format)
-    if plot_stem:
-        for path in emit_plot_data(records, plot_stem):
-            print(f"plot data: {path}")
-    failed = [r for r in records if r.fail_reason]
-    total = sum(r.wall_time for r in records)
-    integrating = sum(r.integrate_time for r in records)
-    slowest = max(records, key=lambda r: r.wall_time)
-    print(f"wrote {len(records)} rows to {config.output_path} "
-          f"({total:.1f}s total, {integrating:.1f}s integrating, "
-          f"slowest row v={slowest.v:g} t={slowest.t:g} "
-          f"at {slowest.wall_time:.1f}s)")
-    for rec in failed:
-        print(f"row v={rec.v:g} t={rec.t:g} failed: {rec.fail_reason}",
-              file=sys.stderr)
-    return 1 if failed else 0
 
 
 def _cmd_selftest() -> int:
@@ -132,6 +123,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "scatter", "asymptote", "compare"):
         p = sub.add_parser(name)
+        p.set_defaults(plot_stem=None)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration entry")
@@ -150,19 +142,18 @@ def main(argv=None) -> int:
         return _cmd_selftest()
     try:
         config = _load_config(args)
-        if args.command == "simulate":
-            return _cmd_simulate(config)
         if args.command == "scatter":
             return _cmd_scatter(config)
-        if args.command == "asymptote":
-            return _cmd_asymptote(config)
-        return _cmd_compare(config, args.plot_stem)
+        return _cmd_rows(args.command, config, args.plot_stem)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except DmkdvError as exc:  # a check that failed outside the rows
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -41,20 +41,43 @@ _EMIT_FIELDS = ("n", "t", "v", "q_direct", "q_asym", "abs_err",
                 "scaled_err", "imag_residual")
 CSV_HEADER = ",".join(_EMIT_FIELDS)
 
-# the keys RunConfig.from_dict reads; a section maps to its own keys
-_SCHEMA = {
-    "profile": ("kind", "amplitude", "width", "center", "custom"),
-    "rays": None, "times": None, "dt": None, "window_margin": None,
-    "grid_size": None,
-    "tolerances": ("quadrature", "realness", "spill"),
-    "v_max": None, "threads": None,
-    "output": ("path", "format"),
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _reals(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+# JSON key -> (field, conversion); the profile.* keys fill InitialProfile
+# and the others RunConfig.  int is checked not to truncate.
+_KEYS = {
+    "profile.kind": ("kind", _text),
+    "profile.amplitude": ("amplitude", float),
+    "profile.width": ("width", float),
+    "profile.center": ("center", int),
+    "profile.custom": ("custom", tuple),
+    "rays": ("v_list", _reals),
+    "times": ("t_list", _reals),
+    "dt": ("dt", float),
+    "window_margin": ("window_margin", float),
+    "grid_size": ("grid_size", int),
+    "tolerances.quadrature": ("quadrature_tol", float),
+    "tolerances.realness": ("realness_tol", float),
+    "tolerances.spill": ("spill_tol", float),
+    "v_max": ("v_max", float),
+    "threads": ("threads", int),
+    "output.path": ("output_path", _text),
+    "output.format": ("output_format", _text),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Sweep definition; see `from_dict` for the JSON schema."""
+    """Sweep definition; its JSON schema is _KEYS (see `from_dict`)."""
 
     profile: InitialProfile
     v_list: tuple = (0.5,)
@@ -71,6 +94,12 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (
+                self.dt, self.window_margin, self.quadrature_tol,
+                self.realness_tol, self.spill_tol, *self.v_list,
+                *self.t_list))):
+            raise ConfigError("dt, window_margin, tolerances, rays and "
+                              "times must be finite")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if not self.window_margin >= 0:
@@ -96,68 +125,44 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Build from the JSON schema (every key optional; an unknown key
-        is a ConfigError naming it):
-
-        {"profile": {"kind", "amplitude", "width", "center", "custom"},
-         "rays": [v...], "times": [t...], "dt": ..., "grid_size": ...,
-         "window_margin": ..., "tolerances": {"quadrature", "realness",
-         "spill"}, "v_max": ..., "threads": ..., "output": {"path",
-         "format"}}
-
-        profile.center, grid_size and threads must be whole numbers.
+        """Build from a dict of the JSON keys of _KEYS, every one optional
+        (defaults come from the dataclasses).  A nested key and its dotted
+        form are the same key ({"profile": {"center": 3}} is
+        {"profile.center": 3}), and a later key wins.  Every unknown key is
+        named in one ConfigError.  profile.center, grid_size and threads
+        must be whole numbers.
         """
+        flat = _flatten(d)
+        unknown = [key for key in flat if key not in _KEYS]
+        if unknown:
+            raise ConfigError("unknown configuration key "
+                              + ", ".join(map(repr, unknown)))
+        profile, kwargs = {}, {}
         try:
-            d = _known_keys(d, _SCHEMA)
-            prof, tols, out = (_known_keys(d.get(name, {}), _SCHEMA[name],
-                                           name + ".")
-                               for name in ("profile", "tolerances", "output"))
-            profile = InitialProfile(
-                kind=prof.get("kind", "single_site"),
-                amplitude=float(prof.get("amplitude", 0.3)),
-                width=float(prof.get("width", 1.0)),
-                center=_integer(prof.get("center", 0), "profile.center"),
-                custom=tuple(prof.get("custom", ())),
-            )
-            kwargs = dict(
-                profile=profile,
-                dt=float(d.get("dt", cls.dt)),
-                window_margin=float(d.get("window_margin", cls.window_margin)),
-                grid_size=_integer(d.get("grid_size", cls.grid_size),
-                                   "grid_size"),
-                quadrature_tol=float(tols.get("quadrature", cls.quadrature_tol)),
-                realness_tol=float(tols.get("realness", cls.realness_tol)),
-                spill_tol=float(tols.get("spill", cls.spill_tol)),
-                v_max=float(d.get("v_max", cls.v_max)),
-                output_path=out.get("path", cls.output_path),
-                output_format=out.get("format", cls.output_format),
-                threads=_integer(d.get("threads", cls.threads), "threads"),
-            )
-            if "rays" in d:
-                kwargs["v_list"] = tuple(float(v) for v in d["rays"])
-            if "times" in d:
-                kwargs["t_list"] = tuple(float(t) for t in d["times"])
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            for key, value in flat.items():
+                field, convert = _KEYS[key]
+                converted = convert(value)
+                if convert is int and converted != value:
+                    raise ConfigError(
+                        f"{key} must be an integer, got {value!r}")
+                target = profile if key.startswith("profile.") else kwargs
+                target[field] = converted
+            return cls(profile=InitialProfile(**profile), **kwargs)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
-        return cls(**kwargs)
 
 
-def _integer(value, key: str) -> int:
-    """`value` as an int, once it equals its integer conversion."""
-    whole = int(value)
-    if whole != value:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return whole
-
-
-def _known_keys(section, keys, prefix: str = "") -> dict:
-    """`section` as a dict, once every key in it is one of `keys`."""
-    section = dict(section)
-    unknown = [key for key in section if key not in keys]
-    if unknown:
-        raise ConfigError("unknown configuration key "
-                          + ", ".join(repr(prefix + key) for key in unknown))
-    return section
+def _flatten(section: dict, prefix: str = "") -> dict:
+    """`section` with every nested object spread into dotted keys, in
+    order; a dict under a key of _KEYS stays, for its conversion to
+    refuse."""
+    flat = {}
+    for key, value in section.items():
+        if isinstance(value, dict) and prefix + key not in _KEYS:
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,13 +273,13 @@ def _trajectory(config: RunConfig) -> dict:
     return direct
 
 
-def _compare_row(config: RunConfig, v: float, t: float, direct: tuple,
-                 r_eval) -> ComparisonRecord:
-    """One row from its (q_direct, fail_reason, seconds) of the trajectory
-    and the sweep's r_u (None: no asymptotic value); a row the trajectory
-    failed skips the asymptotic value."""
+def _row_worker(job) -> ComparisonRecord:
+    """One row from its job (config, v, t, direct, r_u): `direct` is the
+    row's (q_direct, fail_reason, seconds) of the trajectory and r_u the
+    sweep's reflection coefficient (None: no asymptotic value); a row the
+    trajectory failed skips the asymptotic value."""
     started = time.perf_counter()
-    q_direct, reason, integrate_time = direct
+    config, v, t, (q_direct, reason, integrate_time), r_eval = job
     q_asym = imag_residual = math.nan
     if reason is None and r_eval is not None:
         try:
@@ -294,10 +299,6 @@ def _compare_row(config: RunConfig, v: float, t: float, direct: tuple,
         imag_residual=imag_residual, fail_reason=reason,
         wall_time=time.perf_counter() - started + integrate_time,
         integrate_time=integrate_time)
-
-
-def _row_worker(args) -> ComparisonRecord:
-    return _compare_row(*args)
 
 
 def run_compare(config: RunConfig, compute_direct: bool = True,

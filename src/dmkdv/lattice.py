@@ -86,8 +86,8 @@ class InitialProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind in ("single_site", "gaussian") and not abs(self.amplitude) < 1.0:
             raise ValueError("amplitude must lie in (-1, 1)")
-        if self.kind == "gaussian" and self.width <= 0:
-            raise ValueError("width must be positive")
+        if self.kind == "gaussian" and not 0 < self.width < np.inf:
+            raise ValueError("width must be positive and finite")
         if not all(abs(float(q)) < 1.0 for q in self.custom):  # rejects NaN
             raise ValueError("custom values must be finite with |q| < 1")
 

@@ -111,6 +111,53 @@ def test_exit_codes(tmp_path):
         assert main(["compare", *bad, "--output", out]) == 2
 
 
+def test_config_values_of_the_wrong_json_type(tmp_path, capsys):
+    cfg = write_config(tmp_path, [1])
+    out = str(tmp_path / "x.csv")
+    for extra in ([], ["--output", out], ["--set", "dt=0.01"]):
+        assert main(["compare", "--config", cfg, *extra]) == 2
+    assert capsys.readouterr().err.count("must hold a JSON object") == 3
+    # a path that is not a string would raise, or open a file descriptor
+    cfg = write_config(tmp_path, TINY)
+    for path in ("null", "1", '["a"]'):
+        assert main(["simulate", "--config", cfg,
+                     "--set", f"output.path={path}"]) == 2
+
+
+def test_non_finite_numbers_are_refused(tmp_path):
+    out = str(tmp_path / "out.csv")
+    # NaN would switch the realness guard off: imag_residual > NaN is never true
+    for bad in (["--set", "tolerances.realness=NaN"], ["--set", "dt=Infinity"],
+                ["--set", "times=[100,Infinity]"],
+                ["--set", "profile.kind=gaussian",
+                 "--set", "profile.width=NaN"]):
+        assert main(["asymptote", *bad, "--output", out]) == 2
+
+
+def test_later_key_wins(tmp_path):
+    cfg = write_config(tmp_path, {**TINY, "output.path": "unused.csv"})
+    nested, flag = tmp_path / "nested.csv", tmp_path / "flag.csv"
+    spec = "output=" + json.dumps({"path": str(nested)})
+    assert main(["simulate", "--config", cfg, "--set", spec]) == 0
+    assert nested.exists()
+    assert main(["simulate", "--config", cfg, "--set", spec,
+                 "--output", str(flag)]) == 0
+    assert flag.exists() and not (tmp_path / "unused.csv").exists()
+
+
+def test_scatter_reports_a_failed_check_on_one_line(tmp_path, capsys):
+    # 30 sites of +-0.9: the computed r(z) leaves the unit disk
+    out = tmp_path / "r.csv"
+    custom = json.dumps([0.9, -0.9] * 15)
+    assert main(["scatter", "--set", "profile.kind=custom_list",
+                 "--set", f"profile.custom={custom}",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ReflectionTooLargeError: max |r| = 16.2")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def strict_json(path):
     """Parsed JSON file; a bare NaN or Infinity in it fails the test."""
     def refuse(constant):

@@ -112,7 +112,13 @@ def test_config_validation():
                 dict(window_margin=math.nan),
                 dict(v_max=2.5), dict(v_max=0.0), dict(grid_size=100),
                 dict(grid_size=32), dict(quadrature_tol=0.0),
-                dict(realness_tol=-0.01), dict(spill_tol=0.0)):
+                dict(realness_tol=-0.01), dict(spill_tol=0.0),
+                # non-finite numbers: NaN slips past every comparison
+                dict(dt=math.nan), dict(dt=math.inf),
+                dict(v_list=(math.nan,)), dict(t_list=(5.0, math.nan)),
+                dict(t_list=(5.0, math.inf)), dict(window_margin=math.inf),
+                dict(quadrature_tol=math.nan), dict(realness_tol=math.nan),
+                dict(realness_tol=math.inf), dict(spill_tol=math.inf)):
         with pytest.raises(ConfigError):
             zero_config(**bad)
     # an unknown key is named instead of leaving its default in place
@@ -132,6 +138,10 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
             RunConfig.from_dict(data)
     assert RunConfig.from_dict({"threads": 2.0}).threads == 2
+    for width in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="width must be positive"):
+            RunConfig.from_dict({"profile": {"kind": "gaussian",
+                                             "width": width}})
     with pytest.raises(ConfigError, match=r"\|q\| < 1"):
         RunConfig.from_dict({"profile": {"kind": "custom_list",
                                          "custom": [0.2, math.nan]}})
@@ -170,6 +180,24 @@ def test_config_dict_round_trip():
 
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"dt": "fast"})
+
+def test_nested_and_dotted_keys_are_one_key():
+    nested = RunConfig.from_dict({"profile": {"amplitude": 0.2},
+                                  "tolerances": {"spill": 1e-9}})
+    assert nested == RunConfig.from_dict({"profile.amplitude": 0.2,
+                                          "tolerances.spill": 1e-9})
+    # a later key wins, in either spelling
+    for data, amplitude in (
+            ({"profile.amplitude": 0.1, "profile": {"amplitude": 0.2}}, 0.2),
+            ({"profile": {"amplitude": 0.2}, "profile.amplitude": 0.1}, 0.1)):
+        assert RunConfig.from_dict(data).profile.amplitude == amplitude
+    with pytest.raises(ConfigError,
+                       match="^unknown configuration key 'profile.amp'$"):
+        RunConfig.from_dict({"profile.amp": 0.2})
+    # an object under a leaf key is refused, not read as a section
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"dt": {}})
+
 
 def test_probe_site_nudges_overshoot():
     assert probe_site(0.5, 100.0, 1.8) == 50
