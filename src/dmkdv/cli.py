@@ -28,8 +28,9 @@ import numpy as np
 from . import scattering
 from .errors import ConfigError, DmkdvError
 from .harness import (
-    CSV_HEADER,
+    COMPARE_COLUMNS,
     RunConfig,
+    emit,
     emit_plot_data,
     run_compare,
     selftest,
@@ -42,7 +43,7 @@ _ROW_COMMANDS = {
     "simulate": (("n", "t", "v", "q_direct"), {"compute_asym": False}),
     "asymptote": (("n", "t", "v", "q_asym", "imag_residual"),
                   {"compute_direct": False}),
-    "compare": (tuple(CSV_HEADER.split(",")), {}),
+    "compare": (COMPARE_COLUMNS, {}),
 }
 
 
@@ -78,8 +79,7 @@ def _cmd_rows(command: str, config: RunConfig, plot_stem: str | None) -> int:
     compare also writes --plot-data and its timing summary."""
     columns, skip = _ROW_COMMANDS[command]
     records = run_compare(config, **skip)
-    write_table(config.output_path, config.output_format, columns,
-                [[getattr(rec, name) for name in columns] for rec in records])
+    emit(records, config.output_path, config.output_format, columns)
     summary = ""
     if command == "compare":
         for path in emit_plot_data(records, plot_stem) if plot_stem else ():

@@ -34,12 +34,13 @@ __all__ = [
     "selftest",
     "emit",
     "write_table",
+    "COMPARE_COLUMNS",
     "CSV_HEADER",
 ]
 
-_EMIT_FIELDS = ("n", "t", "v", "q_direct", "q_asym", "abs_err",
-                "scaled_err", "imag_residual")
-CSV_HEADER = ",".join(_EMIT_FIELDS)
+COMPARE_COLUMNS = ("n", "t", "v", "q_direct", "q_asym", "abs_err",
+                   "scaled_err", "imag_residual")
+CSV_HEADER = ",".join(COMPARE_COLUMNS)
 
 
 def _text(value) -> str:
@@ -63,11 +64,7 @@ _KEYS = {
     "rays": ("v_list", _reals),
     "times": ("t_list", _reals),
     "dt": ("dt", float),
-    "window_margin": ("window_margin", float),
     "grid_size": ("grid_size", int),
-    "tolerances.quadrature": ("quadrature_tol", float),
-    "tolerances.realness": ("realness_tol", float),
-    "tolerances.spill": ("spill_tol", float),
     "v_max": ("v_max", float),
     "threads": ("threads", int),
     "output.path": ("output_path", _text),
@@ -83,33 +80,22 @@ class RunConfig:
     v_list: tuple = (0.5,)
     t_list: tuple = (100.0, 200.0, 400.0, 800.0)
     dt: float = 0.005
-    window_margin: float = 150.0
     grid_size: int = 256
-    quadrature_tol: float = 1e-11
-    realness_tol: float = 0.02
-    spill_tol: float = 1e-10
     v_max: float = 1.8
     output_path: str = "compare.csv"
     output_format: str = "csv"
     threads: int = 1
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (
-                self.dt, self.window_margin, self.quadrature_tol,
-                self.realness_tol, self.spill_tol, *self.v_list,
-                *self.t_list))):
-            raise ConfigError("dt, window_margin, tolerances, rays and "
-                              "times must be finite")
+        if not all(map(math.isfinite, (self.dt, *self.v_list,
+                                       *self.t_list))):
+            raise ConfigError("dt, rays and times must be finite")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if not self.window_margin >= 0:
-            raise ConfigError("window_margin must be >= 0")
         if not 0 < self.v_max < 2:
             raise ConfigError("v_max must lie in (0, 2)")
         if self.grid_size < 64 or self.grid_size & (self.grid_size - 1):
             raise ConfigError("grid_size must be a power of two >= 64")
-        if min(self.quadrature_tol, self.realness_tol, self.spill_tol) <= 0:
-            raise ConfigError("tolerances must be positive")
         if len(self.v_list) == 0:
             raise ConfigError("rays must be a nonempty list")
         if any(abs(v) > self.v_max for v in self.v_list):
@@ -229,38 +215,45 @@ def _asymptotic_row(config: RunConfig, r_eval, v: float, t: float,
     n = probe_site(v, t, config.v_max)
     ray = RayParams(n=n + 1, t=t)
     stat = stationary_points(ray)
-    coeffs = weights.coefficient_set(r_eval, stat, tol=config.quadrature_tol)
+    coeffs = weights.coefficient_set(r_eval, stat)
     m1 = model.cross_solutions(coeffs)
-    calibration = config.realness_tol if check_realness else None
+    calibration = model.REALNESS_CALIBRATION if check_realness else None
     res = model.leading_term(ray, stat, coeffs, m1,
                              realness_calibration=calibration)
     return replace(res, n=n, q_asym=(-1) ** n * res.q_asym)
 
 
 _NOT_INTEGRATED = (math.nan, None, 0.0)
+_WINDOW_MARGIN = 150  # sites past 2.5 max(t) on either side, see _trajectory
 
 
 def _trajectory(config: RunConfig) -> dict:
     """{(v, t): (q_direct, fail_reason, seconds)} for every row, from one
     integration through the sorted distinct times.
 
-    Window half-width is 2.5 max(t) + margin: the light cone has speed 2,
-    and the extra half-t keeps the outermost-10% spill-guard region
-    strictly outside the cone, where only the (superexponentially small)
-    tail and integrator front noise live.  `seconds` is the row's equal
-    share of the segment that ended at its time.
+    The window is the profile's nonzero sites (its center for zero data)
+    widened by ceil(2.5 max(t) + _WINDOW_MARGIN) on either side, so data
+    of any length fits.  The light cone has speed 2, and the extra half-t
+    keeps the outermost-10% spill-guard region strictly outside the
+    cone, where only the (superexponentially small) tail and integrator
+    front noise live.  `seconds` is the row's equal share of the segment
+    that ended at its time.
     """
-    center = config.profile.center
-    half = int(math.ceil(2.5 * max(config.t_list) + config.window_margin))
+    support = config.profile.support_state()
+    nonzero = np.flatnonzero(support.values)
+    first, last = ((nonzero[0], nonzero[-1]) if nonzero.size else
+                   (config.profile.center - support.n_min,) * 2)
+    half = int(math.ceil(2.5 * max(config.t_list) + _WINDOW_MARGIN))
     started = time.perf_counter()
-    state = config.profile.realize(center - half, center + half)
+    state = lattice.LatticeState(
+        n_min=support.n_min + int(first) - half,
+        values=np.pad(support.values[first:last + 1], half))
     reason = None
     direct = {}
     for t in sorted(set(config.t_list)):
         if reason is None:
             try:
-                state = integrate(state, t, config.dt,
-                                  spill_tol=config.spill_tol)
+                state = integrate(state, t, config.dt)
             except DmkdvError as exc:
                 reason = f"{type(exc).__name__}: {exc}"
         now = time.perf_counter()
@@ -305,12 +298,13 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
                 compute_asym: bool = True) -> list:
     """Full sweep: one record per (v, t), v-major, t increasing.
 
-    The profile is integrated once, on one window sized by max(t_list),
-    and q_n is read at every ray's probe site at each stop.  When every
-    time is a multiple of dt, each segment takes the per-row step, so
-    q_direct is bitwise what a fresh integration from 0 gives.  A guard
-    tripping in the segment ending at t_k fails every row at t >= t_k;
-    earlier rows keep their values.  r(z) is built once per sweep and
+    The profile is integrated once, on one window that holds its support
+    and the light cone up to max(t_list) (see _trajectory), and q_n is
+    read at every ray's probe site at each stop.  When every time is a
+    multiple of dt, each segment takes the per-row step, so q_direct is
+    bitwise what a fresh integration from 0 gives.  A guard tripping in
+    the segment ending at t_k fails every row at t >= t_k; earlier rows
+    keep their values.  r(z) is built once per sweep and
     shared by its rows; each row evaluates r at its four stationary
     points once, for nu_j and the cross entries alike.  An asymptotic
     failure fails its own row only.  With threads > 1 the asymptotic
@@ -367,11 +361,12 @@ def write_table(path: str, fmt: str, header: tuple, rows) -> str:
     return path
 
 
-def emit(records, path: str, fmt: str = "csv") -> str:
-    """Write comparison records under CSV_HEADER by write_table; failed
+def emit(records, path: str, fmt: str = "csv",
+         columns: tuple = COMPARE_COLUMNS) -> str:
+    """Write the `columns` of comparison records by write_table; failed
     rows carry NaN columns (null in JSON)."""
-    return write_table(path, fmt, _EMIT_FIELDS,
-                       [[getattr(rec, name) for name in _EMIT_FIELDS]
+    return write_table(path, fmt, columns,
+                       [[getattr(rec, name) for name in columns]
                         for rec in records])
 
 

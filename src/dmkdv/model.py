@@ -116,9 +116,13 @@ def cross_solutions(coeffs: CoefficientSet) -> tuple:
                  for k in range(4))
 
 
+REALNESS_CALIBRATION = 0.02  # C of leading_term's realness guard
+
+
 def leading_term(ray: RayParams, stationary: StationarySet,
                  coeffs: CoefficientSet, m1,
-                 realness_calibration: float | None = 0.02) -> AsymptoticResult:
+                 realness_calibration: float | None = REALNESS_CALIBRATION
+                 ) -> AsymptoticResult:
     """Assemble the leading-order value at (n, t) from the four
     (m1^j)_12 of cross_solutions.
 

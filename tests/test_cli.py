@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -70,7 +71,7 @@ def test_set_overrides(tmp_path):
     assert row.split(",")[1] == "3.0"
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     # selftest takes no configuration: a passed flag is a usage error
@@ -92,10 +93,16 @@ def test_exit_codes(tmp_path):
     assert main(["scatter", "--set", "grid_size=100", "--output", out]) == 2
     assert main(["asymptote", "--set", "v_max=2.5", "--set", "rays=[1.95]",
                  "--output", out]) == 2
-    # an unknown key fails instead of leaving its default in place
-    for bad in (["--set", "time=[10]"], ["--set", "tolerances.quad=1"],
-                ["--set", "profile.amp=0.2"], ["--set", "output.fmt=json"]):
-        assert main(["compare", *bad, "--output", out]) == 2
+    # an unknown key fails instead of leaving its default in place; the
+    # retired window_margin and tolerances.* keys are unknown keys
+    capsys.readouterr()
+    for spec in ("time=[10]", "tolerances.quad=1", "profile.amp=0.2",
+                 "output.fmt=json", "window_margin=-1000",
+                 "tolerances.realness=NaN"):
+        assert main(["compare", "--set", spec, "--output", out]) == 2
+        key = spec.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown configuration key {key!r}\n")
     for flags in (["--set", "sign_convention=uniform_phase"],
                   ["--output", out], ["--format", "csv"], ["--threads", "2"]):
         with pytest.raises(SystemExit) as exc:
@@ -103,7 +110,6 @@ def test_exit_codes(tmp_path):
         assert exc.value.code == 2
     for bad in (["--set", "profile.kind=custom_list",
                  "--set", "profile.custom=[1.5]"],
-                ["--set", "window_margin=-1000"],
                 ["--set", "rays=[]"],
                 # an integer key that is not whole, or overflows
                 ["--set", "profile.center=2.7"], ["--set", "threads=1.9"],
@@ -126,12 +132,25 @@ def test_config_values_of_the_wrong_json_type(tmp_path, capsys):
 
 def test_non_finite_numbers_are_refused(tmp_path):
     out = str(tmp_path / "out.csv")
-    # NaN would switch the realness guard off: imag_residual > NaN is never true
-    for bad in (["--set", "tolerances.realness=NaN"], ["--set", "dt=Infinity"],
+    # NaN slips past every comparison, so it is refused before any is made
+    for bad in (["--set", "rays=[NaN]"], ["--set", "dt=Infinity"],
                 ["--set", "times=[100,Infinity]"],
                 ["--set", "profile.kind=gaussian",
                  "--set", "profile.width=NaN"]):
         assert main(["asymptote", *bad, "--output", out]) == 2
+
+
+def test_simulate_fits_a_long_profile(tmp_path):
+    # 200 sites of data at t = 4: the window follows the profile's support,
+    # not its center, so the values fit in it
+    out = tmp_path / "long.json"
+    custom = json.dumps([0.01] * 200)
+    assert main(["simulate", "--set", "profile.kind=custom_list",
+                 "--set", f"profile.custom={custom}", "--set", "times=[4]",
+                 "--set", "dt=0.05", "--output", str(out),
+                 "--format", "json"]) == 0
+    [row] = strict_json(out)
+    assert math.isfinite(row["q_direct"])
 
 
 def test_later_key_wins(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,13 +40,17 @@ from dmkdv.harness import (
 
 
 def oracle_direct(config, v, t):
-    """Per-row integration: a fresh run from 0 to t on its own window of
-    half-width 2.5 t + margin; returns (n, q_n(t))."""
+    """Per-row integration: a fresh run from 0 to t on its own window, the
+    profile's nonzero sites (its center for zero data) widened by
+    ceil(2.5 t + 150) on either side; returns (n, q_n(t))."""
     n = probe_site(v, t, config.v_max)
-    center = config.profile.center
-    half = int(math.ceil(2.5 * t + config.window_margin))
-    state0 = config.profile.realize(center - half, center + half)
-    final = integrate(state0, t, config.dt, spill_tol=config.spill_tol)
+    support = config.profile.support_state()
+    nonzero = [site for site, q in zip(support.sites, support.values) if q]
+    first, last = (min(nonzero), max(nonzero)) if nonzero else \
+        (config.profile.center,) * 2
+    half = math.ceil(2.5 * t + 150)
+    state0 = config.profile.realize(first - half, last + half)
+    final = integrate(state0, t, config.dt)
     return n, final.value_at(n)
 
 
@@ -66,11 +71,10 @@ def oracle_asymptotic(config, v, t):
         ray = RayParams(n=n + 1, t=t)
         r_eval = reflection_evaluator(staggered(config.profile.support_state()))
         stat = stationary_points(ray)
-        coeffs = coefficient_set(r_eval, stat, tol=config.quadrature_tol)
+        coeffs = coefficient_set(r_eval, stat)
         m1 = [m1_entry(coeffs.nu[j - 1], r_eval(stat.S[j - 1]), j)
               for j in (1, 2, 3, 4)]
-        res = leading_term(ray, stat, coeffs, m1,
-                           realness_calibration=config.realness_tol)
+        res = leading_term(ray, stat, coeffs, m1)
     except DmkdvError as exc:
         return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
     return (-1) ** n * res.q_asym, res.imag_residual, None
@@ -108,17 +112,13 @@ def test_config_validation():
         zero_config(output_format="xml")
     with pytest.raises(ConfigError):
         zero_config(threads=0)
-    for bad in (dict(v_list=()), dict(window_margin=-1.0),
-                dict(window_margin=math.nan),
+    for bad in (dict(v_list=()),
                 dict(v_max=2.5), dict(v_max=0.0), dict(grid_size=100),
-                dict(grid_size=32), dict(quadrature_tol=0.0),
-                dict(realness_tol=-0.01), dict(spill_tol=0.0),
+                dict(grid_size=32),
                 # non-finite numbers: NaN slips past every comparison
                 dict(dt=math.nan), dict(dt=math.inf),
                 dict(v_list=(math.nan,)), dict(t_list=(5.0, math.nan)),
-                dict(t_list=(5.0, math.inf)), dict(window_margin=math.inf),
-                dict(quadrature_tol=math.nan), dict(realness_tol=math.nan),
-                dict(realness_tol=math.inf), dict(spill_tol=math.inf)):
+                dict(t_list=(5.0, math.inf))):
         with pytest.raises(ConfigError):
             zero_config(**bad)
     # an unknown key is named instead of leaving its default in place
@@ -127,7 +127,12 @@ def test_config_validation():
                       ({"tolerances": {"quad": 1}}, "'tolerances.quad'"),
                       ({"output": {"fmt": "json"}}, "'output.fmt'"),
                       ({"sign_convention": "conjugate_pair"},
-                       "'sign_convention'")):
+                       "'sign_convention'"),
+                      # retired: the window and the guard thresholds are
+                      # constants of the layers that apply them
+                      ({"window_margin": 150}, "'window_margin'"),
+                      ({"tolerances": {"spill": 1e-10}},
+                       "'tolerances.spill'")):
         with pytest.raises(ConfigError,
                            match=f"unknown configuration key {key}$"):
             RunConfig.from_dict(data)
@@ -154,9 +159,7 @@ def test_config_dict_round_trip():
         "rays": [0.1, -0.4],
         "times": [10, 20],
         "dt": 0.01,
-        "window_margin": 40,
         "grid_size": 128,
-        "tolerances": {"quadrature": 1e-10, "realness": 0.01, "spill": 1e-9},
         "v_max": 1.5,
         "output": {"path": "out.json", "format": "json"},
         "threads": 2,
@@ -165,10 +168,8 @@ def test_config_dict_round_trip():
     assert cfg == RunConfig(
         profile=InitialProfile(kind="gaussian", amplitude=0.2, width=2.5,
                                center=3),
-        v_list=(0.1, -0.4), t_list=(10.0, 20.0), dt=0.01,
-        window_margin=40.0, grid_size=128, quadrature_tol=1e-10,
-        realness_tol=0.01, spill_tol=1e-9, v_max=1.5,
-        output_path="out.json", output_format="json", threads=2)
+        v_list=(0.1, -0.4), t_list=(10.0, 20.0), dt=0.01, grid_size=128,
+        v_max=1.5, output_path="out.json", output_format="json", threads=2)
     custom = RunConfig.from_dict(
         {"profile": {"kind": "custom_list", "custom": [0.1, -0.2]}})
     assert custom.profile.custom == (0.1, -0.2)
@@ -183,9 +184,9 @@ def test_config_dict_round_trip():
 
 def test_nested_and_dotted_keys_are_one_key():
     nested = RunConfig.from_dict({"profile": {"amplitude": 0.2},
-                                  "tolerances": {"spill": 1e-9}})
+                                  "output": {"format": "json"}})
     assert nested == RunConfig.from_dict({"profile.amplitude": 0.2,
-                                          "tolerances.spill": 1e-9})
+                                          "output.format": "json"})
     # a later key wins, in either spelling
     for data, amplitude in (
             ({"profile.amplitude": 0.1, "profile": {"amplitude": 0.2}}, 0.2),
@@ -262,7 +263,7 @@ def test_emit_plot_data(tmp_path):
     records = make_records(3)
     paths = emit_plot_data(records, str(tmp_path / "cmp"))
     assert paths == [str(tmp_path / "cmp_ray0.5.dat")]
-    content = open(paths[0]).read().splitlines()
+    content = Path(paths[0]).read_text().splitlines()
     assert content[0].startswith("#")
     assert len(content) == 4
     # rays that agree to six digits still get one file each
@@ -271,7 +272,7 @@ def test_emit_plot_data(tmp_path):
     paths = emit_plot_data(close, str(tmp_path / "close"))
     assert paths == [str(tmp_path / "close_ray0.3000001.dat"),
                      str(tmp_path / "close_ray0.3000002.dat")]
-    assert all(len(open(p).read().splitlines()) == 2 for p in paths)
+    assert all(len(Path(p).read_text().splitlines()) == 2 for p in paths)
 
 
 def test_zero_profile_rows_are_zero():
@@ -283,6 +284,16 @@ def test_zero_profile_rows_are_zero():
         assert rec.abs_err == 0.0
         assert rec.fail_reason is None
     assert [r.t for r in records] == [4.0, 8.0]
+
+
+def test_wide_profile_fits_the_window():
+    # the window follows the profile's support: a gaussian wider than the
+    # 150-site margin integrates before the wave has moved, not spills
+    config = RunConfig(profile=InitialProfile(kind="gaussian", amplitude=0.2,
+                                              width=50.0), t_list=(4.0,))
+    [rec] = run_compare(config)
+    assert rec.fail_reason is None
+    assert rec.q_direct == oracle_direct(config, rec.v, rec.t)[1]
 
 
 def test_row_failure_isolation(monkeypatch):
