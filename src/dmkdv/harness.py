@@ -3,8 +3,10 @@
 Runs the full chain for a sweep of rays and times: integrate the lattice
 directly, once per profile through the sorted times, build the
 reflection coefficient r(z) of the initial profile once per sweep,
-evaluate the leading-order asymptotic value per row from it, and record
-the comparison.  Also hosts what the CLI writes and checks with:
+evaluate the leading-order asymptotic value per row from it (sampling r
+once per panel level of the row's arc quadrature), and record the
+comparison: the measured values, from which the error columns are
+derived.  Also hosts what the CLI writes and checks with:
 write_table, the one writer of every output table (emit is its form for
 comparison records), and the invariant checks, each written once at
 module level and shared by selftest and the acceptance suite.  The
@@ -155,9 +157,10 @@ def _flatten(section: dict, prefix: str = "") -> dict:
 class ComparisonRecord:
     """One (n, t) comparison row; failed rows carry NaNs and a reason.
 
-    `wall_time` is the row's asymptotic time plus `integrate_time`, its
-    equal share of the trajectory segment that ended at its t, so the
-    rows' wall times add up to the sweep's time.
+    Only measured values are stored; abs_err and scaled_err are derived
+    from them on reading.  `wall_time` is the row's asymptotic time plus
+    `integrate_time`, its equal share of the trajectory segment that
+    ended at its t, so the rows' wall times add up to the sweep's time.
     """
 
     n: int
@@ -165,12 +168,22 @@ class ComparisonRecord:
     v: float
     q_direct: float
     q_asym: float
-    abs_err: float
-    scaled_err: float
     imag_residual: float
     fail_reason: str | None = None
     wall_time: float = 0.0
     integrate_time: float = 0.0
+
+    @property
+    def abs_err(self) -> float:
+        """|q_direct - q_asym|: NaN unless both were computed."""
+        return abs(self.q_direct - self.q_asym)
+
+    @property
+    def scaled_err(self) -> float:
+        """abs_err * t / log t; NaN for t <= 1, where t / log t is
+        undefined (t = 1) or negative."""
+        return (self.abs_err * self.t / math.log(self.t) if self.t > 1.0
+                else math.nan)
 
 
 def probe_site(v: float, t: float, v_max: float) -> int:
@@ -283,13 +296,9 @@ def _row_worker(job) -> ComparisonRecord:
             reason = f"{type(exc).__name__}: {exc}"
     if reason is not None:
         q_direct = q_asym = imag_residual = math.nan
-    abs_err = abs(q_direct - q_asym)  # NaN unless both were computed
-    # t / log t is undefined at t = 1 and negative below it
-    scaled_err = abs_err * t / math.log(t) if t > 1.0 else math.nan
     return ComparisonRecord(
         n=probe_site(v, t, config.v_max), t=t, v=v, q_direct=q_direct,
-        q_asym=q_asym, abs_err=abs_err, scaled_err=scaled_err,
-        imag_residual=imag_residual, fail_reason=reason,
+        q_asym=q_asym, imag_residual=imag_residual, fail_reason=reason,
         wall_time=time.perf_counter() - started + integrate_time,
         integrate_time=integrate_time)
 
@@ -304,13 +313,14 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     multiple of dt, each segment takes the per-row step, so q_direct is
     bitwise what a fresh integration from 0 gives.  A guard tripping in
     the segment ending at t_k fails every row at t >= t_k; earlier rows
-    keep their values.  r(z) is built once per sweep and
-    shared by its rows; each row evaluates r at its four stationary
-    points once, for nu_j and the cross entries alike.  An asymptotic
-    failure fails its own row only.  With threads > 1 the asymptotic
-    rows run in a process pool, whose workers receive the sweep's r(z)
-    with their jobs and build none; assembly order is fixed regardless
-    of parallelism.
+    keep their values.  r(z) is built once per sweep and shared by its
+    rows; each row samples r once per panel level for all four arcs of
+    its quadrature, with its four stationary points in the first sample,
+    for nu_j and the cross entries alike (two calls when the arcs settle
+    at two panels).  An asymptotic failure fails its own row only.  With
+    threads > 1 the asymptotic rows run in a process pool, whose workers
+    receive the sweep's r(z) with their jobs and build none; assembly
+    order is fixed regardless of parallelism.
     """
     direct = _trajectory(config) if compute_direct else {}
     r_eval = _reflection(config.profile) if compute_asym else None

@@ -27,10 +27,11 @@ with hat_delta_j = delta/delta_j and complex powers on the principal
 branch (cut on the negative real axis).
 
 Every integral is one rule: composite 16-point Gauss-Legendre in the
-angle on 2^m equal panels, the density sampled once per level and shared
-by all Cauchy sums of a sweep, m growing until no sum moves by more than
-the tolerance.  chi_j(S_j) subtracts g(S_j) from the density, leaving an
-analytic integrand; no Gauss node sits on the endpoint S_j.
+angle on 2^m equal panels, m growing until no sum moves by more than the
+tolerance.  The density is sampled once per level for every arc still
+open, and one sample serves all Cauchy sums of each arc.  chi_j(S_j)
+subtracts g(S_j) from the density, leaving an analytic integrand; no
+Gauss node sits on the endpoint S_j.
 """
 
 from __future__ import annotations
@@ -128,47 +129,75 @@ def _density_of(r_values):
     return np.log1p(-m2)
 
 
-def _arc_sums(density, arc: ArcSpec, points, shifts=0.0,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(1/2pi i) int_arc (density(tau) - shift_k) dtau / (tau - z_k) for
-    every z_k, with dtau/(2pi i) = tau dtheta/(2pi) at tau = e^(i theta).
-    The density is sampled once per level of 2^m panels; m grows until no
-    sum moves by more than `tol`.
+def _nodes(arc: ArcSpec, panels: int) -> tuple:
+    """(half, tau): half the angle of each of `panels` equal panels of
+    `arc`, and the 16 Gauss nodes of every panel on the circle."""
+    half = 0.5 * arc.dtheta / panels
+    mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
+    return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
+
+
+def _arc_sums(density, sweeps, tol: float = DEFAULT_TOL,
+              first=None) -> list:
+    """For every sweep (arc, points, shifts), the sums
+    (1/2pi i) int_arc (density(tau) - shift_k) dtau / (tau - z_k) at its
+    points z_k, with dtau/(2pi i) = tau dtheta/(2pi) at tau = e^(i theta).
+
+    Each level of 2^m panels samples the density once, at the nodes of
+    every arc still open, stacked in sweep order; `first`, when given, is
+    that sample at m = 0.  An arc settles at the first level where none
+    of its sums moves by more than `tol`; its sums are exactly those of
+    the arc swept on its own.
 
     QuadratureError past the panel budget, or earlier, at the first level
-    where the residual has stopped falling while `tol` lies below the
-    rounding floor _FLOOR_ULPS * eps * max_k sum |weighted terms_k|: no
-    finer level can then be trusted to meet `tol`."""
-    z = np.reshape(np.asarray(points, dtype=complex), (-1, 1))
-    c = np.reshape(shifts, (-1, 1))
-    previous = None
-    residual = math.inf
+    where an arc's residual has stopped falling while `tol` lies below
+    the rounding floor _FLOOR_ULPS * eps * max_k sum |weighted terms_k|:
+    no finer level can then be trusted to meet `tol`."""
+    points = [np.reshape(np.asarray(z, dtype=complex), (-1, 1))
+              for _, z, _ in sweeps]
+    shifts = [np.reshape(c, (-1, 1)) for _, _, c in sweeps]
+    settled = [None] * len(sweeps)
+    previous = [None] * len(sweeps)
+    residual = [math.inf] * len(sweeps)
     for level in range(_MAX_LEVEL + 1):
         panels = 2 ** level
-        half = 0.5 * arc.dtheta / panels
-        mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
-        tau = np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
-        terms = ((density(tau) - c) * tau / (tau - z)).reshape(
-            len(z), panels, _GL_NODES.size)
-        terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))
-        sums = terms.sum(axis=(1, 2))
-        if previous is not None:
-            last, residual = residual, float(abs(sums - previous).max())
-            if residual <= tol:
-                return sums
-            if residual >= last:
-                floor = _FLOOR_ULPS * _EPS * float(
-                    abs(terms).sum(axis=(1, 2)).max())
-                if tol < floor:
-                    raise QuadratureError(
-                        f"arc quadrature stalled at {panels} panels: "
-                        f"residual {residual:.3e} stopped falling and tol "
-                        f"{tol:.3e} is below the rounding floor "
-                        f"{floor:.3e}")
-        previous = sums
+        open_arcs = [k for k, sums in enumerate(settled) if sums is None]
+        grids = [_nodes(sweeps[k][0], panels) for k in open_arcs]
+        if level or first is None:
+            sample = density(np.concatenate([tau for _, tau in grids]))
+        else:
+            sample = first
+        sample = np.broadcast_to(
+            sample, (len(open_arcs) * panels * _GL_NODES.size,))
+        for k, (half, tau), values in zip(
+                open_arcs, grids, np.split(sample, len(open_arcs))):
+            z, c = points[k], shifts[k]
+            terms = ((values - c) * tau / (tau - z)).reshape(
+                len(z), panels, _GL_NODES.size)
+            terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))
+            sums = terms.sum(axis=(1, 2))
+            if previous[k] is not None:
+                last = residual[k]
+                residual[k] = float(abs(sums - previous[k]).max())
+                if residual[k] <= tol:
+                    settled[k] = sums
+                    continue
+                if residual[k] >= last:
+                    floor = _FLOOR_ULPS * _EPS * float(
+                        abs(terms).sum(axis=(1, 2)).max())
+                    if tol < floor:
+                        raise QuadratureError(
+                            f"arc quadrature stalled at {panels} panels: "
+                            f"residual {residual[k]:.3e} stopped falling "
+                            f"and tol {tol:.3e} is below the rounding "
+                            f"floor {floor:.3e}")
+            previous[k] = sums
+        if all(sums is not None for sums in settled):
+            return settled
+    first_open = next(k for k, sums in enumerate(settled) if sums is None)
     raise QuadratureError(
         f"arc quadrature unsettled at {panels} panels "
-        f"(residual {residual:.3e} > {tol:.3e})")
+        f"(residual {residual[first_open]:.3e} > {tol:.3e})")
 
 
 def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
@@ -181,7 +210,7 @@ def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
     zc = complex(z)
     if abs(abs(zc) - 1.0) < 1e-13 and arc.contains_angle(cmath.phase(zc)):
         raise DomainError("evaluation point lies on the integration arc")
-    return complex(_arc_sums(density, arc, zc, tol=tol)[0])
+    return complex(_arc_sums(density, [(arc, zc, 0.0)], tol)[0][0])
 
 
 def delta_arcs(stationary: StationarySet) -> tuple:
@@ -231,24 +260,46 @@ def coefficient_set(r_eval, stationary: StationarySet,
                     tol: float = DEFAULT_TOL) -> CoefficientSet:
     """Compute every coefficient the asymptotic formula needs.
 
-    r is evaluated at the four S_j in one call; those values give
+    r is sampled once per panel level for all four arcs T_j -> S_j, and
+    the first sample also holds the four S_j: their values give
     g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are kept as r_at_S for
-    the cross entries.  One sweep per arc T_j -> S_j gives its integral
-    at z = 0 and at every S_k, with g(S_j) subtracted at its own endpoint
-    (chi_j).  delta(0) is prod_j delta_j(0): arc S1 -> S2 through 1 is
-    arc T1 -> S1 reversed followed by arc T2 -> S2, and likewise through
-    -1.  delta_j^0 is then assembled from nu_j, chi_j(S_j) and
-    hat_delta_j(S_j) by the formula of the module docstring.
+    the cross entries.  Each arc's sweep gives its integral at z = 0 and
+    at every S_k, with g(S_j) subtracted at its own endpoint (chi_j), and
+    settles on its own, bitwise as if swept alone.  delta(0) is
+    prod_j delta_j(0): arc S1 -> S2 through 1 is arc T1 -> S1 reversed
+    followed by arc T2 -> S2, and likewise through -1.  delta_j^0 is then
+    assembled from nu_j, chi_j(S_j) and hat_delta_j(S_j) by the formula
+    of the module docstring.
+
+    Every arc is sampled at every level until it settles, so data that
+    would trip two guards may report either one: ReflectionTooLargeError
+    from any arc's sample, or QuadratureError from the first arc (in
+    order j = 1..4) to stall.  Either fails the row.
     """
-    density = functools.partial(log_density, r_eval)
-    r_at_S = np.broadcast_to(r_eval(np.array(stationary.S)), (4,))
-    g_at_S = _density_of(r_at_S)
+    arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
+    points = np.concatenate([np.array(stationary.S)]
+                            + [_nodes(arc, 1)[1] for arc in arcs])
+    r_values = np.broadcast_to(r_eval(points), points.shape)
+    g = _density_of(r_values)
+    sums = _arc_sums(functools.partial(log_density, r_eval),
+                     _sweeps(stationary, arcs, g[:4]), tol, first=g[4:])
+    return _assembled(stationary, r_values[:4], g[:4], sums)
+
+
+def _sweeps(stationary: StationarySet, arcs, g_at_S) -> list:
+    """The (arc, points, shifts) of coefficient_set: arc T_j -> S_j at
+    z = 0 and every S_k, with g(S_j) subtracted at S_j."""
+    return [(arc, (0.0,) + stationary.S,
+             np.where(np.arange(5) == j, g_at_S[j - 1], 0.0))
+            for j, arc in enumerate(arcs, 1)]
+
+
+def _assembled(stationary: StationarySet, r_at_S, g_at_S,
+               arc_sums) -> CoefficientSet:
+    """The CoefficientSet from r(S_j), g(S_j) and the four sweeps' sums."""
     exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
     chis = []
-    for j in (1, 2, 3, 4):
-        shifts = np.where(np.arange(5) == j, g_at_S[j - 1], 0.0)
-        sums = _arc_sums(density, delta_j_arc(stationary, j),
-                         (0.0,) + stationary.S, shifts, tol)
+    for j, sums in enumerate(arc_sums, 1):
         chis.append(complex(sums[j]))
         sums[j] = 0.0
         exponents += (-1) ** (j - 1) * sums

@@ -93,9 +93,7 @@ def make_records(count):
         err = 0.1 / (k + 1)
         recs.append(ComparisonRecord(
             n=k, t=10.0 * (k + 1), v=0.5, q_direct=0.01 * k,
-            q_asym=0.01 * k + err, abs_err=err,
-            scaled_err=err * 10 * (k + 1) / math.log(10 * (k + 1)),
-            imag_residual=1e-12))
+            q_asym=0.01 * k + err, imag_residual=1e-12))
     return recs
 
 
@@ -247,8 +245,7 @@ def test_emit_round_trip_and_determinism(tmp_path):
 
 def test_emit_nan_rows(tmp_path):
     rec = ComparisonRecord(n=1, t=2.0, v=0.5, q_direct=math.nan,
-                           q_asym=math.nan, abs_err=math.nan,
-                           scaled_err=math.nan, imag_residual=math.nan,
+                           q_asym=math.nan, imag_residual=math.nan,
                            fail_reason="QuadratureError: boom")
     csv_path = tmp_path / "nan.csv"
     emit([rec], str(csv_path), "csv")
@@ -351,6 +348,9 @@ def test_short_time_rows_leave_scaled_error_undefined():
         assert rec.abs_err == abs(rec.q_direct - rec.q_asym)
         assert math.isnan(rec.scaled_err)
     assert late.scaled_err == late.abs_err * 2.0 / math.log(2.0)
+    # both are derived from the measured values, not stored
+    stored = {f.name for f in dataclasses.fields(ComparisonRecord)}
+    assert not stored & {"abs_err", "scaled_err"}
 
 
 def test_row_times_share_the_trajectory():

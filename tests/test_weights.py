@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,12 @@ from dmkdv import (
     stationary_points,
 )
 from dmkdv.weights import _GL_NODES, _GL_WEIGHTS, delta_arcs, delta_j_arc
-from weights_oracles import chi_at_stationary, hat_delta_at_stationary, nu_at
+from weights_oracles import (
+    chi_at_stationary,
+    coefficient_set_by_arc,
+    hat_delta_at_stationary,
+    nu_at,
+)
 
 
 def single_site_eval(c):
@@ -126,7 +132,24 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     stat = stationary_points(RayParams(n=-89, t=50.0))
     with pytest.raises(QuadratureError, match="rounding floor"):
         coefficient_set(counting, stat, tol=tol)
-    assert max(sampled) == 16 * 16  # stopped at 16 panels
+    assert max(sampled) == 4 * 16 * 16  # four open arcs at 16 panels
+
+
+@pytest.mark.parametrize("profile, n, t", [
+    (InitialProfile(kind="single_site", amplitude=0.3), 51, 100.0),
+    (InitialProfile(kind="gaussian", amplitude=0.2, width=2.0), 401, 800.0)])
+def test_coefficient_set_samples_r_once_per_level(profile, n, t):
+    # every arc settles at 2 panels: one sample of the four S_j and the
+    # four arcs' 16 nodes, then one of their 4 x 32 nodes
+    r_eval = reflection_evaluator(staggered(profile.support_state()))
+    sampled = []
+
+    def counting(z):
+        sampled.append(np.size(z))
+        return r_eval(z)
+
+    coefficient_set(counting, stationary_points(RayParams(n=n, t=t)))
+    assert sampled == [4 + 4 * 16, 4 * 32]
 
 
 def test_arcspec_validation():
@@ -303,6 +326,26 @@ def test_coefficient_set_matches_individual_operations(make_eval, n):
             chi_at_stationary(r_eval, stat, j), abs=1e-12)
         assert coeffs.hat_delta_at_S[j - 1] == pytest.approx(
             hat_delta_at_stationary(r_eval, stat, j), abs=1e-11)
+
+
+def _bits(coeffs) -> list:
+    return [float.hex(x) for value in dataclasses.astuple(coeffs)
+            for z in np.ravel(value) for x in (z.real, z.imag)]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.integers(-10, 10),
+       st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
+       st.floats(-1.7, 1.7),
+       st.sampled_from((20.0, 100.0, 400.0)))
+def test_property_batched_sums_equal_arc_by_arc(n_min, values, v, t):
+    # one sample per level for all arcs gives bitwise the sums of one
+    # sweep per arc
+    r_eval = reflection_evaluator(
+        LatticeState(n_min=n_min, values=np.array(values)))
+    stat = stationary_points(RayParams(n=round(v * t), t=t))
+    assert _bits(coefficient_set(r_eval, stat)) == _bits(
+        coefficient_set_by_arc(r_eval, stat))
 
 
 @COEFFICIENT_CASES

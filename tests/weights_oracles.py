@@ -1,19 +1,37 @@
 """One coefficient at a time, by its definition in the weights module
-docstring: the oracles that `weights.coefficient_set`, which computes
-them all from one sweep per arc, is checked against.
+docstring, and every coefficient one arc at a time: the oracles that
+`weights.coefficient_set`, which samples r once per panel level for all
+four arcs, is checked against.
 """
 
 import functools
 import math
 
+import numpy as np
+
 from dmkdv.weights import (
     DEFAULT_TOL,
     _arc_sums,
+    _assembled,
     _check_j,
+    _density_of,
+    _sweeps,
     delta_j_arc,
     delta_j_at,
     log_density,
 )
+
+
+def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
+    """coefficient_set from r(S_j) in one call and one sweep per arc,
+    each sampling r on its own nodes only."""
+    r_at_S = np.broadcast_to(r_eval(np.array(stationary.S)), (4,))
+    g_at_S = _density_of(r_at_S)
+    density = functools.partial(log_density, r_eval)
+    arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
+    sums = [_arc_sums(density, [sweep], tol)[0]
+            for sweep in _sweeps(stationary, arcs, g_at_S)]
+    return _assembled(stationary, r_at_S, g_at_S, sums)
 
 
 def nu_at(r_eval, stationary, j: int) -> float:
@@ -32,7 +50,7 @@ def chi_at_stationary(r_eval, stationary, j: int,
     arc = delta_j_arc(stationary, j)
     density = functools.partial(log_density, r_eval)
     Sj = stationary.S[j - 1]
-    return complex(_arc_sums(density, arc, Sj, density(Sj), tol)[0])
+    return complex(_arc_sums(density, [(arc, Sj, density(Sj))], tol)[0][0])
 
 
 def hat_delta_at_stationary(r_eval, stationary, j: int,
