@@ -4,7 +4,8 @@ Runs the full chain for a sweep of rays and times: integrate the lattice
 directly, once per profile through the sorted times, build the
 reflection coefficient r(z) of the initial profile once per sweep,
 evaluate the leading-order asymptotic value per row from it (sampling r
-once per panel level of the row's arc quadrature), and record the
+once per panel level of the row's arc quadrature, the first two levels
+in one call), and record the
 comparison: the measured values, from which the error columns are
 derived.  Also hosts what the CLI writes and checks with:
 write_table, the one writer of every output table (emit is its form for
@@ -315,9 +316,9 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     the segment ending at t_k fails every row at t >= t_k; earlier rows
     keep their values.  r(z) is built once per sweep and shared by its
     rows; each row samples r once per panel level for all four arcs of
-    its quadrature, with its four stationary points in the first sample,
-    for nu_j and the cross entries alike (two calls when the arcs settle
-    at two panels).  An asymptotic failure fails its own row only.  With
+    its quadrature, and its first sample holds the four stationary
+    points, for nu_j and the cross entries alike, and the nodes of the
+    first two levels (one call when the arcs settle at two panels).  An asymptotic failure fails its own row only.  With
     threads > 1 the asymptotic rows run in a process pool, whose workers
     receive the sweep's r(z) with their jobs and build none; assembly
     order is fixed regardless of parallelism.

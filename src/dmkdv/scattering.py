@@ -223,7 +223,9 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
     a is stored as U[i] at z^(2(i - K)) and b as W[i] at z^(2(i + k_min)
     + 1).  Site k = k_min + s then adds q_k W[0..s] onto U[K-s..K] and
     q_k U[K-s..K] onto W[0..s]; everything outside those slices is still
-    zero at that point.
+    zero at that point.  U and W are updated in place: both products go
+    into two scratch arrays allocated once per build, then each is added
+    onto its slice, so no site allocates.
     """
     if q.t != 0.0:
         raise ValueError("scattering data is defined from the t = 0 state")
@@ -233,11 +235,16 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
     u = np.zeros(span + 1)
     u[span] = 1.0
     w = np.zeros(span + 1)
+    to_u, to_w = np.empty(span + 1), np.empty(span + 1)
     for offset in offsets:
-        qk = q.values[offset]
+        qk = q.values[offset:offset + 1].reshape(())  # a 0-d operand
         s = int(offset) - first
         u_tail, w_head = u[span - s:], w[:s + 1]
-        u[span - s:], w[:s + 1] = u_tail + qk * w_head, w_head + qk * u_tail
+        u_add, w_add = to_u[:s + 1], to_w[:s + 1]
+        np.multiply(qk, w_head, out=u_add)
+        np.multiply(qk, u_tail, out=w_add)
+        u_tail += u_add
+        w_head += w_add
     a_coeffs, a_low = _trimmed(u, -2 * span)
     b_coeffs, b_low = _trimmed(w, 2 * (q.n_min + first) + 1)
     return ScatteringPolynomials(a_coeffs=a_coeffs, a_low=a_low,

@@ -28,10 +28,12 @@ branch (cut on the negative real axis).
 
 Every integral is one rule: composite 16-point Gauss-Legendre in the
 angle on 2^m equal panels, m growing until no sum moves by more than the
-tolerance.  The density is sampled once per level for every arc still
-open, and one sample serves all Cauchy sums of each arc.  chi_j(S_j)
-subtracts g(S_j) from the density, leaving an analytic integrand; no
-Gauss node sits on the endpoint S_j.
+tolerance.  The nodes of a level are placed for every arc still open in
+one array expression, the density is sampled once on them, and one
+sample serves all Cauchy sums of each arc.  No arc can settle before
+level 1, so coefficient_set samples levels 0 and 1 in one call.
+chi_j(S_j) subtracts g(S_j) from the density, leaving an analytic
+integrand; no Gauss node sits on the endpoint S_j.
 """
 
 from __future__ import annotations
@@ -129,25 +131,32 @@ def _density_of(r_values):
     return np.log1p(-m2)
 
 
-def _nodes(arc: ArcSpec, panels: int) -> tuple:
-    """(half, tau): half the angle of each of `panels` equal panels of
-    `arc`, and the 16 Gauss nodes of every panel on the circle."""
-    half = 0.5 * arc.dtheta / panels
-    mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
-    return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
+def _level_nodes(arcs, panels: int) -> tuple:
+    """(half, tau) of one panel level for every arc at once: half the
+    angle of each arc's `panels` equal panels, shaped (arcs,), and the 16
+    Gauss nodes of every panel on the circle, shaped (arcs, panels * 16).
+    Each element takes the arithmetic of one arc on its own, so the nodes
+    are bitwise those of the arc alone."""
+    half = 0.5 * np.array([arc.dtheta for arc in arcs]) / panels
+    mids = (np.array([arc.theta_start for arc in arcs])[:, None]
+            + half[:, None] * (2.0 * np.arange(panels) + 1.0))
+    angles = mids[:, :, None] + half[:, None, None] * _GL_NODES
+    return half, np.exp(1j * angles.reshape(len(arcs), -1))
 
 
 def _arc_sums(density, sweeps, tol: float = DEFAULT_TOL,
-              first=None) -> list:
+              sampled=()) -> list:
     """For every sweep (arc, points, shifts), the sums
     (1/2pi i) int_arc (density(tau) - shift_k) dtau / (tau - z_k) at its
     points z_k, with dtau/(2pi i) = tau dtheta/(2pi) at tau = e^(i theta).
 
-    Each level of 2^m panels samples the density once, at the nodes of
-    every arc still open, stacked in sweep order; `first`, when given, is
-    that sample at m = 0.  An arc settles at the first level where none
-    of its sums moves by more than `tol`; its sums are exactly those of
-    the arc swept on its own.
+    Each level of 2^m panels takes its nodes for every arc still open
+    from one _level_nodes call and samples the density once on all of
+    them, stacked in sweep order.  `sampled` holds the (half, tau, values)
+    of the first levels, already computed for every arc: no arc can
+    settle before level 1, so every arc is open at levels 0 and 1.  An
+    arc settles at the first level where none of its sums moves by more
+    than `tol`; its sums are exactly those of the arc swept on its own.
 
     QuadratureError past the panel budget, or earlier, at the first level
     where an arc's residual has stopped falling while `tol` lies below
@@ -162,15 +171,15 @@ def _arc_sums(density, sweeps, tol: float = DEFAULT_TOL,
     for level in range(_MAX_LEVEL + 1):
         panels = 2 ** level
         open_arcs = [k for k, sums in enumerate(settled) if sums is None]
-        grids = [_nodes(sweeps[k][0], panels) for k in open_arcs]
-        if level or first is None:
-            sample = density(np.concatenate([tau for _, tau in grids]))
+        if level < len(sampled):
+            halves, taus, sample = sampled[level]
         else:
-            sample = first
-        sample = np.broadcast_to(
-            sample, (len(open_arcs) * panels * _GL_NODES.size,))
-        for k, (half, tau), values in zip(
-                open_arcs, grids, np.split(sample, len(open_arcs))):
+            halves, taus = _level_nodes(
+                [sweeps[k][0] for k in open_arcs], panels)
+            sample = density(taus.ravel())
+        sample = np.broadcast_to(sample, (taus.size,)).reshape(taus.shape)
+        for k, half, tau, values in zip(open_arcs, halves.tolist(), taus,
+                                        sample):
             z, c = points[k], shifts[k]
             terms = ((values - c) * tau / (tau - z)).reshape(
                 len(z), panels, _GL_NODES.size)
@@ -260,12 +269,14 @@ def coefficient_set(r_eval, stationary: StationarySet,
                     tol: float = DEFAULT_TOL) -> CoefficientSet:
     """Compute every coefficient the asymptotic formula needs.
 
-    r is sampled once per panel level for all four arcs T_j -> S_j, and
-    the first sample also holds the four S_j: their values give
-    g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are kept as r_at_S for
-    the cross entries.  Each arc's sweep gives its integral at z = 0 and
-    at every S_k, with g(S_j) subtracted at its own endpoint (chi_j), and
-    settles on its own, bitwise as if swept alone.  delta(0) is
+    r is sampled once per panel level for all four arcs T_j -> S_j.  The
+    first sample holds the four S_j and the nodes of levels 0 and 1 of
+    every arc, 4 + 64 + 128 = 196 points, since no arc can settle before
+    level 1; later levels sample only the arcs still open.  The values
+    at the S_j give g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are
+    kept as r_at_S for the cross entries.  Each arc's sweep gives its
+    integral at z = 0 and at every S_k, with g(S_j) subtracted at its own
+    endpoint (chi_j), and settles on its own, bitwise as if swept alone.  delta(0) is
     prod_j delta_j(0): arc S1 -> S2 through 1 is arc T1 -> S1 reversed
     followed by arc T2 -> S2, and likewise through -1.  delta_j^0 is then
     assembled from nu_j, chi_j(S_j) and hat_delta_j(S_j) by the formula
@@ -274,15 +285,20 @@ def coefficient_set(r_eval, stationary: StationarySet,
     Every arc is sampled at every level until it settles, so data that
     would trip two guards may report either one: ReflectionTooLargeError
     from any arc's sample, or QuadratureError from the first arc (in
-    order j = 1..4) to stall.  Either fails the row.
+    order j = 1..4) to stall.  Either fails the row.  A node of level 1
+    where |r| reaches 1 - 1e-8 trips the guard in the first sample, whose
+    reported max |r| is then the peak over all 196 points.
     """
     arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
+    levels = [_level_nodes(arcs, panels) for panels in (1, 2)]
     points = np.concatenate([np.array(stationary.S)]
-                            + [_nodes(arc, 1)[1] for arc in arcs])
+                            + [taus.ravel() for _, taus in levels])
     r_values = np.broadcast_to(r_eval(points), points.shape)
     g = _density_of(r_values)
+    sampled = [nodes + (values,) for nodes, values
+               in zip(levels, np.split(g[4:], [levels[0][1].size]))]
     sums = _arc_sums(functools.partial(log_density, r_eval),
-                     _sweeps(stationary, arcs, g[:4]), tol, first=g[4:])
+                     _sweeps(stationary, arcs, g[:4]), tol, sampled)
     return _assembled(stationary, r_values[:4], g[:4], sums)
 
 

@@ -18,7 +18,7 @@ from dmkdv import (
     scattering_polynomials,
     staggered,
 )
-from dmkdv.scattering import ScatteringPolynomials
+from dmkdv.scattering import ScatteringPolynomials, _trimmed
 
 
 def single_site(c, site=0):
@@ -356,6 +356,56 @@ def test_property_zero_padding_invariance(state, left, right):
         (poly.b_coeffs, poly.b_low)
     assert np.array_equal(reflection_evaluator(padded)(CIRCLE),
                           reflection_evaluator(state)(CIRCLE))
+
+
+# The transfer recursion with two new arrays per site, the test-only
+# oracle of scattering_polynomials, which updates in place: same
+# products, same sums, so every coefficient is bitwise the same.
+
+def recursion_oracle(q):
+    offsets = np.flatnonzero(q.values)
+    first = int(offsets[0]) if offsets.size else 0
+    span = int(offsets[-1]) - first if offsets.size else 0
+    u = np.zeros(span + 1)
+    u[span] = 1.0
+    w = np.zeros(span + 1)
+    for offset in offsets:
+        qk = q.values[offset]
+        s = int(offset) - first
+        u_tail, w_head = u[span - s:], w[:s + 1]
+        u[span - s:], w[:s + 1] = u_tail + qk * w_head, w_head + qk * u_tail
+    return (_trimmed(u, -2 * span), _trimmed(w, 2 * (q.n_min + first) + 1),
+            conserved_c_inf(q))
+
+
+def assert_recursion_matches_oracle(state):
+    poly = scattering_polynomials(state)
+    (a_coeffs, a_low), (b_coeffs, b_low), c_inf = recursion_oracle(state)
+    assert (poly.a_low, poly.b_low) == (a_low, b_low)
+    assert list(map(float.hex, poly.a_coeffs)) == list(map(float.hex, a_coeffs))
+    assert list(map(float.hex, poly.b_coeffs)) == list(map(float.hex, b_coeffs))
+    assert float.hex(poly.c_inf) == float.hex(c_inf)
+
+
+# zero gaps, and magnitudes down to 1e-300, whose products go subnormal
+tiny_or_zero_values = st.lists(
+    st.one_of(st.just(0.0), st.floats(-0.9, 0.9),
+              st.builds(lambda m, e: m * 10.0 ** e, st.floats(-0.9, 0.9),
+                        st.integers(-300, 0))),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(-60, 60), tiny_or_zero_values)
+def test_property_recursion_matches_oracle(n_min, values):
+    assert_recursion_matches_oracle(
+        LatticeState(n_min=n_min, values=np.array(values)))
+
+
+def test_recursion_matches_oracle_on_4301_sites():
+    values = np.random.default_rng(16).uniform(-0.3, 0.3, 4301)
+    values[::7] = 0.0
+    assert_recursion_matches_oracle(LatticeState(n_min=-2150, values=values))
 
 
 # The blocked evaluation against a plain two-sided Horner sum, the

@@ -24,8 +24,15 @@ from dmkdv import (
     staggered,
     stationary_points,
 )
-from dmkdv.weights import _GL_NODES, _GL_WEIGHTS, delta_arcs, delta_j_arc
+from dmkdv.weights import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _level_nodes,
+    delta_arcs,
+    delta_j_arc,
+)
 from weights_oracles import (
+    arc_nodes,
     chi_at_stationary,
     coefficient_set_by_arc,
     hat_delta_at_stationary,
@@ -132,6 +139,7 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     stat = stationary_points(RayParams(n=-89, t=50.0))
     with pytest.raises(QuadratureError, match="rounding floor"):
         coefficient_set(counting, stat, tol=tol)
+    assert sampled[0] == 4 + 4 * 16 + 4 * 32  # the S_j, levels 0 and 1
     assert max(sampled) == 4 * 16 * 16  # four open arcs at 16 panels
 
 
@@ -139,8 +147,8 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     (InitialProfile(kind="single_site", amplitude=0.3), 51, 100.0),
     (InitialProfile(kind="gaussian", amplitude=0.2, width=2.0), 401, 800.0)])
 def test_coefficient_set_samples_r_once_per_level(profile, n, t):
-    # every arc settles at 2 panels: one sample of the four S_j and the
-    # four arcs' 16 nodes, then one of their 4 x 32 nodes
+    # every arc settles at 2 panels: one sample holds the four S_j and
+    # the four arcs' nodes at 1 and 2 panels, 16 and 32 each
     r_eval = reflection_evaluator(staggered(profile.support_state()))
     sampled = []
 
@@ -149,7 +157,7 @@ def test_coefficient_set_samples_r_once_per_level(profile, n, t):
         return r_eval(z)
 
     coefficient_set(counting, stationary_points(RayParams(n=n, t=t)))
-    assert sampled == [4 + 4 * 16, 4 * 32]
+    assert sampled == [4 + 4 * 16 + 4 * 32]
 
 
 def test_arcspec_validation():
@@ -346,6 +354,26 @@ def test_property_batched_sums_equal_arc_by_arc(n_min, values, v, t):
     stat = stationary_points(RayParams(n=round(v * t), t=t))
     assert _bits(coefficient_set(r_eval, stat)) == _bits(
         coefficient_set_by_arc(r_eval, stat))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.floats(-math.pi, math.pi),
+                          st.floats(0.01, math.pi - 0.01), st.booleans()),
+                min_size=1, max_size=4),
+       st.integers(1, 64))
+def test_property_level_nodes_equal_one_arc_nodes(ends, panels):
+    # the nodes of one level, computed for all arcs at once, are bitwise
+    # those of each arc on its own
+    arcs = [ArcSpec.between(cmath.exp(1j * start),
+                            cmath.exp(1j * (start - span if back
+                                            else start + span)))
+            for start, span, back in ends]
+    halves, taus = _level_nodes(arcs, panels)
+    assert taus.shape == (len(arcs), 16 * panels)
+    for arc, half, tau in zip(arcs, halves.tolist(), taus):
+        want_half, want_tau = arc_nodes(arc, panels)
+        assert float.hex(half) == float.hex(want_half)
+        assert tau.tobytes() == want_tau.tobytes()
 
 
 @COEFFICIENT_CASES

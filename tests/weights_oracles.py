@@ -1,7 +1,8 @@
 """One coefficient at a time, by its definition in the weights module
-docstring, and every coefficient one arc at a time: the oracles that
-`weights.coefficient_set`, which samples r once per panel level for all
-four arcs, is checked against.
+docstring, every coefficient one arc at a time, and the nodes of one
+arc: the oracles that `weights.coefficient_set`, which samples r once per
+panel level for all four arcs, and `weights._level_nodes`, which places
+the nodes of all arcs at once, are checked against.
 """
 
 import functools
@@ -11,6 +12,7 @@ import numpy as np
 
 from dmkdv.weights import (
     DEFAULT_TOL,
+    _GL_NODES,
     _arc_sums,
     _assembled,
     _check_j,
@@ -20,6 +22,14 @@ from dmkdv.weights import (
     delta_j_at,
     log_density,
 )
+
+
+def arc_nodes(arc, panels: int) -> tuple:
+    """(half, tau): half the angle of each of `panels` equal panels of
+    `arc`, and the 16 Gauss nodes of every panel on the circle."""
+    half = 0.5 * arc.dtheta / panels
+    mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
+    return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
 
 
 def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
