@@ -66,8 +66,8 @@ def _load_config(args) -> RunConfig:
         except json.JSONDecodeError:
             overrides.append((key, raw))
     overrides += [(key, value) for key, value in (
-        ("threads", args.threads), ("output.path", args.output),
-        ("output.format", args.format)) if value is not None]
+        ("output.path", args.output), ("output.format", args.format))
+        if value is not None]
     for key, value in overrides:
         data.pop(key, None)  # re-inserted last, so that it wins
         data[key] = value
@@ -127,8 +127,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration entry")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap row-level parallelism")
         p.add_argument("--output", default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         if name == "compare":

@@ -69,7 +69,6 @@ _KEYS = {
     "dt": ("dt", float),
     "grid_size": ("grid_size", int),
     "v_max": ("v_max", float),
-    "threads": ("threads", int),
     "output.path": ("output_path", _text),
     "output.format": ("output_format", _text),
 }
@@ -87,7 +86,7 @@ class RunConfig:
     v_max: float = 1.8
     output_path: str = "compare.csv"
     output_format: str = "csv"
-    threads: int = 1
+    threads: int = 1  # not in _KEYS; rows run in one process
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.dt, *self.v_list,
@@ -109,8 +108,8 @@ class RunConfig:
             raise ConfigError("times must be positive")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output format must be csv or json")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.threads != 1:
+            raise ConfigError("threads must be 1: rows run in one process")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -118,8 +117,8 @@ class RunConfig:
         (defaults come from the dataclasses).  A nested key and its dotted
         form are the same key ({"profile": {"center": 3}} is
         {"profile.center": 3}), and a later key wins.  Every unknown key is
-        named in one ConfigError.  profile.center, grid_size and threads
-        must be whole numbers.
+        named in one ConfigError.  profile.center and grid_size must be
+        whole numbers.
         """
         flat = _flatten(d)
         unknown = [key for key in flat if key not in _KEYS]
@@ -195,8 +194,8 @@ def probe_site(v: float, t: float, v_max: float) -> int:
     return n
 
 
-def asymptotic_value(config: RunConfig, v: float, t: float,
-                     check_realness: bool = True) -> model.AsymptoticResult:
+def asymptotic_value(config: RunConfig, v: float,
+                     t: float) -> model.AsymptoticResult:
     """Leading-order asymptotic value of q_n(t) at n = round(v t).
 
     The cross-sum functional R (leading_term) reconstructs the lattice
@@ -209,12 +208,12 @@ def asymptotic_value(config: RunConfig, v: float, t: float,
     and the exact linearization q_n = q_0 (-1)^n J_n(2t) for small
     single-site data (Bessel asymptotics fix both the site shift and the
     sign alternation; see tests).  The ray n+1 may lie 1/t past v_max;
-    stationary_points refuses it only near the merging points.  Builds
-    r_u for this one value; a sweep builds it once and shares it between
-    its rows.
+    stationary_points refuses it only near the merging points.  The
+    imaginary residual is returned as measured; a sweep's rows apply
+    model.check_realness to it.  Builds r_u for this one value; a sweep
+    builds it once and shares it between its rows.
     """
-    return _asymptotic_row(config, _reflection(config.profile), v, t,
-                           check_realness)
+    return _asymptotic_row(config, _reflection(config.profile), v, t)
 
 
 def _reflection(profile: InitialProfile):
@@ -223,17 +222,15 @@ def _reflection(profile: InitialProfile):
     return reflection_evaluator(staggered(profile.support_state()))
 
 
-def _asymptotic_row(config: RunConfig, r_eval, v: float, t: float,
-                    check_realness: bool = True) -> model.AsymptoticResult:
+def _asymptotic_row(config: RunConfig, r_eval, v: float,
+                    t: float) -> model.AsymptoticResult:
     """asymptotic_value from a prebuilt r_u (see _reflection)."""
     n = probe_site(v, t, config.v_max)
     ray = RayParams(n=n + 1, t=t)
     stat = stationary_points(ray)
     coeffs = weights.coefficient_set(r_eval, stat)
     m1 = model.cross_solutions(coeffs)
-    calibration = model.REALNESS_CALIBRATION if check_realness else None
-    res = model.leading_term(ray, stat, coeffs, m1,
-                             realness_calibration=calibration)
+    res = model.leading_term(ray, stat, coeffs, m1)
     return replace(res, n=n, q_asym=(-1) ** n * res.q_asym)
 
 
@@ -280,17 +277,19 @@ def _trajectory(config: RunConfig) -> dict:
     return direct
 
 
-def _row_worker(job) -> ComparisonRecord:
-    """One row from its job (config, v, t, direct, r_u): `direct` is the
-    row's (q_direct, fail_reason, seconds) of the trajectory and r_u the
-    sweep's reflection coefficient (None: no asymptotic value); a row the
-    trajectory failed skips the asymptotic value."""
+def _row_worker(config: RunConfig, v: float, t: float, direct,
+                r_eval) -> ComparisonRecord:
+    """One row: `direct` is its (q_direct, fail_reason, seconds) of the
+    trajectory and r_eval the sweep's r_u (None: no asymptotic value).
+    A row the trajectory failed skips the asymptotic value; the realness
+    guard, model.check_realness, fails the row on its own."""
     started = time.perf_counter()
-    config, v, t, (q_direct, reason, integrate_time), r_eval = job
+    q_direct, reason, integrate_time = direct
     q_asym = imag_residual = math.nan
     if reason is None and r_eval is not None:
         try:
             result = _asymptotic_row(config, r_eval, v, t)
+            model.check_realness(result)
             q_asym = result.q_asym
             imag_residual = result.imag_residual
         except DmkdvError as exc:
@@ -318,21 +317,15 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     rows; each row samples r once per panel level for all four arcs of
     its quadrature, and its first sample holds the four stationary
     points, for nu_j and the cross entries alike, and the nodes of the
-    first two levels (one call when the arcs settle at two panels).  An asymptotic failure fails its own row only.  With
-    threads > 1 the asymptotic rows run in a process pool, whose workers
-    receive the sweep's r(z) with their jobs and build none; assembly
-    order is fixed regardless of parallelism.
+    first two levels (one call when the arcs settle at two panels).  The
+    rows run one after another in this process, and an asymptotic
+    failure fails its own row only.
     """
     direct = _trajectory(config) if compute_direct else {}
     r_eval = _reflection(config.profile) if compute_asym else None
-    jobs = [(config, v, t, direct.get((v, t), _NOT_INTEGRATED), r_eval)
+    return [_row_worker(config, v, t, direct.get((v, t), _NOT_INTEGRATED),
+                        r_eval)
             for v in config.v_list for t in config.t_list]
-    if compute_asym and config.threads > 1 and len(jobs) > 1:
-        import concurrent.futures  # only pooled sweeps pay for its import
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.threads) as pool:
-            return list(pool.map(_row_worker, jobs))
-    return [_row_worker(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +440,17 @@ def unitarity_checks(state: lattice.LatticeState) -> list:
 
 def realness_checks() -> list:
     """The realness audit on single-site 0.3 data at v = 0.5, t = 800,
-    realness guard off: the imaginary residual over t^-1/2 must stay below
-    0.05 for the cross entries of model.m1_entry, and reach 0.05 once the
-    odd crosses are rotated by -i (e^(-i pi/4) for every j, the form the
-    model rejects).  Both residuals come from one asymptotic value.
+    read from asymptotic_value, which applies no realness guard: the
+    imaginary residual over t^-1/2 must stay below 0.05 for the cross
+    entries of model.m1_entry, and reach 0.05 once the odd crosses are
+    rotated by -i (e^(-i pi/4) for every j, the form the model rejects).
+    Both residuals come from one asymptotic value.
     """
     config = RunConfig(profile=InitialProfile(kind="single_site",
                                               amplitude=0.3))
     t = 800.0
     scale = t ** -0.5
-    res = asymptotic_value(config, 0.5, t, check_realness=False)
+    res = asymptotic_value(config, 0.5, t)
     rotated = sum(rot * c for rot, c in zip((-1j, 1, -1j, 1),
                                             res.contributions))
     rejected = abs((rotated / res.delta_at_zero).imag)

@@ -39,6 +39,7 @@ __all__ = [
     "m1_entry",
     "cross_solutions",
     "leading_term",
+    "check_realness",
     "amplitude_envelope",
     "oscillation_decomposition",
 ]
@@ -116,20 +117,16 @@ def cross_solutions(coeffs: CoefficientSet) -> tuple:
                  for k in range(4))
 
 
-REALNESS_CALIBRATION = 0.02  # C of leading_term's realness guard
+REALNESS_CALIBRATION = 0.02  # C of check_realness
 
 
 def leading_term(ray: RayParams, stationary: StationarySet,
-                 coeffs: CoefficientSet, m1,
-                 realness_calibration: float | None = REALNESS_CALIBRATION
-                 ) -> AsymptoticResult:
+                 coeffs: CoefficientSet, m1) -> AsymptoticResult:
     """Assemble the leading-order value at (n, t) from the four
     (m1^j)_12 of cross_solutions.
 
-    realness_calibration is the constant C in the guard threshold
-    10 C t^-1 log t on the imaginary residual; pass None to skip the
-    guard (used by the realness audit, which reports the residual
-    against its own threshold).
+    imag_residual is |Im| of the assembled sum, as measured; no bound is
+    applied here (see check_realness).
     """
     total = 0.0 + 0.0j
     contributions = []
@@ -139,18 +136,22 @@ def leading_term(ray: RayParams, stationary: StationarySet,
         contributions.append(term)
         total += term
     total /= coeffs.delta_at_zero
-    imag_residual = abs(total.imag)
-    if realness_calibration is not None:
-        scale = math.log(max(ray.t, 2.0)) / ray.t
-        if imag_residual > 10.0 * realness_calibration * scale:
-            raise ConventionError(
-                f"imaginary residual {imag_residual:.3e} exceeds "
-                f"{10.0 * realness_calibration * scale:.3e}; "
-                "sign/branch inconsistency upstream")
     return AsymptoticResult(n=ray.n, t=ray.t, q_asym=total.real,
                             contributions=tuple(contributions),
-                            imag_residual=imag_residual,
+                            imag_residual=abs(total.imag),
                             delta_at_zero=coeffs.delta_at_zero)
+
+
+def check_realness(result: AsymptoticResult) -> None:
+    """The realness guard: ConventionError when the imaginary residual
+    exceeds 10 C log(max(t, 2)) / t, C = REALNESS_CALIBRATION, far above
+    the error scale of a real sum: a sign or branch inconsistency."""
+    scale = math.log(max(result.t, 2.0)) / result.t
+    bound = 10.0 * REALNESS_CALIBRATION * scale
+    if result.imag_residual > bound:
+        raise ConventionError(
+            f"imaginary residual {result.imag_residual:.3e} exceeds "
+            f"{bound:.3e}; sign/branch inconsistency upstream")
 
 
 def amplitude_envelope(result: AsymptoticResult) -> float:

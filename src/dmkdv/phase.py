@@ -43,8 +43,8 @@ class RayParams:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
+        if not 0 < self.t < math.inf:  # NaN fails too
+            raise ValueError("t must be positive and finite")
 
     @property
     def v(self) -> float:

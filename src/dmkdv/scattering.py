@@ -62,7 +62,7 @@ class UnitCirclePoint:
     z: complex
 
     def __post_init__(self):
-        if abs(abs(self.z) - 1.0) > 1e-14:
+        if not abs(abs(self.z) - 1.0) <= 1e-14:  # NaN fails too
             raise ValueError(f"|z| = {abs(self.z)!r} is not 1")
 
     @classmethod
@@ -257,7 +257,7 @@ def _on_circle(z):
     z = np.asarray(z, dtype=complex)
     modulus = abs(z)
     off = float(abs(modulus - 1.0).max())
-    if off > _CIRCLE_TOL:
+    if not off <= _CIRCLE_TOL:  # NaN fails too
         raise DomainError(f"|z| is {off:.3e} away from 1, beyond "
                           f"{_CIRCLE_TOL}")
     return z / modulus
@@ -272,8 +272,7 @@ def scattering_coefficients(q: LatticeState, z) -> ScatteringData:
 
 
 def reflection_evaluator(q: LatticeState):
-    """Callable z -> r(z) for scalar or array z on |z| = 1.  It pickles,
-    so one build can serve every worker of a process pool."""
+    """Callable z -> r(z) for scalar or array z on |z| = 1."""
     return functools.partial(_reflection_at, scattering_polynomials(q))
 
 
@@ -291,8 +290,16 @@ def reflection_grid(q: LatticeState, size: int = 256) -> tuple:
     theta = (theta + np.pi) % (2.0 * np.pi) - np.pi
     theta[theta == -np.pi] = np.pi
     r = reflection_evaluator(q)(np.exp(1j * theta))
-    max_abs = float(np.max(np.abs(r)))
-    if max_abs >= 1.0 - 1e-8:
-        raise ReflectionTooLargeError(
-            f"max |r| = {max_abs:.12f} is not strictly below 1")
+    checked_abs2(r)
     return theta, r
+
+
+def checked_abs2(r_values):
+    """|r|^2 of values of r; ReflectionTooLargeError when some |r| reaches
+    1 - 1e-8, the one bound on |r| that every check applies."""
+    m2 = np.abs(r_values) ** 2
+    peak = m2.max()
+    if peak >= (1.0 - 1e-8) ** 2:
+        raise ReflectionTooLargeError(
+            f"max |r| = {np.sqrt(peak):.9f} at the sampled points")
+    return m2

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, ReflectionTooLargeError
+from .errors import DomainError, QuadratureError
 from .phase import StationarySet
+from .scattering import checked_abs2
 
 __all__ = [
     "ArcSpec",
@@ -113,22 +114,12 @@ class ArcSpec:
 
 def log_density(r_eval, z):
     """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z (a
-    constant r is broadcast); the density of every arc integral."""
-    density = _density_of(r_eval(z))
+    constant r is broadcast), after scattering.checked_abs2's |r| < 1
+    guard; the density of every arc integral."""
+    density = np.log1p(-checked_abs2(r_eval(z)))
     if density.shape != np.shape(z):
         density = np.broadcast_to(density, np.shape(z))
     return density
-
-
-def _density_of(r_values):
-    """log(1 - |r|^2) of values of r; ReflectionTooLargeError when some
-    |r| reaches 1 - 1e-8."""
-    m2 = np.abs(r_values) ** 2
-    peak = m2.max()
-    if peak >= (1.0 - 1e-8) ** 2:
-        raise ReflectionTooLargeError(
-            f"max |r| = {math.sqrt(peak):.9f} at the sampled points")
-    return np.log1p(-m2)
 
 
 def _level_nodes(arcs, panels: int) -> tuple:
@@ -214,9 +205,11 @@ def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
     """(1/2pi i) int_arc density(tau) dtau / (tau - z).
 
     `density` maps an array of points tau on the circle to an array of
-    values (or to one constant); z must be off the closed arc.
+    values (or to one constant); z must be finite and off the closed arc.
     """
     zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"evaluation point {zc!r} is not finite")
     if abs(abs(zc) - 1.0) < 1e-13 and arc.contains_angle(cmath.phase(zc)):
         raise DomainError("evaluation point lies on the integration arc")
     return complex(_arc_sums(density, [(arc, zc, 0.0)], tol)[0][0])
@@ -294,7 +287,7 @@ def coefficient_set(r_eval, stationary: StationarySet,
     points = np.concatenate([np.array(stationary.S)]
                             + [taus.ravel() for _, taus in levels])
     r_values = np.broadcast_to(r_eval(points), points.shape)
-    g = _density_of(r_values)
+    g = np.log1p(-checked_abs2(r_values))
     sampled = [nodes + (values,) for nodes, values
                in zip(levels, np.split(g[4:], [levels[0][1].size]))]
     sums = _arc_sums(functools.partial(log_density, r_eval),

@@ -98,7 +98,7 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     for spec in ("time=[10]", "tolerances.quad=1", "profile.amp=0.2",
                  "output.fmt=json", "window_margin=-1000",
-                 "tolerances.realness=NaN"):
+                 "tolerances.realness=NaN", "threads=2"):
         assert main(["compare", "--set", spec, "--output", out]) == 2
         key = spec.split("=")[0]
         assert capsys.readouterr().err == (
@@ -112,9 +112,13 @@ def test_exit_codes(tmp_path, capsys):
                  "--set", "profile.custom=[1.5]"],
                 ["--set", "rays=[]"],
                 # an integer key that is not whole, or overflows
-                ["--set", "profile.center=2.7"], ["--set", "threads=1.9"],
-                ["--set", "grid_size=128.5"], ["--set", "threads=1e999"]):
+                ["--set", "profile.center=2.7"],
+                ["--set", "grid_size=128.5"], ["--set", "grid_size=1e999"]):
         assert main(["compare", *bad, "--output", out]) == 2
+    # rows run in one process: there is no --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--threads", "2", "--output", out])
+    assert exc.value.code == 2
 
 
 def test_config_values_of_the_wrong_json_type(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dmkdv.harness as hn
 import dmkdv.model as model
+import dmkdv.weights as weights
 from dmkdv import (
     ConfigError,
     DmkdvError,
@@ -75,6 +76,7 @@ def oracle_asymptotic(config, v, t):
         m1 = [m1_entry(coeffs.nu[j - 1], r_eval(stat.S[j - 1]), j)
               for j in (1, 2, 3, 4)]
         res = leading_term(ray, stat, coeffs, m1)
+        model.check_realness(res)
     except DmkdvError as exc:
         return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
     return (-1) ** n * res.q_asym, res.imag_residual, None
@@ -108,8 +110,10 @@ def test_config_validation():
         zero_config(t_list=())
     with pytest.raises(ConfigError):
         zero_config(output_format="xml")
-    with pytest.raises(ConfigError):
-        zero_config(threads=0)
+    # threads stays a field for existing callers; only 1 is accepted
+    for threads in (0, 2):
+        with pytest.raises(ConfigError):
+            zero_config(threads=threads)
     for bad in (dict(v_list=()),
                 dict(v_max=2.5), dict(v_max=0.0), dict(grid_size=100),
                 dict(grid_size=32),
@@ -130,17 +134,18 @@ def test_config_validation():
                       # constants of the layers that apply them
                       ({"window_margin": 150}, "'window_margin'"),
                       ({"tolerances": {"spill": 1e-10}},
-                       "'tolerances.spill'")):
+                       "'tolerances.spill'"),
+                      # retired with the process pool
+                      ({"threads": 2}, "'threads'"),
+                      ({"threads": 1}, "'threads'")):
         with pytest.raises(ConfigError,
                            match=f"unknown configuration key {key}$"):
             RunConfig.from_dict(data)
     # an integer key is not truncated
     for data, key in (({"profile": {"center": 2.7}}, "profile.center"),
-                      ({"grid_size": 128.5}, "grid_size"),
-                      ({"threads": 1.9}, "threads")):
+                      ({"grid_size": 128.5}, "grid_size")):
         with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
             RunConfig.from_dict(data)
-    assert RunConfig.from_dict({"threads": 2.0}).threads == 2
     for width in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="width must be positive"):
             RunConfig.from_dict({"profile": {"kind": "gaussian",
@@ -160,14 +165,13 @@ def test_config_dict_round_trip():
         "grid_size": 128,
         "v_max": 1.5,
         "output": {"path": "out.json", "format": "json"},
-        "threads": 2,
     })
     # every key of the schema lands in its field
     assert cfg == RunConfig(
         profile=InitialProfile(kind="gaussian", amplitude=0.2, width=2.5,
                                center=3),
         v_list=(0.1, -0.4), t_list=(10.0, 20.0), dt=0.01, grid_size=128,
-        v_max=1.5, output_path="out.json", output_format="json", threads=2)
+        v_max=1.5, output_path="out.json", output_format="json")
     custom = RunConfig.from_dict(
         {"profile": {"kind": "custom_list", "custom": [0.1, -0.2]}})
     assert custom.profile.custom == (0.1, -0.2)
@@ -371,36 +375,6 @@ def test_row_times_share_the_trajectory():
                for r in run_compare(config, compute_direct=False))
 
 
-def test_parallel_rows_identical_output(tmp_path):
-    base = zero_config(profile=InitialProfile(kind="single_site", amplitude=0.2),
-                       v_list=(0.2, 0.6), t_list=(4.0, 6.0), dt=0.02)
-    seq = run_compare(base)
-    par = run_compare(dataclasses.replace(base, threads=2))
-    p1, p2 = tmp_path / "seq.csv", tmp_path / "par.csv"
-    emit(seq, str(p1), "csv")
-    emit(par, str(p2), "csv")
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-@settings(derandomize=True, database=None, max_examples=5, deadline=None)
-@given(values=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4),
-       rays=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
-       times=st.lists(st.floats(20.0, 60.0), min_size=1, max_size=2,
-                      unique=True))
-def test_property_output_does_not_depend_on_threads(tmp_path_factory,
-                                                    values, rays, times):
-    config = RunConfig(
-        profile=InitialProfile(kind="custom_list", custom=tuple(values)),
-        v_list=tuple(rays), t_list=tuple(sorted(times)))
-    paths = []
-    for threads in (1, 2):
-        path = tmp_path_factory.mktemp("threads") / f"{threads}.csv"
-        emit(run_compare(dataclasses.replace(config, threads=threads),
-                         compute_direct=False), str(path), "csv")
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 def test_sweep_builds_r_once_and_crosses_evaluate_none(monkeypatch):
     builds, calls, calls_in_crosses = [], [], []
     real_build, real_crosses = hn.reflection_evaluator, model.cross_solutions
@@ -430,6 +404,52 @@ def test_sweep_builds_r_once_and_crosses_evaluate_none(monkeypatch):
     assert len(builds) == 1
     assert calls_in_crosses == [0] * 6
     assert calls  # the rows did evaluate r, through the one evaluator
+
+
+# every layer call the sweep makes goes through this module attribute,
+# which is where a tracer (bench/tracing.py) hooks its spans
+LAYER_CALLS = ((hn, "_row_worker"), (hn, "integrate"),
+               (hn, "reflection_evaluator"), (hn, "stationary_points"),
+               (weights, "coefficient_set"), (model, "cross_solutions"),
+               (model, "leading_term"))
+
+
+def test_sweep_reaches_every_layer_through_its_module_attribute(monkeypatch):
+    counts = {attr: 0 for _, attr in LAYER_CALLS}
+    for module, attr in LAYER_CALLS:
+        def counted(*args, _real=getattr(module, attr), _attr=attr, **kw):
+            counts[_attr] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, attr, counted)
+    config = zero_config(profile=InitialProfile(kind="single_site",
+                                                amplitude=0.2),
+                         v_list=(0.1, 0.6), t_list=(4.0, 6.0, 6.0), dt=0.02)
+    records = run_compare(config)
+    assert [r.fail_reason for r in records] == [None] * 6
+    assert counts == {"_row_worker": 6, "integrate": 2,
+                      "reflection_evaluator": 1, "stationary_points": 6,
+                      "coefficient_set": 6, "cross_solutions": 6,
+                      "leading_term": 6}
+
+
+def test_realness_guard_fails_every_asymptotic_row(monkeypatch):
+    # the rejected form of the crosses: odd crosses rotated by -i
+    real = model.cross_solutions
+
+    def rotated(coeffs):
+        return tuple(rot * m for rot, m in zip((-1j, 1, -1j, 1),
+                                               real(coeffs)))
+
+    monkeypatch.setattr(model, "cross_solutions", rotated)
+    config = RunConfig(profile=InitialProfile(kind="single_site",
+                                              amplitude=0.3),
+                       v_list=(-1.0, 0.5), t_list=(200.0, 800.0))
+    records = run_compare(config, compute_direct=False)
+    assert len(records) == 4
+    for rec in records:
+        assert rec.fail_reason.startswith(
+            "ConventionError: imaginary residual"), rec.fail_reason
+        assert math.isnan(rec.q_asym) and math.isnan(rec.imag_residual)
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import dmkdv.model as model
 from dmkdv import (
     ConventionError,
     LatticeState,
@@ -160,14 +161,15 @@ def test_leading_term_realness_and_convention_guard():
 
     good = leading_term(ray, stat, coeffs, cross_solutions(coeffs))
     assert good.imag_residual < 1e-12
+    model.check_realness(good)
 
+    # leading_term reports the residual; check_realness is the guard
     bad_m1 = tuple(rot * m for rot, m in zip(ROTATIONS["uniform_phase"],
                                              cross_solutions(coeffs)))
-    with pytest.raises(ConventionError):
-        leading_term(ray, stat, coeffs, bad_m1)
-    unchecked = leading_term(ray, stat, coeffs, bad_m1,
-                             realness_calibration=None)
-    assert unchecked.imag_residual > 1e-3
+    bad = leading_term(ray, stat, coeffs, bad_m1)
+    assert bad.imag_residual > 1e-3
+    with pytest.raises(ConventionError, match="^imaginary residual"):
+        model.check_realness(bad)
 
 
 def test_oscillation_decomposition_symmetric_ray():

@@ -134,7 +134,11 @@ def test_merging_points_guard():
 
 
 def test_ray_validation():
-    with pytest.raises(ValueError):
-        RayParams(n=10, t=-1.0)
+    # t <= 0 is false for NaN, and inf gives v = 0: stationary_points,
+    # whose residual check is false for both, would return NaN points
+    # or beta = 0 without a word
+    for t in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RayParams(n=10, t=t)
     ray = RayParams(n=-90, t=100.0)
     assert ray.v == pytest.approx(-0.9)

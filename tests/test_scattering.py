@@ -117,6 +117,10 @@ def test_off_circle_and_nonzero_time_rejected():
         reflection_evaluator(state)(1.2 + 0j)
     with pytest.raises(DomainError):
         reflection_evaluator(state)(np.array([1.0, 1.2j]))
+    # |z| - 1 > tol is false for NaN: the check refuses it all the same
+    for z in (complex(np.nan, 0.0), np.array([1.0, np.nan, 1j])):
+        with pytest.raises(DomainError):
+            reflection_evaluator(state)(z)
     with pytest.raises(DomainError):
         scattering_coefficients(state, 1.2 + 0j)
     later = LatticeState(n_min=-2, values=state.values, t=1.0)
@@ -260,8 +264,10 @@ def test_reflection_grid_zero_and_validation():
 
 
 def test_reflection_too_large():
+    # the grid applies the rows' |r| < 1 guard, message included
     state = single_site(1.0 - 1e-9)
-    with pytest.raises(ReflectionTooLargeError):
+    with pytest.raises(ReflectionTooLargeError,
+                       match=r"^max \|r\| = 0\.999999999 at the sampled points$"):
         reflection_grid(state, 64)
 
 
@@ -277,8 +283,12 @@ def test_staggered_rotates_spectral_parameter():
 
 
 def test_unit_circle_point_validation():
-    with pytest.raises(DomainError):
-        UnitCirclePoint.from_z(1.1 + 0j)
+    for z in (1.1 + 0j, complex(np.nan, 0.0)):
+        with pytest.raises(DomainError):
+            UnitCirclePoint.from_z(z)
+    for theta in (np.nan, np.inf):  # a NaN point, not one on the circle
+        with pytest.raises(ValueError):
+            UnitCirclePoint.from_theta(theta)
     pt = UnitCirclePoint.from_theta(4.0)  # wraps into (-pi, pi]
     assert -np.pi < pt.theta <= np.pi
     assert abs(pt.z - cmath.exp(1j * pt.theta)) < 1e-15

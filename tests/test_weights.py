@@ -107,6 +107,21 @@ def test_cauchy_arc_integral_vs_dense_trapezoid():
     assert abs(got - ref) < 1e-10
 
 
+def test_non_finite_evaluation_point_is_refused():
+    # a NaN point would walk every panel level before a QuadratureError
+    r_eval = reflection_evaluator(LatticeState(n_min=0, values=[0.3]))
+    stat = stationary_points(RayParams(n=50, t=100.0))
+    arc = delta_j_arc(stat, 1)
+    for z in (complex(math.nan, 0.0), complex(math.inf, 0.0),
+              complex(0.0, math.nan)):
+        with pytest.raises(DomainError, match="not finite"):
+            cauchy_arc_integral(lambda tau: 1.0, arc, z)
+        with pytest.raises(DomainError, match="not finite"):
+            delta_at(r_eval, stat, z)
+        with pytest.raises(DomainError, match="not finite"):
+            delta_j_at(r_eval, stat, 2, z)
+
+
 def test_cauchy_rejects_point_on_arc():
     arc = ArcSpec.between(cmath.exp(-1j * math.pi / 4),
                           cmath.exp(1j * math.pi / 4))
