@@ -3,9 +3,8 @@
 Runs the full chain for a sweep of rays and times: integrate the lattice
 directly, once per profile through the sorted times, build the
 reflection coefficient r(z) of the initial profile once per sweep,
-evaluate the leading-order asymptotic value per row from it (sampling r
-once per panel level of the row's arc quadrature, the first two levels
-in one call), and record the
+evaluate the leading-order asymptotic value per row from it (how a row
+samples r is stated in weights.coefficient_set), and record the
 comparison: the measured values, from which the error columns are
 derived.  Also hosts what the CLI writes and checks with:
 write_table, the one writer of every output table (emit is its form for
@@ -314,12 +313,9 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     bitwise what a fresh integration from 0 gives.  A guard tripping in
     the segment ending at t_k fails every row at t >= t_k; earlier rows
     keep their values.  r(z) is built once per sweep and shared by its
-    rows; each row samples r once per panel level for all four arcs of
-    its quadrature, and its first sample holds the four stationary
-    points, for nu_j and the cross entries alike, and the nodes of the
-    first two levels (one call when the arcs settle at two panels).  The
-    rows run one after another in this process, and an asymptotic
-    failure fails its own row only.
+    rows, which sample it as weights.coefficient_set states.  The rows
+    run one after another in this process, and an asymptotic failure
+    fails its own row only.
     """
     direct = _trajectory(config) if compute_direct else {}
     r_eval = _reflection(config.profile) if compute_asym else None

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ConventionError, PoleError
 from .phase import RayParams, StationarySet
-from .weights import CoefficientSet
+from .weights import CoefficientSet, _check_j
 
 __all__ = [
     "AsymptoticResult",
@@ -93,8 +93,7 @@ class AsymptoticResult:
 
 def m1_entry(nu: float, r_at_S: complex, j: int) -> complex:
     """(m1^j)_12 for one cross; returns 0 at nu = 0 by continuity."""
-    if j not in (1, 2, 3, 4):
-        raise ValueError("j must be one of 1, 2, 3, 4")
+    _check_j(j)
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     if nu == 0.0 or r_at_S == 0.0:
@@ -115,9 +114,6 @@ def cross_solutions(coeffs: CoefficientSet) -> tuple:
     """
     return tuple(m1_entry(coeffs.nu[k], coeffs.r_at_S[k], k + 1)
                  for k in range(4))
-
-
-REALNESS_CALIBRATION = 0.02  # C of check_realness
 
 
 def leading_term(ray: RayParams, stationary: StationarySet,
@@ -142,12 +138,15 @@ def leading_term(ray: RayParams, stationary: StationarySet,
                             delta_at_zero=coeffs.delta_at_zero)
 
 
+REALNESS_TOL = 1e-6  # of the row's amplitude_envelope
+
+
 def check_realness(result: AsymptoticResult) -> None:
     """The realness guard: ConventionError when the imaginary residual
-    exceeds 10 C log(max(t, 2)) / t, C = REALNESS_CALIBRATION, far above
-    the error scale of a real sum: a sign or branch inconsistency."""
-    scale = math.log(max(result.t, 2.0)) / result.t
-    bound = 10.0 * REALNESS_CALIBRATION * scale
+    exceeds REALNESS_TOL times the row's amplitude_envelope, far above
+    the rounding of a real sum and far below the residual of a rotated
+    cross: a sign or branch inconsistency."""
+    bound = REALNESS_TOL * amplitude_envelope(result)
     if result.imag_residual > bound:
         raise ConventionError(
             f"imaginary residual {result.imag_residual:.3e} exceeds "
@@ -172,8 +171,7 @@ def oscillation_decomposition(ray: RayParams, stationary: StationarySet,
     |beta_j| sqrt(nu_j) |delta_j^0|^2 and the slopes are the t and log t
     rates of that half-angle phase: -kappa_j and (-1)^j nu_j / 2.
     """
-    if j not in (1, 2, 3, 4):
-        raise ValueError("j must be one of 1, 2, 3, 4")
+    _check_j(j)
     k = j - 1
     amplitude = (abs(stationary.beta[k]) * math.sqrt(coeffs.nu[k])
                  * abs(coeffs.delta_j0[k]) ** 2)

@@ -28,10 +28,12 @@ branch (cut on the negative real axis).
 
 Every integral is one rule: composite 16-point Gauss-Legendre in the
 angle on 2^m equal panels, m growing until no sum moves by more than the
-tolerance.  The nodes of a level are placed for every arc still open in
-one array expression, the density is sampled once on them, and one
-sample serves all Cauchy sums of each arc.  No arc can settle before
-level 1, so coefficient_set samples levels 0 and 1 in one call.
+tolerance.  The arcs of one call refine together: each level places the
+nodes of every arc in one array expression, samples the density once on
+them and forms every Cauchy sum of every arc in one pass, and the call
+returns at the first level where no sum of any arc moved by more than
+the tolerance.  Nothing can settle before level 1, so coefficient_set
+samples levels 0 and 1 in one call.
 chi_j(S_j) subtracts g(S_j) from the density, leaving an analytic
 integrand; no Gauss node sits on the endpoint S_j.
 """
@@ -96,7 +98,7 @@ class ArcSpec:
     @classmethod
     def between(cls, start: complex, end: complex) -> "ArcSpec":
         for p in (start, end):
-            if abs(abs(p) - 1.0) > 1e-12:
+            if not abs(abs(p) - 1.0) <= 1e-12:  # refuses NaN too
                 raise ValueError("arc endpoints must lie on the unit circle")
         theta_start = cmath.phase(start)
         dtheta = cmath.phase(end / start)  # wrapped to (-pi, pi]
@@ -135,69 +137,57 @@ def _level_nodes(arcs, panels: int) -> tuple:
     return half, np.exp(1j * angles.reshape(len(arcs), -1))
 
 
-def _arc_sums(density, sweeps, tol: float = DEFAULT_TOL,
-              sampled=()) -> list:
-    """For every sweep (arc, points, shifts), the sums
-    (1/2pi i) int_arc (density(tau) - shift_k) dtau / (tau - z_k) at its
-    points z_k, with dtau/(2pi i) = tau dtheta/(2pi) at tau = e^(i theta).
+def _arc_sums(density, arcs, points, shifts, tol: float = DEFAULT_TOL,
+              sampled=()) -> np.ndarray:
+    """The sums (1/2pi i) int_arc (density(tau) - shift) dtau / (tau - z)
+    of every arc at its points, shaped (arcs, points): `points` and
+    `shifts` broadcast to that shape, and dtau/(2pi i) = tau dtheta/(2pi)
+    at tau = e^(i theta).
 
-    Each level of 2^m panels takes its nodes for every arc still open
-    from one _level_nodes call and samples the density once on all of
-    them, stacked in sweep order.  `sampled` holds the (half, tau, values)
-    of the first levels, already computed for every arc: no arc can
-    settle before level 1, so every arc is open at levels 0 and 1.  An
-    arc settles at the first level where none of its sums moves by more
-    than `tol`; its sums are exactly those of the arc swept on its own.
+    The arcs refine together as the module docstring states; `sampled`
+    holds the (half, tau, values) of the first levels, already computed.
 
     QuadratureError past the panel budget, or earlier, at the first level
     where an arc's residual has stopped falling while `tol` lies below
-    the rounding floor _FLOOR_ULPS * eps * max_k sum |weighted terms_k|:
-    no finer level can then be trusted to meet `tol`."""
-    points = [np.reshape(np.asarray(z, dtype=complex), (-1, 1))
-              for _, z, _ in sweeps]
-    shifts = [np.reshape(c, (-1, 1)) for _, _, c in sweeps]
-    settled = [None] * len(sweeps)
-    previous = [None] * len(sweeps)
-    residual = [math.inf] * len(sweeps)
+    that arc's rounding floor _FLOOR_ULPS * eps * max_k sum |weighted
+    terms_k|: no finer level can then be trusted to meet `tol`."""
+    shape = np.broadcast_shapes((len(arcs), 1), np.shape(points),
+                                np.shape(shifts))
+    z, c = (np.broadcast_to(a, shape)[:, :, None, None]
+            for a in (np.asarray(points, dtype=complex), shifts))
+    previous, residual = None, np.full(len(arcs), math.inf)
     for level in range(_MAX_LEVEL + 1):
         panels = 2 ** level
-        open_arcs = [k for k, sums in enumerate(settled) if sums is None]
         if level < len(sampled):
-            halves, taus, sample = sampled[level]
+            half, tau, values = sampled[level]
         else:
-            halves, taus = _level_nodes(
-                [sweeps[k][0] for k in open_arcs], panels)
-            sample = density(taus.ravel())
-        sample = np.broadcast_to(sample, (taus.size,)).reshape(taus.shape)
-        for k, half, tau, values in zip(open_arcs, halves.tolist(), taus,
-                                        sample):
-            z, c = points[k], shifts[k]
-            terms = ((values - c) * tau / (tau - z)).reshape(
-                len(z), panels, _GL_NODES.size)
-            terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))
-            sums = terms.sum(axis=(1, 2))
-            if previous[k] is not None:
-                last = residual[k]
-                residual[k] = float(abs(sums - previous[k]).max())
-                if residual[k] <= tol:
-                    settled[k] = sums
-                    continue
-                if residual[k] >= last:
-                    floor = _FLOOR_ULPS * _EPS * float(
-                        abs(terms).sum(axis=(1, 2)).max())
-                    if tol < floor:
-                        raise QuadratureError(
-                            f"arc quadrature stalled at {panels} panels: "
-                            f"residual {residual[k]:.3e} stopped falling "
-                            f"and tol {tol:.3e} is below the rounding "
-                            f"floor {floor:.3e}")
-            previous[k] = sums
-        if all(sums is not None for sums in settled):
-            return settled
-    first_open = next(k for k, sums in enumerate(settled) if sums is None)
+            half, tau = _level_nodes(arcs, panels)
+            values = density(tau.ravel())
+        tau = tau.reshape(len(arcs), 1, panels, _GL_NODES.size)
+        values = np.broadcast_to(values, (tau.size,)).reshape(tau.shape)
+        terms = (values - c) * tau / (tau - z)
+        terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))[:, None, None, None]
+        sums = terms.sum(axis=(2, 3))
+        if previous is not None:
+            last, residual = residual, abs(sums - previous).max(axis=1)
+            if (residual <= tol).all():
+                return sums
+            stalled = (residual > tol) & (residual >= last)
+            if stalled.any():
+                floor = _FLOOR_ULPS * _EPS * abs(terms).sum(axis=(2, 3)).max(
+                    axis=1)
+                tripped = np.flatnonzero(stalled & (tol < floor))
+                if tripped.size:
+                    k = tripped[0]
+                    raise QuadratureError(
+                        f"arc quadrature stalled at {panels} panels: "
+                        f"residual {residual[k]:.3e} stopped falling and "
+                        f"tol {tol:.3e} is below the rounding floor "
+                        f"{floor[k]:.3e}")
+        previous = sums
     raise QuadratureError(
         f"arc quadrature unsettled at {panels} panels "
-        f"(residual {residual[first_open]:.3e} > {tol:.3e})")
+        f"(residual {residual.max():.3e} > {tol:.3e})")
 
 
 def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
@@ -212,7 +202,7 @@ def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
         raise DomainError(f"evaluation point {zc!r} is not finite")
     if abs(abs(zc) - 1.0) < 1e-13 and arc.contains_angle(cmath.phase(zc)):
         raise DomainError("evaluation point lies on the integration arc")
-    return complex(_arc_sums(density, [(arc, zc, 0.0)], tol)[0][0])
+    return complex(_arc_sums(density, [arc], zc, 0.0, tol)[0, 0])
 
 
 def delta_arcs(stationary: StationarySet) -> tuple:
@@ -262,25 +252,25 @@ def coefficient_set(r_eval, stationary: StationarySet,
                     tol: float = DEFAULT_TOL) -> CoefficientSet:
     """Compute every coefficient the asymptotic formula needs.
 
-    r is sampled once per panel level for all four arcs T_j -> S_j.  The
-    first sample holds the four S_j and the nodes of levels 0 and 1 of
-    every arc, 4 + 64 + 128 = 196 points, since no arc can settle before
-    level 1; later levels sample only the arcs still open.  The values
-    at the S_j give g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are
-    kept as r_at_S for the cross entries.  Each arc's sweep gives its
-    integral at z = 0 and at every S_k, with g(S_j) subtracted at its own
-    endpoint (chi_j), and settles on its own, bitwise as if swept alone.  delta(0) is
-    prod_j delta_j(0): arc S1 -> S2 through 1 is arc T1 -> S1 reversed
-    followed by arc T2 -> S2, and likewise through -1.  delta_j^0 is then
-    assembled from nu_j, chi_j(S_j) and hat_delta_j(S_j) by the formula
-    of the module docstring.
+    The four arcs T_j -> S_j refine together (see the module docstring),
+    so r is sampled once per panel level: the first sample holds the
+    four S_j and the nodes of levels 0 and 1 of every arc, 4 + 64 + 128
+    = 196 points, and each later level samples all four arcs.  The
+    values at the S_j give g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and
+    are kept as r_at_S for the cross entries.  The arcs are swept at
+    z = 0 and at every S_k, with g(S_j) subtracted at arc j's own
+    endpoint (chi_j).  delta(0) is prod_j delta_j(0): arc S1 -> S2
+    through 1 is arc T1 -> S1 reversed followed by arc T2 -> S2, and
+    likewise through -1.  delta_j^0 is then assembled from nu_j,
+    chi_j(S_j) and hat_delta_j(S_j) by the formula of the module
+    docstring.
 
-    Every arc is sampled at every level until it settles, so data that
-    would trip two guards may report either one: ReflectionTooLargeError
-    from any arc's sample, or QuadratureError from the first arc (in
-    order j = 1..4) to stall.  Either fails the row.  A node of level 1
-    where |r| reaches 1 - 1e-8 trips the guard in the first sample, whose
-    reported max |r| is then the peak over all 196 points.
+    Data that would trip two guards may report either one:
+    ReflectionTooLargeError from any sample, or QuadratureError from the
+    first arc (in order j = 1..4) to stall.  Either fails the row.  A
+    node of level 1 where |r| reaches 1 - 1e-8 trips the guard in the
+    first sample, whose reported max |r| is then the peak over all 196
+    points.
     """
     arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
     levels = [_level_nodes(arcs, panels) for panels in (1, 2)]
@@ -290,17 +280,10 @@ def coefficient_set(r_eval, stationary: StationarySet,
     g = np.log1p(-checked_abs2(r_values))
     sampled = [nodes + (values,) for nodes, values
                in zip(levels, np.split(g[4:], [levels[0][1].size]))]
-    sums = _arc_sums(functools.partial(log_density, r_eval),
-                     _sweeps(stationary, arcs, g[:4]), tol, sampled)
+    shifts = np.where(np.eye(4, 5, 1, dtype=bool), g[:4, None], 0.0)
+    sums = _arc_sums(functools.partial(log_density, r_eval), arcs,
+                     (0.0,) + stationary.S, shifts, tol, sampled)
     return _assembled(stationary, r_values[:4], g[:4], sums)
-
-
-def _sweeps(stationary: StationarySet, arcs, g_at_S) -> list:
-    """The (arc, points, shifts) of coefficient_set: arc T_j -> S_j at
-    z = 0 and every S_k, with g(S_j) subtracted at S_j."""
-    return [(arc, (0.0,) + stationary.S,
-             np.where(np.arange(5) == j, g_at_S[j - 1], 0.0))
-            for j, arc in enumerate(arcs, 1)]
 
 
 def _assembled(stationary: StationarySet, r_at_S, g_at_S,

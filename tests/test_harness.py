@@ -432,8 +432,9 @@ def test_sweep_reaches_every_layer_through_its_module_attribute(monkeypatch):
                       "leading_term": 6}
 
 
-def test_realness_guard_fails_every_asymptotic_row(monkeypatch):
-    # the rejected form of the crosses: odd crosses rotated by -i
+def rotate_odd_crosses(monkeypatch):
+    """Make the sweep use the rejected form of the crosses: odd crosses
+    rotated by -i."""
     real = model.cross_solutions
 
     def rotated(coeffs):
@@ -441,6 +442,10 @@ def test_realness_guard_fails_every_asymptotic_row(monkeypatch):
                                                real(coeffs)))
 
     monkeypatch.setattr(model, "cross_solutions", rotated)
+
+
+def test_realness_guard_fails_every_asymptotic_row(monkeypatch):
+    rotate_odd_crosses(monkeypatch)
     config = RunConfig(profile=InitialProfile(kind="single_site",
                                               amplitude=0.3),
                        v_list=(-1.0, 0.5), t_list=(200.0, 800.0))
@@ -450,6 +455,19 @@ def test_realness_guard_fails_every_asymptotic_row(monkeypatch):
         assert rec.fail_reason.startswith(
             "ConventionError: imaginary residual"), rec.fail_reason
         assert math.isnan(rec.q_asym) and math.isnan(rec.imag_residual)
+
+
+def test_realness_guard_scales_with_small_data(monkeypatch):
+    # the rotated residual of gaussian(0.2, 2) is small because its
+    # amplitude is: a bound set by t alone let 14 of these 15 rows pass
+    rotate_odd_crosses(monkeypatch)
+    config = RunConfig(profile=InitialProfile(kind="gaussian", amplitude=0.2,
+                                              width=2.0),
+                       v_list=(-1.0, 0.0, 0.5, 1.5),
+                       t_list=(1.5, 10.0, 200.0, 800.0))
+    errors = [str(rec.fail_reason).split(":")[0]
+              for rec in run_compare(config, compute_direct=False)]
+    assert sorted(errors) == ["ConventionError"] * 15 + ["MergingPointsError"]
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)

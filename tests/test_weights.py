@@ -24,9 +24,11 @@ from dmkdv import (
     staggered,
     stationary_points,
 )
+from dmkdv import weights
 from dmkdv.weights import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _arc_sums,
     _level_nodes,
     delta_arcs,
     delta_j_arc,
@@ -155,14 +157,14 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     with pytest.raises(QuadratureError, match="rounding floor"):
         coefficient_set(counting, stat, tol=tol)
     assert sampled[0] == 4 + 4 * 16 + 4 * 32  # the S_j, levels 0 and 1
-    assert max(sampled) == 4 * 16 * 16  # four open arcs at 16 panels
+    assert max(sampled) == 4 * 16 * 16  # four arcs at 16 panels
 
 
 @pytest.mark.parametrize("profile, n, t", [
     (InitialProfile(kind="single_site", amplitude=0.3), 51, 100.0),
     (InitialProfile(kind="gaussian", amplitude=0.2, width=2.0), 401, 800.0)])
 def test_coefficient_set_samples_r_once_per_level(profile, n, t):
-    # every arc settles at 2 panels: one sample holds the four S_j and
+    # the arcs settle together at 2 panels: one sample holds the four S_j and
     # the four arcs' nodes at 1 and 2 panels, 16 and 32 each
     r_eval = reflection_evaluator(staggered(profile.support_state()))
     sampled = []
@@ -180,6 +182,10 @@ def test_arcspec_validation():
         ArcSpec.between(1.0 + 0.0j, -1.0 + 0.0j)  # central angle pi
     with pytest.raises(ValueError):
         ArcSpec.between(0.5 + 0.0j, 1.0 + 0.0j)   # off circle
+    for start, end in ((complex(math.nan, 0.0), 1j),
+                       (1.0, complex(0.0, math.nan))):
+        with pytest.raises(ValueError, match="unit circle"):
+            ArcSpec.between(start, end)
     arc = ArcSpec.between(cmath.exp(1j * (math.pi - 0.2)),
                           cmath.exp(1j * (-math.pi + 0.2)))
     assert arc.dtheta == pytest.approx(0.4)  # short arc through -1
@@ -362,13 +368,68 @@ def _bits(coeffs) -> list:
        st.floats(-1.7, 1.7),
        st.sampled_from((20.0, 100.0, 400.0)))
 def test_property_batched_sums_equal_arc_by_arc(n_min, values, v, t):
-    # one sample per level for all arcs gives bitwise the sums of one
-    # sweep per arc
+    # on these examples the arcs settle at the same level, so refining
+    # them together gives bitwise the sums of one sweep per arc
     r_eval = reflection_evaluator(
         LatticeState(n_min=n_min, values=np.array(values)))
     stat = stationary_points(RayParams(n=round(v * t), t=t))
     assert _bits(coefficient_set(r_eval, stat)) == _bits(
         coefficient_set_by_arc(r_eval, stat))
+
+
+def test_arcs_refine_together():
+    # a constant density settles the upper arc alone at 2 panels, an
+    # oscillating one needs more on the lower arc: the joint call samples
+    # both arcs at every level, and each arc's sums stay within 10 tol of
+    # that arc swept alone
+    arcs = [ArcSpec.between(cmath.exp(0.2j), cmath.exp(1.2j)),
+            ArcSpec.between(cmath.exp(-0.2j), cmath.exp(-1.2j))]
+    sampled = []
+
+    def density(tau):
+        sampled.append(tau.size)
+        return np.where(tau.imag > 0, 1.0, np.cos(40.0 * np.angle(tau)))
+
+    def swept(arcs, tol=1e-11):
+        sampled.clear()
+        return _arc_sums(density, arcs, (0.0, 0.5j, 2.0), 0.0, tol), \
+            list(sampled)
+
+    (upper, upper_levels), (lower, lower_levels) = (swept([arc])
+                                                    for arc in arcs)
+    both, levels = swept(arcs)
+    assert len(upper_levels) < len(lower_levels) == len(levels)
+    assert levels == [2 * 16 * 2 ** m for m in range(len(levels))]
+    assert abs(both[0] - upper[0]).max() <= 10 * 1e-11
+    assert abs(both[1] - lower[0]).max() <= 10 * 1e-11
+
+
+@pytest.mark.parametrize("profile", [
+    InitialProfile(kind="gaussian", amplitude=0.5, width=3.0),
+    InitialProfile(kind="custom_list", custom=(0.3, -0.2, 0.15, 0.4, -0.1))])
+@pytest.mark.parametrize("n, t", [(-89, 50.0), (30, 80.0), (401, 800.0)])
+def test_arc_sums_are_images_of_one_another(monkeypatch, profile, n, t):
+    # |r| on the circle is even under z -> conj(z) (real data) and under
+    # z -> -z, so arc T2 -> S2 is the mirror image of arc T1 -> S1 and arc
+    # T3 -> S3 its rotation by pi.  The points (0, S1, S2, S3, S4) map to
+    # (0, S2, S1, S4, S3) under conjugation and to (0, S3, S4, S1, S2)
+    # under negation.
+    swept = []
+
+    def recording(*args):
+        sums = _arc_sums(*args)
+        swept.append(sums.copy())
+        return sums
+
+    monkeypatch.setattr(weights, "_arc_sums", recording)
+    r_eval = reflection_evaluator(staggered(profile.support_state()))
+    coefficient_set(r_eval, stationary_points(RayParams(n=n, t=t)))
+    (sums,) = swept
+    conj, neg = [0, 2, 1, 4, 3], [0, 3, 4, 1, 2]
+    bound = 1e-13 * abs(sums).max()
+    assert abs(sums[1] + sums[0, conj].conj()).max() <= bound
+    assert abs(sums[3] + sums[2, conj].conj()).max() <= bound
+    assert abs(sums[2] - sums[0, neg]).max() <= bound
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -17,7 +17,6 @@ from dmkdv.weights import (
     _arc_sums,
     _assembled,
     _check_j,
-    _sweeps,
     delta_j_arc,
     delta_j_at,
     log_density,
@@ -39,8 +38,10 @@ def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
     g_at_S = np.log1p(-checked_abs2(r_at_S))
     density = functools.partial(log_density, r_eval)
     arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
-    sums = [_arc_sums(density, [sweep], tol)[0]
-            for sweep in _sweeps(stationary, arcs, g_at_S)]
+    points = (0.0,) + stationary.S
+    sums = [_arc_sums(density, [arc], points,
+                      np.where(np.arange(5) == j, g_at_S[j - 1], 0.0), tol)[0]
+            for j, arc in enumerate(arcs, 1)]
     return _assembled(stationary, r_at_S, g_at_S, sums)
 
 
@@ -60,7 +61,7 @@ def chi_at_stationary(r_eval, stationary, j: int,
     arc = delta_j_arc(stationary, j)
     density = functools.partial(log_density, r_eval)
     Sj = stationary.S[j - 1]
-    return complex(_arc_sums(density, [(arc, Sj, density(Sj))], tol)[0][0])
+    return complex(_arc_sums(density, [arc], Sj, density(Sj), tol)[0, 0])
 
 
 def hat_delta_at_stationary(r_eval, stationary, j: int,
