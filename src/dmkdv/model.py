@@ -94,7 +94,7 @@ class AsymptoticResult:
 def m1_entry(nu: float, r_at_S: complex, j: int) -> complex:
     """(m1^j)_12 for one cross; returns 0 at nu = 0 by continuity."""
     _check_j(j)
-    if nu < 0:
+    if not nu >= 0:  # refuses NaN too
         raise ValueError("nu must be nonnegative")
     if nu == 0.0 or r_at_S == 0.0:
         return 0.0 + 0.0j
@@ -145,9 +145,9 @@ def check_realness(result: AsymptoticResult) -> None:
     """The realness guard: ConventionError when the imaginary residual
     exceeds REALNESS_TOL times the row's amplitude_envelope, far above
     the rounding of a real sum and far below the residual of a rotated
-    cross: a sign or branch inconsistency."""
+    cross: a sign or branch inconsistency.  A NaN in either fails too."""
     bound = REALNESS_TOL * amplitude_envelope(result)
-    if result.imag_residual > bound:
+    if not result.imag_residual <= bound:
         raise ConventionError(
             f"imaginary residual {result.imag_residual:.3e} exceeds "
             f"{bound:.3e}; sign/branch inconsistency upstream")

@@ -1,7 +1,7 @@
 """Direct scattering transform for the lattice on the unit circle.
 
-The scattering data come from the 2x2 transfer recursion at t = 0 with
-the one-step increment
+The scattering data of a state, at whatever time t it holds, come from
+the 2x2 transfer recursion with the one-step increment
 
     B_k(z) = [[0, q_k z^(-2k-1)], [q_k z^(2k+1), 0]].
 
@@ -16,7 +16,8 @@ support both are Laurent polynomials in z: a has the even exponents
 2k_min + 1 .. 2k_max + 1.  The recursion runs once per state on their
 coefficient arrays; every value of a, b and r = b/a is an evaluation of
 those polynomials.  On |z| = 1 they satisfy |a|^2 - |b|^2 = c_inf, so
-|a| > 0 and the reflection coefficient r = b/a has |r| < 1.
+|a| > 0 and the reflection coefficient r = b/a has |r| < 1; how r moves
+with t is stated in scattering_polynomials.
 
 An evaluation at scalar or array z takes a fixed number of array
 operations, whatever the number N of coefficients: from the exponent
@@ -226,9 +227,12 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
     zero at that point.  U and W are updated in place: both products go
     into two scratch arrays allocated once per build, then each is added
     onto its slice, so no site allocates.
+
+    Any state is accepted.  The lattice flow is isospectral: for q(t)
+    integrated from q(0), r(z, t) = r(z, 0) e^(-(z^2 - z^-2) t), so |r|
+    is conserved and on |z| = 1 the phase turns by e^(-2 i t sin 2 theta).
+    The residual of that law measures an integrator's error.
     """
-    if q.t != 0.0:
-        raise ValueError("scattering data is defined from the t = 0 state")
     offsets = np.flatnonzero(q.values)
     first = int(offsets[0]) if offsets.size else 0
     span = int(offsets[-1]) - first if offsets.size else 0
@@ -296,10 +300,10 @@ def reflection_grid(q: LatticeState, size: int = 256) -> tuple:
 
 def checked_abs2(r_values):
     """|r|^2 of values of r; ReflectionTooLargeError when some |r| reaches
-    1 - 1e-8, the one bound on |r| that every check applies."""
+    1 - 1e-8 or is NaN, the one bound on |r| that every check applies."""
     m2 = np.abs(r_values) ** 2
     peak = m2.max()
-    if peak >= (1.0 - 1e-8) ** 2:
+    if not peak < (1.0 - 1e-8) ** 2:  # NaN fails too
         raise ReflectionTooLargeError(
             f"max |r| = {np.sqrt(peak):.9f} at the sampled points")
     return m2

@@ -268,9 +268,9 @@ def coefficient_set(r_eval, stationary: StationarySet,
     Data that would trip two guards may report either one:
     ReflectionTooLargeError from any sample, or QuadratureError from the
     first arc (in order j = 1..4) to stall.  Either fails the row.  A
-    node of level 1 where |r| reaches 1 - 1e-8 trips the guard in the
-    first sample, whose reported max |r| is then the peak over all 196
-    points.
+    node of level 1 where |r| reaches 1 - 1e-8, or where r is NaN, trips
+    the guard in the first sample, whose reported max |r| is then the
+    peak over all 196 points.
     """
     arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
     levels = [_level_nodes(arcs, panels) for panels in (1, 2)]

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import dmkdv.harness as harness
-from dmkdv import SpillError
+from dmkdv import SpillError, reflection_evaluator
 from dmkdv.cli import main
 
 TINY = {
@@ -179,6 +180,48 @@ def test_scatter_reports_a_failed_check_on_one_line(tmp_path, capsys):
     assert err.startswith("ReflectionTooLargeError: max |r| = 16.2")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# 1,200 sites of 0.9: a and b overflow while they are built, so every
+# computed r is NaN, which the |r| < 1 guard refuses
+OVERFLOWING = ["--set", "profile.kind=custom_list",
+               "--set", f"profile.custom={json.dumps([0.9] * 1200)}"]
+
+
+def test_scatter_fails_on_data_whose_polynomials_overflow(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    with pytest.warns(RuntimeWarning):
+        code = main(["scatter", *OVERFLOWING, "--set", "grid_size=64",
+                     "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "ReflectionTooLargeError: max |r| = nan at the sampled points\n")
+    assert not out.exists()
+
+
+def test_overflowing_data_fails_each_asymptotic_row_at_its_first_sample(
+        tmp_path, capsys, monkeypatch):
+    sampled = []
+
+    def counting_evaluator(state):
+        r_eval = reflection_evaluator(state)
+
+        def counting(z):
+            sampled.append(np.size(z))
+            return r_eval(z)
+        return counting
+
+    monkeypatch.setattr(harness, "reflection_evaluator", counting_evaluator)
+    out = tmp_path / "asymptote.json"
+    with pytest.warns(RuntimeWarning):
+        code = main(["asymptote", *OVERFLOWING, "--output", str(out),
+                     "--format", "json"])
+    assert code == 1
+    rows = strict_json(out)
+    assert len(rows) == 4 and all(row["q_asym"] is None for row in rows)
+    assert capsys.readouterr().err.count(
+        "failed: ReflectionTooLargeError: max |r| = nan ") == 4
+    assert sampled == [4 + 4 * 16 + 4 * 32] * 4  # the first sample of a row
 
 
 def strict_json(path):

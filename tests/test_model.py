@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -79,8 +80,9 @@ def test_m1_entry_trivial_limits():
     for j in (1, 2, 3, 4):
         assert m1_entry(0.0, 0.3 + 0.1j, j) == 0.0
         assert m1_entry(0.2, 0.0, j) == 0.0
-    with pytest.raises(ValueError):
-        m1_entry(-0.1, 0.3, 1)
+    for nu in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            m1_entry(nu, 0.3, 1)
     with pytest.raises(ValueError):
         m1_entry(0.1, 0.3, 5)
 
@@ -170,6 +172,12 @@ def test_leading_term_realness_and_convention_guard():
     assert bad.imag_residual > 1e-3
     with pytest.raises(ConventionError, match="^imaginary residual"):
         model.check_realness(bad)
+    # a NaN residual or envelope passes no comparison, so it fails too
+    nan = complex(math.nan, 0.0)
+    for broken in (dataclasses.replace(good, imag_residual=math.nan),
+                   dataclasses.replace(good, contributions=(nan,) * 4)):
+        with pytest.raises(ConventionError, match="^imaginary residual"):
+            model.check_realness(broken)
 
 
 def test_oscillation_decomposition_symmetric_ray():

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dmkdv import (
     ReflectionTooLargeError,
     UnitCirclePoint,
     conserved_c_inf,
+    integrate,
     reflection_evaluator,
     reflection_grid,
     scattering_coefficients,
@@ -111,7 +113,7 @@ def test_reduced_potential_matches_brute_form_at_random_points():
         np.testing.assert_allclose([a, b], step[:, 0], atol=1e-13)
 
 
-def test_off_circle_and_nonzero_time_rejected():
+def test_off_circle_rejected():
     state = single_site(0.3)
     with pytest.raises(DomainError):
         reflection_evaluator(state)(1.2 + 0j)
@@ -123,9 +125,6 @@ def test_off_circle_and_nonzero_time_rejected():
             reflection_evaluator(state)(z)
     with pytest.raises(DomainError):
         scattering_coefficients(state, 1.2 + 0j)
-    later = LatticeState(n_min=-2, values=state.values, t=1.0)
-    with pytest.raises(ValueError):
-        scattering_polynomials(later)
 
 
 def test_jost_minus_examples():
@@ -269,6 +268,40 @@ def test_reflection_too_large():
     with pytest.raises(ReflectionTooLargeError,
                        match=r"^max \|r\| = 0\.999999999 at the sampled points$"):
         reflection_grid(state, 64)
+
+
+# The isospectral law as an oracle of the integrator: a state integrated
+# from q(0) to t has r(z, t) e^((z^2 - z^-2) t) = r(z, 0), |r| included,
+# so the residual of that law is RK4's own error and each halving of dt
+# divides it by 16.  The window is the one harness._trajectory builds,
+# the support widened by ceil(2.5 t + 150) sites on either side;
+# single_site(0.3) takes the integrator's mirrored path, gaussian(0.2, 2)
+# the whole window.  The bounds were fixed before the first run.
+
+ISOSPECTRAL_T = 50.0
+UNIFORM_NODES = np.exp(2j * np.pi * np.arange(1024) / 1024)
+
+
+@pytest.mark.parametrize("profile", [
+    InitialProfile(kind="single_site", amplitude=0.3),
+    InitialProfile(kind="gaussian", amplitude=0.2, width=2.0)],
+    ids=["single_site", "gaussian"])
+def test_isospectral_law_on_integrated_states(profile):
+    support = profile.support_state()
+    nonzero = support.sites[support.values != 0.0]
+    half = math.ceil(2.5 * ISOSPECTRAL_T + 150)
+    initial = profile.realize(nonzero[0] - half, nonzero[-1] + half)
+    r0 = reflection_evaluator(initial)(UNIFORM_NODES)
+    undo = np.exp((UNIFORM_NODES ** 2 - UNIFORM_NODES ** -2) * ISOSPECTRAL_T)
+    residuals = []
+    for dt in (0.04, 0.02, 0.01, 0.005):
+        later = integrate(initial, ISOSPECTRAL_T, dt)
+        r_t = reflection_evaluator(later)(UNIFORM_NODES)
+        residuals.append(np.abs(r_t * undo - r0).max())
+    assert residuals[0] >= 12 * residuals[1] and \
+        residuals[1] >= 12 * residuals[2]
+    assert residuals[3] < 1e-8
+    assert np.abs(np.abs(r_t) - np.abs(r0)).max() < 1e-10
 
 
 def test_staggered_rotates_spectral_parameter():

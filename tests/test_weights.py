@@ -73,8 +73,10 @@ def test_log_density_examples():
     r_exp = lambda z: math.sqrt(1.0 - math.exp(-2 * math.pi))
     assert log_density(r_exp, 1j) == pytest.approx(-2 * math.pi, rel=1e-12)
     r_big = lambda z: 1.0 - 1e-9
-    with pytest.raises(ReflectionTooLargeError):
-        log_density(r_big, 1.0 + 0j)
+    r_nan = lambda z: complex(math.nan, 0.0)
+    for r_eval in (r_big, r_nan):
+        with pytest.raises(ReflectionTooLargeError):
+            log_density(r_eval, 1.0 + 0j)
 
 
 def test_gauss_legendre_rule_matches_numpy():
@@ -175,6 +177,25 @@ def test_coefficient_set_samples_r_once_per_level(profile, n, t):
 
     coefficient_set(counting, stationary_points(RayParams(n=n, t=t)))
     assert sampled == [4 + 4 * 16 + 4 * 32]
+
+
+def test_a_nan_r_fails_at_the_first_sample():
+    # the |r| < 1 guard refuses NaN as it refuses |r| >= 1 - 1e-8, before
+    # a single panel level is refined
+    sampled = []
+
+    def nan_r(z):
+        sampled.append(np.size(z))
+        return np.full(np.shape(z), complex(math.nan, 0.0))
+
+    stat = stationary_points(RayParams(n=51, t=100.0))
+    with pytest.raises(ReflectionTooLargeError, match=r"^max \|r\| = nan "):
+        coefficient_set(nan_r, stat)
+    assert sampled == [4 + 4 * 16 + 4 * 32]
+    sampled.clear()
+    with pytest.raises(ReflectionTooLargeError):
+        delta_at(nan_r, stat, 0.0)
+    assert sampled == [16]
 
 
 def test_arcspec_validation():
