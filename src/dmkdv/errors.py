@@ -2,7 +2,7 @@
 
 Every failure mode that callers are expected to catch has its own class;
 generic ValueError/TypeError are reserved for plain misuse (bad argument
-types, malformed construction).
+types, malformed construction), and DomainError is also a ValueError.
 """
 
 
@@ -20,7 +20,7 @@ class BlowupError(DmkdvError):
     stepping; the step size is too large or the input state is invalid."""
 
 
-class DomainError(DmkdvError):
+class DomainError(DmkdvError, ValueError):
     """Argument outside the mathematical domain of the operation
     (off the unit circle, at z = 0, on an integration arc, ...)."""
 

@@ -95,8 +95,10 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if not 0 < self.v_max < 2:
             raise ConfigError("v_max must lie in (0, 2)")
-        if self.grid_size < 64 or self.grid_size & (self.grid_size - 1):
-            raise ConfigError("grid_size must be a power of two >= 64")
+        try:
+            scattering.check_grid_size(self.grid_size)
+        except ValueError as exc:
+            raise ConfigError(f"grid_size: {exc}") from None
         if len(self.v_list) == 0:
             raise ConfigError("rays must be a nonempty list")
         if any(abs(v) > self.v_max for v in self.v_list):

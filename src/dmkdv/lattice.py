@@ -48,10 +48,7 @@ class LatticeState:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("values must be a nonempty 1-d real array")
-        if not np.max(np.abs(vals)) < 1.0:  # also rejects NaN
-            raise ValueError(
-                "values must be finite with sup|q| strictly below 1 "
-                "(defocusing)")
+        check_defocusing("values", vals)
 
     @property
     def n_max(self) -> int:
@@ -84,12 +81,11 @@ class InitialProfile:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind in ("single_site", "gaussian") and not abs(self.amplitude) < 1.0:
-            raise ValueError("amplitude must lie in (-1, 1)")
+        if self.kind in ("single_site", "gaussian"):
+            check_defocusing("amplitude", self.amplitude)
         if self.kind == "gaussian" and not 0 < self.width < np.inf:
             raise ValueError("width must be positive and finite")
-        if not all(abs(float(q)) < 1.0 for q in self.custom):  # rejects NaN
-            raise ValueError("custom values must be finite with |q| < 1")
+        check_defocusing("custom values", [float(q) for q in self.custom])
 
     def realize(self, n_min: int, n_max: int) -> LatticeState:
         """Materialize the profile on the window [n_min, n_max] at t = 0."""
@@ -125,13 +121,22 @@ class InitialProfile:
         return self.realize(self.center - pad, self.center + pad)
 
 
+def check_defocusing(name: str, values) -> None:
+    """The one check of sup|q| < 1: ValueError naming `name` (NaN fails)."""
+    if not np.max(np.abs(values), initial=0.0) < 1.0:
+        raise ValueError(f"{name} must be finite with |q| < 1 (defocusing)")
+
+
 def staggered(state: LatticeState) -> LatticeState:
-    """Sign-alternated copy (-1)^n q_n at t = 0.
+    """Sign-alternated copy (-1)^n q_n of a state at t = 0.
 
     The staggering maps solutions of the lattice equation to solutions of
     its time reversal; on the scattering side it rotates the spectral
-    parameter by 90 degrees (r_staggered(z) = r(iz)/i).
+    parameter by 90 degrees (r_staggered(z) = r(iz)/i).  A state at
+    t != 0 is refused: its copy would solve the reversed flow from -t.
     """
+    if state.t != 0.0:  # NaN is refused too
+        raise ValueError(f"staggered needs t = 0, got t = {state.t!r}")
     signs = np.where(state.sites % 2 == 0, 1.0, -1.0)
     return LatticeState(n_min=state.n_min, values=state.values * signs, t=0.0)
 

@@ -62,19 +62,23 @@ class StationarySet:
     ray: RayParams
 
 
-def phase_at(z: complex, ray: RayParams) -> complex:
-    """phi(z) = (t/2)(z^2 - z^-2) - n Log z."""
+def _nonzero(z) -> complex:
+    """complex(z), refused at z = 0, where the phase is undefined."""
     zc = complex(z)
     if zc == 0:
         raise DomainError("phase is undefined at z = 0")
+    return zc
+
+
+def phase_at(z: complex, ray: RayParams) -> complex:
+    """phi(z) = (t/2)(z^2 - z^-2) - n Log z."""
+    zc = _nonzero(z)
     return 0.5 * ray.t * (zc * zc - 1.0 / (zc * zc)) - ray.n * cmath.log(zc)
 
 
 def phase_derivative(z: complex, ray: RayParams) -> complex:
     """phi'(z) = t(z + z^-3) - n/z."""
-    zc = complex(z)
-    if zc == 0:
-        raise DomainError("phase is undefined at z = 0")
+    zc = _nonzero(z)
     return ray.t * (zc + zc ** -3) - ray.n / zc
 
 

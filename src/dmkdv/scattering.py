@@ -50,7 +50,7 @@ __all__ = [
     "reflection_evaluator",
 ]
 
-_CIRCLE_TOL = 1e-12
+_CIRCLE_TOL = 1e-14  # the S_j and the Gauss nodes come within 2.2e-16
 _BLOCK = 16  # row width of the blocked polynomial evaluation
 _PASS_BYTES = 1 << 16  # largest temporary array of one pass over the points
 
@@ -63,19 +63,17 @@ class UnitCirclePoint:
     z: complex
 
     def __post_init__(self):
-        if not abs(abs(self.z) - 1.0) <= 1e-14:  # NaN fails too
-            raise ValueError(f"|z| = {abs(self.z)!r} is not 1")
+        circle_modulus(self.z)
 
     @classmethod
     def from_theta(cls, theta: float) -> "UnitCirclePoint":
-        wrapped = (theta + np.pi) % (2.0 * np.pi) - np.pi
-        if wrapped == -np.pi:
-            wrapped = np.pi
+        wrapped = float(wrapped_angle(theta))
         return cls(theta=wrapped, z=cmath.exp(1j * wrapped))
 
     @classmethod
     def from_z(cls, z: complex) -> "UnitCirclePoint":
-        zn = _on_circle(complex(z))
+        zc = np.asarray(complex(z))
+        zn = complex(zc / circle_modulus(zc))
         return cls(theta=cmath.phase(zn), z=zn)
 
 
@@ -256,15 +254,31 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
                                  c_inf=conserved_c_inf(q))
 
 
-def _on_circle(z):
-    # z / |z| for scalar or array z, after checking |z| = 1
-    z = np.asarray(z, dtype=complex)
+def circle_modulus(z):
+    """|z| of a scalar or numpy-array z, after the one check of |z| = 1:
+    DomainError unless every |z| lies within 1e-14 of 1.  A scalar takes
+    plain float arithmetic and no division: the per-row ArcSpec checks
+    cost what an inline test did."""
     modulus = abs(z)
-    off = float(abs(modulus - 1.0).max())
+    off = abs(modulus - 1.0)
+    if isinstance(off, np.ndarray):
+        off = off.max()
     if not off <= _CIRCLE_TOL:  # NaN fails too
-        raise DomainError(f"|z| is {off:.3e} away from 1, beyond "
-                          f"{_CIRCLE_TOL}")
-    return z / modulus
+        raise DomainError(f"z is off the unit circle: ||z| - 1| = "
+                          f"{off:.3e} > {_CIRCLE_TOL:g}")
+    return modulus
+
+
+def wrapped_angle(theta):
+    """The one wrap of an angle (float or array) into (-pi, pi]."""
+    wrapped = (theta + np.pi) % (2.0 * np.pi) - np.pi
+    return np.where(wrapped == -np.pi, np.pi, wrapped)
+
+
+def check_grid_size(size: int) -> None:
+    """The one rule for a circle grid: a power of two >= 64."""
+    if size < 64 or size & (size - 1):
+        raise ValueError("grid size must be a power of two >= 64")
 
 
 def scattering_coefficients(q: LatticeState, z) -> ScatteringData:
@@ -281,18 +295,16 @@ def reflection_evaluator(q: LatticeState):
 
 
 def _reflection_at(poly: ScatteringPolynomials, z):
-    a, b = poly(_on_circle(z))
+    z = np.asarray(z, dtype=complex)
+    a, b = poly(z / circle_modulus(z))
     return b / a
 
 
 def reflection_grid(q: LatticeState, size: int = 256) -> tuple:
     """(theta, r): r at `size` (a power of two >= 64) uniform angles
     theta in (-pi, pi], for diagnostics and plots."""
-    if size < 64 or (size & (size - 1)) != 0:
-        raise ValueError("grid size must be a power of two >= 64")
-    theta = 2.0 * np.pi * np.arange(size) / size
-    theta = (theta + np.pi) % (2.0 * np.pi) - np.pi
-    theta[theta == -np.pi] = np.pi
+    check_grid_size(size)
+    theta = wrapped_angle(2.0 * np.pi * np.arange(size) / size)
     r = reflection_evaluator(q)(np.exp(1j * theta))
     checked_abs2(r)
     return theta, r

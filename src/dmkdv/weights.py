@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .phase import StationarySet
-from .scattering import checked_abs2
+from .scattering import checked_abs2, circle_modulus
 
 __all__ = [
     "ArcSpec",
@@ -97,31 +97,25 @@ class ArcSpec:
 
     @classmethod
     def between(cls, start: complex, end: complex) -> "ArcSpec":
-        for p in (start, end):
-            if not abs(abs(p) - 1.0) <= 1e-12:  # refuses NaN too
-                raise ValueError("arc endpoints must lie on the unit circle")
+        circle_modulus(start)
+        circle_modulus(end)
         theta_start = cmath.phase(start)
         dtheta = cmath.phase(end / start)  # wrapped to (-pi, pi]
         if not 0.0 < abs(dtheta) < math.pi:
             raise ValueError("central angle must lie strictly in (0, pi)")
         return cls(start=start, end=end, theta_start=theta_start, dtheta=dtheta)
 
-    def contains_angle(self, theta: float) -> bool:
-        rel = (theta - self.theta_start) / self.dtheta
-        # tolerate wrap-around of the absolute angle
-        rel_wrapped = ((theta - self.theta_start + math.pi) % (2 * math.pi)
-                       - math.pi) / self.dtheta
-        return (0.0 <= rel <= 1.0) or (0.0 <= rel_wrapped <= 1.0)
-
 
 def log_density(r_eval, z):
-    """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z (a
-    constant r is broadcast), after scattering.checked_abs2's |r| < 1
-    guard; the density of every arc integral."""
-    density = np.log1p(-checked_abs2(r_eval(z)))
-    if density.shape != np.shape(z):
-        density = np.broadcast_to(density, np.shape(z))
-    return density
+    """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z, by
+    _density: the density of every arc integral."""
+    return _density(r_eval(z))
+
+
+def _density(r_values):
+    """log(1 - |r|^2) of values of r, past scattering.checked_abs2's
+    |r| < 1 guard: the one formula of the density."""
+    return np.log1p(-checked_abs2(r_values))
 
 
 def _level_nodes(arcs, panels: int) -> tuple:
@@ -164,7 +158,7 @@ def _arc_sums(density, arcs, points, shifts, tol: float = DEFAULT_TOL,
             half, tau = _level_nodes(arcs, panels)
             values = density(tau.ravel())
         tau = tau.reshape(len(arcs), 1, panels, _GL_NODES.size)
-        values = np.broadcast_to(values, (tau.size,)).reshape(tau.shape)
+        values = values.reshape(tau.shape)
         terms = (values - c) * tau / (tau - z)
         terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))[:, None, None, None]
         sums = terms.sum(axis=(2, 3))
@@ -195,12 +189,14 @@ def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
     """(1/2pi i) int_arc density(tau) dtau / (tau - z).
 
     `density` maps an array of points tau on the circle to an array of
-    values (or to one constant); z must be finite and off the closed arc.
+    values; z must be finite and off the closed arc: not within 1e-13 of
+    the circle with z = start or 0 <= phase(z / start) / dtheta <= 1.
     """
     zc = complex(z)
     if not cmath.isfinite(zc):
         raise DomainError(f"evaluation point {zc!r} is not finite")
-    if abs(abs(zc) - 1.0) < 1e-13 and arc.contains_angle(cmath.phase(zc)):
+    rel = cmath.phase(zc / arc.start) / arc.dtheta
+    if abs(abs(zc) - 1.0) < 1e-13 and (zc == arc.start or 0 <= rel <= 1):
         raise DomainError("evaluation point lies on the integration arc")
     return complex(_arc_sums(density, [arc], zc, 0.0, tol)[0, 0])
 
@@ -276,8 +272,8 @@ def coefficient_set(r_eval, stationary: StationarySet,
     levels = [_level_nodes(arcs, panels) for panels in (1, 2)]
     points = np.concatenate([np.array(stationary.S)]
                             + [taus.ravel() for _, taus in levels])
-    r_values = np.broadcast_to(r_eval(points), points.shape)
-    g = np.log1p(-checked_abs2(r_values))
+    r_values = r_eval(points)
+    g = _density(r_values)
     sampled = [nodes + (values,) for nodes, values
                in zip(levels, np.split(g[4:], [levels[0][1].size]))]
     shifts = np.where(np.eye(4, 5, 1, dtype=bool), g[:4, None], 0.0)

@@ -189,6 +189,21 @@ def test_staggered_signs_and_involution():
     np.testing.assert_allclose(again.values, state.values)
 
 
+def test_staggered_refuses_an_integrated_state():
+    # staggering maps solutions to the time-reversed flow, so the copy of
+    # a state at t != 0 is no state at t = 0 of the forward flow
+    rng = np.random.default_rng(12)
+    state = LatticeState(n_min=-65,
+                         values=np.pad(rng.uniform(-0.5, 0.5, 11), 60))
+    with pytest.raises(ValueError, match=r"t = 0, got t = 5\.0$"):
+        staggered(integrate(state, 5.0, 0.01))
+    # at t = 0 the copy is bitwise (-1)^n q_n, as before the refusal
+    signs = np.where(state.sites % 2 == 0, 1.0, -1.0)
+    stag = staggered(state)
+    assert (stag.n_min, stag.t) == (state.n_min, 0.0)
+    assert stag.values.tobytes() == (state.values * signs).tobytes()
+
+
 def _centred_single_site(amplitude, center, half):
     """single_site data on the odd window center - half .. center + half."""
     profile = InitialProfile(kind="single_site", amplitude=amplitude,

@@ -23,7 +23,8 @@ from dmkdv import (
     stationary_points,
 )
 
-ZERO_EVAL = lambda z: 0.0 + 0.0j
+# r = 0 everywhere, valued like r(z) itself: an array shaped like z
+ZERO_EVAL = lambda z: np.zeros(np.shape(z), dtype=complex)
 
 
 def single_site_eval(c):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmkdv import (
+    ArcSpec,
     DomainError,
     InitialProfile,
     LatticeState,
@@ -20,7 +21,7 @@ from dmkdv import (
     scattering_polynomials,
     staggered,
 )
-from dmkdv.scattering import ScatteringPolynomials, _trimmed
+from dmkdv.scattering import ScatteringPolynomials, _trimmed, wrapped_angle
 
 
 def single_site(c, site=0):
@@ -325,6 +326,80 @@ def test_unit_circle_point_validation():
     pt = UnitCirclePoint.from_theta(4.0)  # wraps into (-pi, pi]
     assert -np.pi < pt.theta <= np.pi
     assert abs(pt.z - cmath.exp(1j * pt.theta)) < 1e-15
+
+
+# Every entry point that takes a point of the unit circle goes through the
+# one check of |z| = 1 (scattering.circle_modulus, bound 1e-14).
+def _circle_entry_points():
+    r_eval = reflection_evaluator(single_site(0.3))
+    # a second endpoint half a radian on, valid whatever z is
+    other = lambda z: (cmath.exp(1j * (cmath.phase(z) + 0.5))
+                       if cmath.isfinite(z) else 1j)
+    return {
+        "UnitCirclePoint": lambda z: UnitCirclePoint(0.0, z),
+        "UnitCirclePoint.from_z": UnitCirclePoint.from_z,
+        "ArcSpec.between start": lambda z: ArcSpec.between(z, other(z)),
+        "ArcSpec.between end": lambda z: ArcSpec.between(other(z), z),
+        "r_eval scalar": r_eval,
+        "r_eval array": lambda z: r_eval(np.array([1.0, z, 1j])),
+    }
+
+
+ULP_UP, ULP_DOWN = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("entry", list(_circle_entry_points()))
+def test_circle_entry_points_share_one_check(entry):
+    check = _circle_entry_points()[entry]
+    # one ulp off the circle, either way, on and off the axes
+    for z in (complex(ULP_UP), complex(ULP_DOWN), 1j * ULP_UP,
+              -ULP_DOWN + 0j, cmath.exp(2.0j), cmath.exp(-0.7j)):
+        check(z)
+    # 1 + 1e-13 passed the old 1e-12 bound of the evaluator and ArcSpec
+    for z in (1.2 + 0j, 1.0 + 1e-13 + 0j, 0.5j, complex(math.nan, 0.0),
+              complex(0.0, math.nan), complex(math.inf, 0.0), 0j):
+        # DomainError is a ValueError: both kinds of caller catch it
+        with pytest.raises(ValueError) as caught:
+            check(z)
+        assert caught.type is DomainError
+        off = abs(abs(z) - 1.0)
+        assert str(caught.value) == (
+            f"z is off the unit circle: ||z| - 1| = {off:.3e} > 1e-14")
+
+
+def _old_wrap(theta):
+    # test-only copy of the wrap UnitCirclePoint.from_theta had
+    wrapped = (theta + np.pi) % (2.0 * np.pi) - np.pi
+    return np.pi if wrapped == -np.pi else wrapped
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(st.floats(-1e6, 1e6),
+                 st.integers(-64, 64).map(lambda k: k * math.pi),
+                 st.integers(-64, 64).map(lambda k: 2 * k * math.pi)),
+       st.integers(6, 12).map(lambda m: 2 ** m))
+@example(math.pi, 64)
+@example(-math.pi, 64)
+@example(0.0, 64)
+@example(-0.0, 64)
+@example(2 * math.pi, 64)
+@example(-6 * math.pi, 64)
+def test_property_one_wrap(theta, size):
+    # the wrap helper, UnitCirclePoint.from_theta and the angles of
+    # reflection_grid agree bitwise, with each other and with the wrap
+    # from_theta had: +-pi goes to pi, 0 to 0, 2 pi k to 0 or its rounding
+    want = float.hex(_old_wrap(theta))
+    assert float.hex(float(wrapped_angle(theta))) == want
+    assert float.hex(float(wrapped_angle(np.array([theta]))[0])) == want
+    assert float.hex(UnitCirclePoint.from_theta(theta).theta) == want
+    if abs(theta) in (0.0, math.pi):
+        assert _old_wrap(theta) == abs(theta)
+    raw = 2.0 * np.pi * np.arange(size) / size
+    grid, _ = reflection_grid(single_site(0.0), size)
+    assert grid.tobytes() == wrapped_angle(raw).tobytes()
+    assert [float.hex(x) for x in grid] == [
+        float.hex(_old_wrap(x)) for x in raw.tolist()]
+    assert grid[size // 2] == math.pi and grid[0] == 0.0
 
 
 # Property tests over admissible finite-support data.  Each identity is

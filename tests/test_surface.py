@@ -1,7 +1,12 @@
-"""The package namespace holds only names that callers import from it."""
+"""The package namespace holds only names that callers import from it,
+and every module's __all__ names only what the module defines."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import dmkdv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +30,14 @@ def test_every_reexport_is_imported_from_the_package():
             for alias in node.names}
     assert exported
     assert sorted(exported - used) == []
+
+
+def test_every_name_in_each_all_exists():
+    # a helper deleted or renamed must leave no stale entry in __all__
+    modules = [importlib.import_module(f"dmkdv.{info.name}")
+               for info in pkgutil.iter_modules(dmkdv.__path__)]
+    listed = [module for module in modules if hasattr(module, "__all__")]
+    assert len(listed) >= 6
+    missing = [f"{module.__name__}.{name}" for module in listed
+               for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmkdv import (
@@ -57,7 +57,17 @@ def gaussian_eval():
     return reflection_evaluator(staggered(profile.support_state()))
 
 
-ZERO_EVAL = lambda z: 0.0 + 0.0j
+def constant_r(value):
+    """r(z) = value everywhere, valued like r itself: shaped like z."""
+    return lambda z: np.full(np.shape(z), value, dtype=complex)
+
+
+def constant_density(value):
+    """A density equal to `value` at every node, shaped like the nodes."""
+    return lambda tau: np.full(np.shape(tau), value, dtype=float)
+
+
+ZERO_EVAL = constant_r(0.0)
 
 # the two-site data on an interior ray and on both rays v = +-1.8, plus
 # the staggered 217-site gaussian(0.2, 2) support
@@ -68,12 +78,14 @@ COEFFICIENT_CASES = pytest.mark.parametrize("make_eval, n", [
 
 def test_log_density_examples():
     assert log_density(ZERO_EVAL, 1.0 + 0j) == 0.0
-    r03 = lambda z: 0.3 + 0.0j
+    r03 = constant_r(0.3)
     assert log_density(r03, 1j) == pytest.approx(math.log(0.91), abs=1e-15)
-    r_exp = lambda z: math.sqrt(1.0 - math.exp(-2 * math.pi))
+    r_exp = constant_r(math.sqrt(1.0 - math.exp(-2 * math.pi)))
     assert log_density(r_exp, 1j) == pytest.approx(-2 * math.pi, rel=1e-12)
-    r_big = lambda z: 1.0 - 1e-9
-    r_nan = lambda z: complex(math.nan, 0.0)
+    # shaped like z, scalar or array
+    assert log_density(r03, np.ones((2, 3))).shape == (2, 3)
+    r_big = constant_r(1.0 - 1e-9)
+    r_nan = constant_r(complex(math.nan, 0.0))
     for r_eval in (r_big, r_nan):
         with pytest.raises(ReflectionTooLargeError):
             log_density(r_eval, 1.0 + 0j)
@@ -90,19 +102,17 @@ def test_gauss_legendre_rule_matches_numpy():
 def test_cauchy_arc_integral_examples():
     arc = ArcSpec.between(cmath.exp(-1j * math.pi / 4),
                           cmath.exp(1j * math.pi / 4))
-    one = lambda tau: 1.0
-    got = cauchy_arc_integral(one, arc, 0.0)
+    got = cauchy_arc_integral(constant_density(1.0), arc, 0.0)
     assert abs(got - 0.25) < 1e-11
 
-    zero = lambda tau: 0.0
-    assert cauchy_arc_integral(zero, arc, 0.0) == 0.0
+    assert cauchy_arc_integral(constant_density(0.0), arc, 0.0) == 0.0
 
 
 def test_cauchy_arc_integral_vs_dense_trapezoid():
     arc = ArcSpec.between(cmath.exp(-1j * math.pi / 4),
                           cmath.exp(1j * math.pi / 4))
     z = 3.0 + 0.0j
-    got = cauchy_arc_integral(lambda tau: 1.0, arc, z)
+    got = cauchy_arc_integral(constant_density(1.0), arc, z)
     thetas = np.linspace(arc.theta_start, arc.theta_start + arc.dtheta,
                          1_000_001)
     taus = np.exp(1j * thetas)
@@ -119,7 +129,7 @@ def test_non_finite_evaluation_point_is_refused():
     for z in (complex(math.nan, 0.0), complex(math.inf, 0.0),
               complex(0.0, math.nan)):
         with pytest.raises(DomainError, match="not finite"):
-            cauchy_arc_integral(lambda tau: 1.0, arc, z)
+            cauchy_arc_integral(constant_density(1.0), arc, z)
         with pytest.raises(DomainError, match="not finite"):
             delta_at(r_eval, stat, z)
         with pytest.raises(DomainError, match="not finite"):
@@ -130,7 +140,57 @@ def test_cauchy_rejects_point_on_arc():
     arc = ArcSpec.between(cmath.exp(-1j * math.pi / 4),
                           cmath.exp(1j * math.pi / 4))
     with pytest.raises(DomainError):
-        cauchy_arc_integral(lambda tau: 1.0, arc, 1.0 + 0.0j)
+        cauchy_arc_integral(constant_density(1.0), arc, 1.0 + 0.0j)
+
+
+def _contains_angle(arc, theta):
+    # test-only copy of the deleted ArcSpec.contains_angle
+    rel = (theta - arc.theta_start) / arc.dtheta
+    rel_wrapped = ((theta - arc.theta_start + math.pi) % (2 * math.pi)
+                   - math.pi) / arc.dtheta
+    return (0.0 <= rel <= 1.0) or (0.0 <= rel_wrapped <= 1.0)
+
+
+def _refused(arc, z):
+    try:
+        cauchy_arc_integral(constant_density(0.0), arc, z)
+    except DomainError as exc:
+        assert str(exc) == "evaluation point lies on the integration arc"
+        return True
+    return False
+
+
+# Within this angle of an endpoint the old and the new test of a point
+# round the same angle two ways and may disagree; fixed before the first
+# run, a thousand times the rounding of an angle near pi.
+ENDPOINT_BAND = 1e-12
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.floats(-math.pi, math.pi), st.floats(0.01, math.pi - 0.01),
+       st.booleans(), st.floats(-math.pi, math.pi),
+       st.sampled_from((1.0, 1.0 + 1e-14, 1.0 - 5e-14, 1.0 + 1e-12, 0.5)))
+@example(3.0, 0.5, False, -3.0, 1.0)  # counterclockwise across the cut
+@example(-3.0, 0.5, True, 3.0, 1.0)  # clockwise across the cut
+@example(3.0, 0.5, False, math.pi, 1.0)
+@example(-3.0, 0.5, True, -math.pi, 1.0)
+@example(3.0, 0.5, False, 2.0, 1.0)  # off the arc, across the cut
+def test_property_on_arc_refusal_matches_contains_angle(start, span, back,
+                                                         angle, radius):
+    # cauchy_arc_integral refuses a point of the circle where
+    # 0 <= phase(z / start) / dtheta <= 1: where the deleted
+    # contains_angle did, arcs across the cut at +-pi included, and at
+    # both exact endpoints
+    arc = ArcSpec.between(cmath.exp(1j * start),
+                          cmath.exp(1j * (start - span if back
+                                          else start + span)))
+    assert _refused(arc, arc.start) and _refused(arc, arc.end)
+    z = radius * cmath.exp(1j * angle)
+    if min(abs(cmath.phase(z / p)) for p in (arc.start, arc.end)) \
+            > ENDPOINT_BAND:
+        assert _refused(arc, z) == (abs(abs(z) - 1.0) < 1e-13
+                                    and _contains_angle(arc,
+                                                        cmath.phase(z)))
 
 
 def test_quadrature_error_on_unreachable_tolerance():
@@ -272,8 +332,9 @@ def test_property_delta_product_identity(n_min, values, v, radius, angle):
 def test_arc_layout():
     stat = stationary_points(RayParams(n=50, t=100.0))
     a1, a2 = delta_arcs(stat)
-    assert a1.contains_angle(0.0)                      # passes through +1
-    assert a2.contains_angle(math.pi)                  # passes through -1
+    for arc, through in ((a1, 1.0), (a2, -1.0)):  # the arc passes there
+        with pytest.raises(DomainError, match="on the integration arc"):
+            cauchy_arc_integral(constant_density(0.0), arc, through)
     assert delta_j_arc(stat, 1).start == 1.0 + 0.0j
     assert delta_j_arc(stat, 4).start == -1.0 + 0.0j
     assert delta_j_arc(stat, 2).end == stat.S[1]
@@ -282,7 +343,7 @@ def test_arc_layout():
 def test_nu_examples():
     stat = stationary_points(RayParams(n=0, t=50.0))
     assert nu_at(ZERO_EVAL, stat, 1) == 0.0
-    r_exp = lambda z: math.sqrt(1.0 - math.exp(-2 * math.pi))
+    r_exp = constant_r(math.sqrt(1.0 - math.exp(-2 * math.pi)))
     assert nu_at(r_exp, stat, 2) == pytest.approx(1.0, rel=1e-12)
     nu = nu_at(single_site_eval(0.3), stat, 3)
     assert nu == pytest.approx(-math.log(0.91) / (2 * math.pi), rel=1e-12)

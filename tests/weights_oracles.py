@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from dmkdv.scattering import checked_abs2
 from dmkdv.weights import (
     DEFAULT_TOL,
     _GL_NODES,
@@ -34,8 +33,8 @@ def arc_nodes(arc, panels: int) -> tuple:
 def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
     """coefficient_set from r(S_j) in one call and one sweep per arc,
     each sampling r on its own nodes only."""
-    r_at_S = np.broadcast_to(r_eval(np.array(stationary.S)), (4,))
-    g_at_S = np.log1p(-checked_abs2(r_at_S))
+    S = np.array(stationary.S)
+    r_at_S, g_at_S = r_eval(S), log_density(r_eval, S)
     density = functools.partial(log_density, r_eval)
     arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
     points = (0.0,) + stationary.S
