@@ -150,7 +150,7 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     except DmkdvError as exc:  # a check that failed outside the rows
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(exc.describe(), file=sys.stderr)
         return 1
 
 

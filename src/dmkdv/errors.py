@@ -9,6 +9,10 @@ types, malformed construction), and DomainError is also a ValueError.
 class DmkdvError(Exception):
     """Base class for all package-specific errors."""
 
+    def describe(self) -> str:
+        """The failure on one line, as rows and the CLI report it."""
+        return f"{type(self).__name__}: {self}"
+
 
 class SpillError(DmkdvError):
     """Boundary sites of the integration window picked up non-negligible
@@ -50,3 +54,8 @@ class ConventionError(DmkdvError):
 
 class ConfigError(DmkdvError):
     """Invalid run configuration."""
+
+
+class ConditioningError(DmkdvError):
+    """The scattering data cannot be computed to working precision: the
+    coefficients of a(z) and b(z) overflow while they are built."""

@@ -1,7 +1,8 @@
 """End-to-end experiment harness.
 
 Runs the full chain for a sweep of rays and times: integrate the lattice
-directly, once per profile through the sorted times, build the
+directly, once per profile through the sorted times (_trajectory, whose
+states every row reads its q_n from), build the
 reflection coefficient r(z) of the initial profile once per sweep,
 evaluate the leading-order asymptotic value per row from it (how a row
 samples r is stated in weights.coefficient_set), and record the
@@ -45,29 +46,45 @@ COMPARE_COLUMNS = ("n", "t", "v", "q_direct", "q_asym", "abs_err",
 CSV_HEADER = ",".join(COMPARE_COLUMNS)
 
 
-def _text(value) -> str:
+def _text(key: str, value) -> str:
     if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+        raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def _reals(values) -> tuple:
-    return tuple(float(v) for v in values)
+def _real(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value) -> int:
+    # type(True) is bool, not int; 3.0 is 3, and 2.7 is not cut to 2
+    if not (type(value) is int or _real(key, value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _reals(key: str, values) -> tuple:
+    if not isinstance(values, (list, tuple)):  # a string is not iterated
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_real(key, value) for value in values)
 
 
 # JSON key -> (field, conversion); the profile.* keys fill InitialProfile
-# and the others RunConfig.  int is checked not to truncate.
+# and the others RunConfig.  A conversion refuses a value of the wrong
+# JSON type with a ConfigError that names the key.
 _KEYS = {
     "profile.kind": ("kind", _text),
-    "profile.amplitude": ("amplitude", float),
-    "profile.width": ("width", float),
-    "profile.center": ("center", int),
-    "profile.custom": ("custom", tuple),
+    "profile.amplitude": ("amplitude", _real),
+    "profile.width": ("width", _real),
+    "profile.center": ("center", _integer),
+    "profile.custom": ("custom", _reals),
     "rays": ("v_list", _reals),
     "times": ("t_list", _reals),
-    "dt": ("dt", float),
-    "grid_size": ("grid_size", int),
-    "v_max": ("v_max", float),
+    "dt": ("dt", _real),
+    "grid_size": ("grid_size", _integer),
+    "v_max": ("v_max", _real),
     "output.path": ("output_path", _text),
     "output.format": ("output_format", _text),
 }
@@ -118,8 +135,9 @@ class RunConfig:
         (defaults come from the dataclasses).  A nested key and its dotted
         form are the same key ({"profile": {"center": 3}} is
         {"profile.center": 3}), and a later key wins.  Every unknown key is
-        named in one ConfigError.  profile.center and grid_size must be
-        whole numbers.
+        named in one ConfigError.  Numbers are JSON numbers, not strings
+        or booleans; rays, times and profile.custom are arrays of them,
+        and profile.center and grid_size whole numbers.
         """
         flat = _flatten(d)
         unknown = [key for key in flat if key not in _KEYS]
@@ -130,12 +148,8 @@ class RunConfig:
         try:
             for key, value in flat.items():
                 field, convert = _KEYS[key]
-                converted = convert(value)
-                if convert is int and converted != value:
-                    raise ConfigError(
-                        f"{key} must be an integer, got {value!r}")
                 target = profile if key.startswith("profile.") else kwargs
-                target[field] = converted
+                target[field] = convert(key, value)
             return cls(profile=InitialProfile(**profile), **kwargs)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
@@ -214,7 +228,8 @@ def asymptotic_value(config: RunConfig, v: float,
     model.check_realness to it.  Builds r_u for this one value; a sweep
     builds it once and shares it between its rows.
     """
-    return _asymptotic_row(config, _reflection(config.profile), v, t)
+    return _asymptotic_row(_reflection(config.profile),
+                           probe_site(v, t, config.v_max), t)
 
 
 def _reflection(profile: InitialProfile):
@@ -223,10 +238,8 @@ def _reflection(profile: InitialProfile):
     return reflection_evaluator(staggered(profile.support_state()))
 
 
-def _asymptotic_row(config: RunConfig, r_eval, v: float,
-                    t: float) -> model.AsymptoticResult:
-    """asymptotic_value from a prebuilt r_u (see _reflection)."""
-    n = probe_site(v, t, config.v_max)
+def _asymptotic_row(r_eval, n: int, t: float) -> model.AsymptoticResult:
+    """asymptotic_value at site n from a prebuilt r_u (see _reflection)."""
     ray = RayParams(n=n + 1, t=t)
     stat = stationary_points(ray)
     coeffs = weights.coefficient_set(r_eval, stat)
@@ -235,21 +248,21 @@ def _asymptotic_row(config: RunConfig, r_eval, v: float,
     return replace(res, n=n, q_asym=(-1) ** n * res.q_asym)
 
 
-_NOT_INTEGRATED = (math.nan, None, 0.0)
 _WINDOW_MARGIN = 150  # sites past 2.5 max(t) on either side, see _trajectory
 
 
-def _trajectory(config: RunConfig) -> dict:
-    """{(v, t): (q_direct, fail_reason, seconds)} for every row, from one
-    integration through the sorted distinct times.
+def _trajectory(config: RunConfig):
+    """Yield (t, state, fail_reason, seconds) at each distinct time, in
+    increasing order: the sweep's one integration of the profile.
 
     The window is the profile's nonzero sites (its center for zero data)
-    widened by ceil(2.5 max(t) + _WINDOW_MARGIN) on either side, so data
-    of any length fits.  The light cone has speed 2, and the extra half-t
-    keeps the outermost-10% spill-guard region strictly outside the
-    cone, where only the (superexponentially small) tail and integrator
-    front noise live.  `seconds` is the row's equal share of the segment
-    that ended at its time.
+    widened by ceil(2.5 max(t) + _WINDOW_MARGIN) on either side.  The
+    light cone has speed 2, and the extra half-t keeps the outermost-10%
+    spill-guard region strictly outside the cone, where only the
+    (superexponentially small) tail and integrator front noise live,
+    while the support has fewer than 1,200 sites.  `seconds` is the time
+    of the segment that ended at t.  From the segment whose guard trips
+    on, state is None and nothing more is integrated.
     """
     support = config.profile.support_state()
     nonzero = np.flatnonzero(support.values)
@@ -261,45 +274,38 @@ def _trajectory(config: RunConfig) -> dict:
         n_min=support.n_min + int(first) - half,
         values=np.pad(support.values[first:last + 1], half))
     reason = None
-    direct = {}
     for t in sorted(set(config.t_list)):
         if reason is None:
             try:
                 state = integrate(state, t, config.dt)
             except DmkdvError as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-        now = time.perf_counter()
-        share = (now - started) / (len(config.v_list) * config.t_list.count(t))
-        started = now
-        for v in config.v_list:
-            q = (state.value_at(probe_site(v, t, config.v_max))
-                 if reason is None else math.nan)
-            direct[v, t] = (q, reason, share)
-    return direct
+                state, reason = None, exc.describe()
+        yield t, state, reason, time.perf_counter() - started
+        started = time.perf_counter()
 
 
-def _row_worker(config: RunConfig, v: float, t: float, direct,
+def _row_worker(config: RunConfig, v: float, t: float, stop,
                 r_eval) -> ComparisonRecord:
-    """One row: `direct` is its (q_direct, fail_reason, seconds) of the
-    trajectory and r_eval the sweep's r_u (None: no asymptotic value).
-    A row the trajectory failed skips the asymptotic value; the realness
-    guard, model.check_realness, fails the row on its own."""
+    """One row: `stop` is (state, fail_reason, seconds) of its t (state
+    None: not integrated) and r_eval the sweep's r_u (None: no
+    asymptotic value).  A failed row reads no value; the realness guard,
+    model.check_realness, fails the row on its own."""
     started = time.perf_counter()
-    q_direct, reason, integrate_time = direct
-    q_asym = imag_residual = math.nan
+    state, reason, integrate_time = stop
+    n = probe_site(v, t, config.v_max)
+    q_direct = q_asym = imag_residual = math.nan
     if reason is None and r_eval is not None:
         try:
-            result = _asymptotic_row(config, r_eval, v, t)
+            result = _asymptotic_row(r_eval, n, t)
             model.check_realness(result)
-            q_asym = result.q_asym
-            imag_residual = result.imag_residual
+            q_asym, imag_residual = result.q_asym, result.imag_residual
         except DmkdvError as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-    if reason is not None:
-        q_direct = q_asym = imag_residual = math.nan
+            reason = exc.describe()
+    if reason is None and state is not None:
+        q_direct = state.value_at(n)
     return ComparisonRecord(
-        n=probe_site(v, t, config.v_max), t=t, v=v, q_direct=q_direct,
-        q_asym=q_asym, imag_residual=imag_residual, fail_reason=reason,
+        n=n, t=t, v=v, q_direct=q_direct, q_asym=q_asym,
+        imag_residual=imag_residual, fail_reason=reason,
         wall_time=time.perf_counter() - started + integrate_time,
         integrate_time=integrate_time)
 
@@ -308,21 +314,29 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
                 compute_asym: bool = True) -> list:
     """Full sweep: one record per (v, t), v-major, t increasing.
 
-    The profile is integrated once, on one window that holds its support
-    and the light cone up to max(t_list) (see _trajectory), and q_n is
-    read at every ray's probe site at each stop.  When every time is a
-    multiple of dt, each segment takes the per-row step, so q_direct is
-    bitwise what a fresh integration from 0 gives.  A guard tripping in
-    the segment ending at t_k fails every row at t >= t_k; earlier rows
-    keep their values.  r(z) is built once per sweep and shared by its
-    rows, which sample it as weights.coefficient_set states.  The rows
-    run one after another in this process, and an asymptotic failure
-    fails its own row only.
+    The profile is integrated once, and each row reads q_n from the
+    state at its t (see _trajectory).  When every time is a multiple of
+    dt, each segment takes the per-row step, so q_direct is bitwise what
+    a fresh integration from 0 gives.  A guard tripping in the segment
+    ending at t_k fails every row at t >= t_k; earlier rows keep their
+    values.  r(z) is built once per sweep and shared by its rows, which
+    sample it as weights.coefficient_set states; a failed build fails
+    every row, and then nothing is integrated.  The rows run one after
+    another in this process, and an asymptotic failure fails its own row
+    only.
     """
-    direct = _trajectory(config) if compute_direct else {}
-    r_eval = _reflection(config.profile) if compute_asym else None
-    return [_row_worker(config, v, t, direct.get((v, t), _NOT_INTEGRATED),
-                        r_eval)
+    r_eval = unbuilt = None
+    if compute_asym:
+        try:
+            r_eval = _reflection(config.profile)
+        except DmkdvError as exc:
+            unbuilt = exc.describe()
+    stops = dict.fromkeys(config.t_list, (None, unbuilt, 0.0))
+    if compute_direct and unbuilt is None:
+        for t, state, reason, seconds in _trajectory(config):
+            share = seconds / (len(config.v_list) * config.t_list.count(t))
+            stops[t] = (state, reason, share)
+    return [_row_worker(config, v, t, stops[t], r_eval)
             for v in config.v_list for t in config.t_list]
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ReflectionTooLargeError
+from .errors import ConditioningError, DomainError, ReflectionTooLargeError
 from .lattice import LatticeState, conserved_c_inf
 
 __all__ = [
@@ -230,6 +230,9 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
     integrated from q(0), r(z, t) = r(z, 0) e^(-(z^2 - z^-2) t), so |r|
     is conserved and on |z| = 1 the phase turns by e^(-2 i t sin 2 theta).
     The residual of that law measures an integrator's error.
+
+    The coefficients grow like prod(1 + |q_k|); ConditioningError when
+    any of them overflows, before a value of a, b or r is computed.
     """
     offsets = np.flatnonzero(q.values)
     first = int(offsets[0]) if offsets.size else 0
@@ -238,15 +241,20 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
     u[span] = 1.0
     w = np.zeros(span + 1)
     to_u, to_w = np.empty(span + 1), np.empty(span + 1)
-    for offset in offsets:
-        qk = q.values[offset:offset + 1].reshape(())  # a 0-d operand
-        s = int(offset) - first
-        u_tail, w_head = u[span - s:], w[:s + 1]
-        u_add, w_add = to_u[:s + 1], to_w[:s + 1]
-        np.multiply(qk, w_head, out=u_add)
-        np.multiply(qk, u_tail, out=w_add)
-        u_tail += u_add
-        w_head += w_add
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offset in offsets:
+            qk = q.values[offset:offset + 1].reshape(())  # a 0-d operand
+            s = int(offset) - first
+            u_tail, w_head = u[span - s:], w[:s + 1]
+            u_add, w_add = to_u[:s + 1], to_w[:s + 1]
+            np.multiply(qk, w_head, out=u_add)
+            np.multiply(qk, u_tail, out=w_add)
+            u_tail += u_add
+            w_head += w_add
+    if not (np.isfinite(u).all() and np.isfinite(w).all()):
+        raise ConditioningError(
+            f"the coefficients of a(z) and b(z) overflow on "
+            f"{offsets.size} nonzero sites")
     a_coeffs, a_low = _trimmed(u, -2 * span)
     b_coeffs, b_low = _trimmed(w, 2 * (q.n_min + first) + 1)
     return ScatteringPolynomials(a_coeffs=a_coeffs, a_low=a_low,

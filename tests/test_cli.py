@@ -133,6 +133,12 @@ def test_config_values_of_the_wrong_json_type(tmp_path, capsys):
     for path in ("null", "1", '["a"]'):
         assert main(["simulate", "--config", cfg,
                      "--set", f"output.path={path}"]) == 2
+    # a JSON string is not a list of times, however its characters read
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--set", 'times="158"',
+                 "--output", out]) == 2
+    assert capsys.readouterr().err == ("configuration error: times must be "
+                                       "a list of numbers, got '158'\n")
 
 
 def test_non_finite_numbers_are_refused(tmp_path):
@@ -182,20 +188,21 @@ def test_scatter_reports_a_failed_check_on_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-# 1,200 sites of 0.9: a and b overflow while they are built, so every
-# computed r is NaN, which the |r| < 1 guard refuses
+# 1,200 sites of 0.9: the coefficients of a and b overflow while they are
+# built, which the build refuses before any value of r is computed
 OVERFLOWING = ["--set", "profile.kind=custom_list",
                "--set", f"profile.custom={json.dumps([0.9] * 1200)}"]
+OVERFLOW_REASON = ("ConditioningError: the coefficients of a(z) and b(z) "
+                   "overflow on 1200 nonzero sites")
 
 
 def test_scatter_fails_on_data_whose_polynomials_overflow(tmp_path, capsys):
     out = tmp_path / "r.csv"
-    with pytest.warns(RuntimeWarning):
-        code = main(["scatter", *OVERFLOWING, "--set", "grid_size=64",
-                     "--output", str(out)])
+    # and no numpy RuntimeWarning: pytest makes every warning an error
+    code = main(["scatter", *OVERFLOWING, "--set", "grid_size=64",
+                 "--output", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == (
-        "ReflectionTooLargeError: max |r| = nan at the sampled points\n")
+    assert capsys.readouterr().err == OVERFLOW_REASON + "\n"
     assert not out.exists()
 
 
@@ -213,15 +220,22 @@ def test_overflowing_data_fails_each_asymptotic_row_at_its_first_sample(
 
     monkeypatch.setattr(harness, "reflection_evaluator", counting_evaluator)
     out = tmp_path / "asymptote.json"
-    with pytest.warns(RuntimeWarning):
-        code = main(["asymptote", *OVERFLOWING, "--output", str(out),
-                     "--format", "json"])
+    code = main(["asymptote", *OVERFLOWING, "--output", str(out),
+                 "--format", "json"])
     assert code == 1
     rows = strict_json(out)
     assert len(rows) == 4 and all(row["q_asym"] is None for row in rows)
     assert capsys.readouterr().err.count(
-        "failed: ReflectionTooLargeError: max |r| = nan ") == 4
-    assert sampled == [4 + 4 * 16 + 4 * 32] * 4  # the first sample of a row
+        f"failed: {OVERFLOW_REASON}\n") == 4
+    assert sampled == []  # the build failed once, so no row sampled r
+    # compare integrates nothing: every one of its rows carries the
+    # build's reason (simulate builds no r at all)
+    monkeypatch.setattr(harness, "integrate", None)  # any call would fail
+    assert main(["compare", *OVERFLOWING, "--output", str(out),
+                 "--format", "json"]) == 1
+    assert all(row["q_direct"] is None for row in strict_json(out))
+    assert capsys.readouterr().err.count(
+        f"failed: {OVERFLOW_REASON}\n") == 4
 
 
 def strict_json(path):

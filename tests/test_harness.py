@@ -10,6 +10,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmkdv.cli as cli
 import dmkdv.harness as hn
 import dmkdv.model as model
 import dmkdv.weights as weights
@@ -141,11 +142,26 @@ def test_config_validation():
         with pytest.raises(ConfigError,
                            match=f"unknown configuration key {key}$"):
             RunConfig.from_dict(data)
-    # an integer key is not truncated
-    for data, key in (({"profile": {"center": 2.7}}, "profile.center"),
-                      ({"grid_size": 128.5}, "grid_size")):
-        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+    # an integer key is not truncated, and no key takes a value of another
+    # JSON type: a string is not iterated, nor a bool read as 0 or 1
+    for data, refusal in (
+            ({"profile.center": 2.7}, "profile.center must be an integer"),
+            ({"grid_size": 128.5}, "grid_size must be an integer"),
+            ({"profile.center": True}, "profile.center must be a number"),
+            ({"times": "158"}, "times must be a list of numbers"),
+            ({"rays": "11"}, "rays must be a list of numbers"),
+            ({"times": [100, True]}, "times must be a number"),
+            ({"profile.kind": "custom_list", "profile.custom": "0.1"},
+             "profile.custom must be a list of numbers"),
+            ({"dt": True}, "dt must be a number"),
+            ({"dt": "0.01"}, "dt must be a number"),
+            ({"profile.kind": "gaussian", "profile.width": True},
+             "profile.width must be a number")):
+        with pytest.raises(ConfigError, match=f"^{refusal}, got "):
             RunConfig.from_dict(data)
+    # a whole number too large for a float is still a whole number
+    with pytest.raises(ConfigError, match="^grid_size: grid size must be"):
+        RunConfig.from_dict({"grid_size": 10 ** 400})
     for width in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="width must be positive"):
             RunConfig.from_dict({"profile": {"kind": "gaussian",
@@ -324,6 +340,50 @@ def test_row_failure_isolation(monkeypatch):
             assert math.isnan(rec.abs_err)
 
 
+def row_bits(rec):
+    return (rec.n, rec.t, rec.v, rec.q_direct.hex(), rec.q_asym.hex(),
+            rec.imag_residual.hex(), rec.fail_reason)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(stops=st.lists(st.sampled_from((2.0, 4.0, 6.0, 8.0)), min_size=1,
+                      max_size=4),
+       rays=st.lists(st.sampled_from((-1.0, -0.3, 0.2, 0.7)), min_size=1,
+                     max_size=3, unique=True),
+       failing=st.sampled_from((None, 0, 1, 2, 3)))
+def test_property_stops_repeats_and_a_failing_segment(stops, rays, failing):
+    config = zero_config(profile=InitialProfile(kind="single_site",
+                                                amplitude=0.2),
+                         v_list=tuple(rays), t_list=tuple(sorted(stops)))
+    distinct = sorted(set(stops))
+    fail_t = None if failing is None else distinct[failing % len(distinct)]
+    reason = f"SpillError: forced failure at t = {fail_t}"
+    real, integrated = hn.integrate, []
+
+    def failing_integrate(state, t_end, dt, **kw):
+        integrated.append(t_end)
+        if t_end == fail_t:
+            raise SpillError(f"forced failure at t = {fail_t}")
+        return real(state, t_end, dt, **kw)
+
+    unfailed = run_compare(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hn, "integrate", failing_integrate)
+        records = run_compare(config)
+    # one integrate per distinct stop, up to the failing one, none after
+    assert integrated == [t for t in distinct
+                          if fail_t is None or t <= fail_t]
+    for rec, clean in zip(records, unfailed, strict=True):
+        if fail_t is None or rec.t < fail_t:
+            assert row_bits(rec) == row_bits(clean)
+        else:
+            assert rec.fail_reason == reason
+            assert all(map(math.isnan, (rec.q_direct, rec.q_asym,
+                                        rec.imag_residual)))
+    for t in distinct:  # the rows at one stop split its segment equally
+        assert len({r.integrate_time for r in records if r.t == t}) == 1
+
+
 @pytest.mark.parametrize("v, v_max, t", [(1.94, 1.95, 100.0),
                                          (1.9, 1.9, 1.0)])
 def test_merging_probe_fails_its_own_row(v, v_max, t):
@@ -411,10 +471,22 @@ def test_sweep_builds_r_once_and_crosses_evaluate_none(monkeypatch):
 LAYER_CALLS = ((hn, "_row_worker"), (hn, "integrate"),
                (hn, "reflection_evaluator"), (hn, "stationary_points"),
                (weights, "coefficient_set"), (model, "cross_solutions"),
-               (model, "leading_term"))
+               (model, "leading_term"), (hn, "probe_site"))
+ROW_LAYERS = {"stationary_points": 6, "coefficient_set": 6,
+              "cross_solutions": 6, "leading_term": 6}
+# calls per sweep of 2 rays x 3 times (2 distinct), by row command
+LAYER_COUNTS = {
+    "compare": {"_row_worker": 6, "integrate": 2, "reflection_evaluator": 1,
+                **ROW_LAYERS, "probe_site": 6},
+    "simulate": {"_row_worker": 6, "integrate": 2, "reflection_evaluator": 0,
+                 **dict.fromkeys(ROW_LAYERS, 0), "probe_site": 6},
+    "asymptote": {"_row_worker": 6, "integrate": 0, "reflection_evaluator": 1,
+                  **ROW_LAYERS, "probe_site": 6}}
 
 
-def test_sweep_reaches_every_layer_through_its_module_attribute(monkeypatch):
+@pytest.mark.parametrize("command", sorted(cli._ROW_COMMANDS))
+def test_sweep_reaches_every_layer_through_its_module_attribute(
+        monkeypatch, command):
     counts = {attr: 0 for _, attr in LAYER_CALLS}
     for module, attr in LAYER_CALLS:
         def counted(*args, _real=getattr(module, attr), _attr=attr, **kw):
@@ -424,12 +496,9 @@ def test_sweep_reaches_every_layer_through_its_module_attribute(monkeypatch):
     config = zero_config(profile=InitialProfile(kind="single_site",
                                                 amplitude=0.2),
                          v_list=(0.1, 0.6), t_list=(4.0, 6.0, 6.0), dt=0.02)
-    records = run_compare(config)
+    records = run_compare(config, **cli._ROW_COMMANDS[command][1])
     assert [r.fail_reason for r in records] == [None] * 6
-    assert counts == {"_row_worker": 6, "integrate": 2,
-                      "reflection_evaluator": 1, "stationary_points": 6,
-                      "coefficient_set": 6, "cross_solutions": 6,
-                      "leading_term": 6}
+    assert counts == LAYER_COUNTS[command]
 
 
 def rotate_odd_crosses(monkeypatch):

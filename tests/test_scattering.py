@@ -12,15 +12,16 @@ from dmkdv import (
     InitialProfile,
     LatticeState,
     ReflectionTooLargeError,
+    RunConfig,
     UnitCirclePoint,
     conserved_c_inf,
-    integrate,
     reflection_evaluator,
     reflection_grid,
     scattering_coefficients,
     scattering_polynomials,
     staggered,
 )
+from dmkdv import harness
 from dmkdv.scattering import ScatteringPolynomials, _trimmed, wrapped_angle
 
 
@@ -274,10 +275,10 @@ def test_reflection_too_large():
 # The isospectral law as an oracle of the integrator: a state integrated
 # from q(0) to t has r(z, t) e^((z^2 - z^-2) t) = r(z, 0), |r| included,
 # so the residual of that law is RK4's own error and each halving of dt
-# divides it by 16.  The window is the one harness._trajectory builds,
-# the support widened by ceil(2.5 t + 150) sites on either side;
-# single_site(0.3) takes the integrator's mirrored path, gaussian(0.2, 2)
-# the whole window.  The bounds were fixed before the first run.
+# divides it by 16.  The states are those a sweep reads its rows from,
+# taken from harness._trajectory; single_site(0.3) takes the integrator's
+# mirrored path, gaussian(0.2, 2) the whole window.  The bounds were fixed
+# before the first run.
 
 ISOSPECTRAL_T = 50.0
 UNIFORM_NODES = np.exp(2j * np.pi * np.arange(1024) / 1024)
@@ -288,15 +289,13 @@ UNIFORM_NODES = np.exp(2j * np.pi * np.arange(1024) / 1024)
     InitialProfile(kind="gaussian", amplitude=0.2, width=2.0)],
     ids=["single_site", "gaussian"])
 def test_isospectral_law_on_integrated_states(profile):
-    support = profile.support_state()
-    nonzero = support.sites[support.values != 0.0]
-    half = math.ceil(2.5 * ISOSPECTRAL_T + 150)
-    initial = profile.realize(nonzero[0] - half, nonzero[-1] + half)
-    r0 = reflection_evaluator(initial)(UNIFORM_NODES)
+    r0 = reflection_evaluator(profile.support_state())(UNIFORM_NODES)
     undo = np.exp((UNIFORM_NODES ** 2 - UNIFORM_NODES ** -2) * ISOSPECTRAL_T)
     residuals = []
     for dt in (0.04, 0.02, 0.01, 0.005):
-        later = integrate(initial, ISOSPECTRAL_T, dt)
+        [(_, later, reason, _)] = harness._trajectory(
+            RunConfig(profile=profile, t_list=(ISOSPECTRAL_T,), dt=dt))
+        assert reason is None and later.t == ISOSPECTRAL_T
         r_t = reflection_evaluator(later)(UNIFORM_NODES)
         residuals.append(np.abs(r_t * undo - r0).max())
     assert residuals[0] >= 12 * residuals[1] and \
