@@ -31,7 +31,7 @@ r_eval = reflection_evaluator(staggered(profile.support_state()))
 
 ray = RayParams(n=50, t=100.0)
 stat = stationary_points(ray)
-print(f"ray v = {ray.v}: theta0 = {stat.theta0:.6f}")
+print(f"ray v = {ray.v}: theta0 = {-cmath.phase(stat.S[0]):.6f}")
 print(f"{'j':>2} {'S_j':>22} {'|phi_prime|':>12} {'phi_dd*beta^2':>22}")
 for j in (1, 2, 3, 4):
     k = j - 1
@@ -61,10 +61,10 @@ print(f"\n{'j':>2} {'(m1^j)_12':>24} {'|m1| - sqrt(nu)':>16}")
 for j, (entry, nu) in enumerate(zip(m1, coeffs.nu), start=1):
     print(f"{j:2d} {entry:24.6e} {abs(abs(entry) - math.sqrt(nu)):16.2e}")
 
-result = leading_term(ray, stat, coeffs, m1)
+result = leading_term(stat, coeffs, m1)
 print(f"\nleading term at (n=50, t=100): {result.q_asym:+.6e} "
       f"(imaginary residual {result.imag_residual:.2e})")
 for j in (1, 2, 3, 4):
-    amp, slope_t, slope_logt = oscillation_decomposition(ray, stat, coeffs, j)
+    amp, slope_t, slope_logt = oscillation_decomposition(stat, coeffs, j)
     print(f"  j={j}: amplitude {amp:.3e}, phase rates: {slope_t:+.4f} per t, "
           f"{slope_logt:+.5f} per log t")

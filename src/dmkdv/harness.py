@@ -240,12 +240,11 @@ def _reflection(profile: InitialProfile):
 
 def _asymptotic_row(r_eval, n: int, t: float) -> model.AsymptoticResult:
     """asymptotic_value at site n from a prebuilt r_u (see _reflection)."""
-    ray = RayParams(n=n + 1, t=t)
-    stat = stationary_points(ray)
+    stat = stationary_points(RayParams(n=n + 1, t=t))
     coeffs = weights.coefficient_set(r_eval, stat)
     m1 = model.cross_solutions(coeffs)
-    res = model.leading_term(ray, stat, coeffs, m1)
-    return replace(res, n=n, q_asym=(-1) ** n * res.q_asym)
+    res = model.leading_term(stat, coeffs, m1)
+    return replace(res, q_asym=(-1) ** n * res.q_asym)
 
 
 _WINDOW_MARGIN = 150  # sites past 2.5 max(t) on either side, see _trajectory
@@ -255,24 +254,22 @@ def _trajectory(config: RunConfig):
     """Yield (t, state, fail_reason, seconds) at each distinct time, in
     increasing order: the sweep's one integration of the profile.
 
-    The window is the profile's nonzero sites (its center for zero data)
-    widened by ceil(2.5 max(t) + _WINDOW_MARGIN) on either side.  The
-    light cone has speed 2, and the extra half-t keeps the outermost-10%
-    spill-guard region strictly outside the cone, where only the
-    (superexponentially small) tail and integrator front noise live,
-    while the support has fewer than 1,200 sites.  `seconds` is the time
-    of the segment that ended at t.  From the segment whose guard trips
-    on, state is None and nothing more is integrated.
+    The window is the profile's support_state, L sites, widened by
+    ceil(2.5 max(t) + _WINDOW_MARGIN) + L // 8 on either side.  The light
+    cone has speed 2, and the spill guard watches the outermost 10% of
+    the window; the extra half-t and L // 8 keep that region about
+    2 max(t) + 120 sites past the support for any L, strictly outside
+    the cone, where only the (superexponentially small) tail and
+    integrator front noise live.  `seconds` is the time of the segment
+    that ended at t.  From the segment whose guard trips on, state is
+    None and nothing more is integrated.
     """
     support = config.profile.support_state()
-    nonzero = np.flatnonzero(support.values)
-    first, last = ((nonzero[0], nonzero[-1]) if nonzero.size else
-                   (config.profile.center - support.n_min,) * 2)
-    half = int(math.ceil(2.5 * max(config.t_list) + _WINDOW_MARGIN))
+    half = (int(math.ceil(2.5 * max(config.t_list) + _WINDOW_MARGIN))
+            + len(support.values) // 8)
     started = time.perf_counter()
-    state = lattice.LatticeState(
-        n_min=support.n_min + int(first) - half,
-        values=np.pad(support.values[first:last + 1], half))
+    state = lattice.LatticeState(n_min=support.n_min - half,
+                                 values=np.pad(support.values, half))
     reason = None
     for t in sorted(set(config.t_list)):
         if reason is None:

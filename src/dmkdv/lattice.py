@@ -108,17 +108,20 @@ class InitialProfile:
         return LatticeState(n_min=n_min, values=q, t=0.0)
 
     def support_state(self) -> LatticeState:
-        """Minimal window holding the (numerically nonzero) support, padded
-        by two sites on either side."""
-        pad = 2
-        if self.kind == "gaussian":
-            # |amplitude| * exp(-d^2/(2w^2)) < 1e-300 safely past d = 53 w
-            half = int(np.ceil(53.0 * self.width)) + pad
-            return self.realize(self.center - half, self.center + half)
-        if self.kind == "custom_list":
-            return self.realize(self.center - pad,
-                                self.center + max(len(self.custom) - 1, 0) + pad)
-        return self.realize(self.center - pad, self.center + pad)
+        """The profile on exactly its nonzero sites, first to last; data
+        with none (zero data, a zero amplitude) gives its center, with
+        value 0."""
+        # exp(-d^2/(2w^2)) is 0.0 past d = 38.6 w, where d^2/(2w^2) > 745.1
+        reach = (int(np.ceil(39.0 * self.width)) if self.kind == "gaussian"
+                 else 0)
+        full = self.realize(self.center - reach,
+                            self.center + max(reach, len(self.custom) - 1))
+        nonzero = np.flatnonzero(full.values)
+        if nonzero.size == 0:
+            return LatticeState(n_min=self.center, values=np.zeros(1))
+        first, last = map(int, nonzero[[0, -1]])
+        return LatticeState(n_min=full.n_min + first,
+                            values=full.values[first:last + 1])
 
 
 def check_defocusing(name: str, values) -> None:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConventionError, PoleError
-from .phase import RayParams, StationarySet
+from .phase import StationarySet
 from .weights import CoefficientSet, _check_j
 
 __all__ = [
@@ -81,10 +81,9 @@ def complex_gamma(w: complex) -> complex:
 
 @dataclass(frozen=True)
 class AsymptoticResult:
-    """Leading-order asymptotic value at (n, t) with diagnostics."""
+    """Leading-order asymptotic value with diagnostics; its ray (n, t) is
+    the stationary.ray it was assembled on, which the caller holds."""
 
-    n: int
-    t: float
     q_asym: float
     contributions: tuple        # beta_j S_j^-2 (delta_j^0)^2 (m1^j)_12
     imag_residual: float
@@ -116,10 +115,10 @@ def cross_solutions(coeffs: CoefficientSet) -> tuple:
                  for k in range(4))
 
 
-def leading_term(ray: RayParams, stationary: StationarySet,
-                 coeffs: CoefficientSet, m1) -> AsymptoticResult:
-    """Assemble the leading-order value at (n, t) from the four
-    (m1^j)_12 of cross_solutions.
+def leading_term(stationary: StationarySet, coeffs: CoefficientSet,
+                 m1) -> AsymptoticResult:
+    """Assemble the leading-order value on the ray stationary.ray from the
+    four (m1^j)_12 of cross_solutions.
 
     imag_residual is |Im| of the assembled sum, as measured; no bound is
     applied here (see check_realness).
@@ -132,10 +131,9 @@ def leading_term(ray: RayParams, stationary: StationarySet,
         contributions.append(term)
         total += term
     total /= coeffs.delta_at_zero
-    return AsymptoticResult(n=ray.n, t=ray.t, q_asym=total.real,
-                            contributions=tuple(contributions),
-                            imag_residual=abs(total.imag),
-                            delta_at_zero=coeffs.delta_at_zero)
+    return AsymptoticResult(
+        q_asym=total.real, contributions=tuple(contributions),
+        imag_residual=abs(total.imag), delta_at_zero=coeffs.delta_at_zero)
 
 
 REALNESS_TOL = 1e-6  # of the row's amplitude_envelope
@@ -158,9 +156,10 @@ def amplitude_envelope(result: AsymptoticResult) -> float:
     return sum(abs(c) for c in result.contributions) / abs(result.delta_at_zero)
 
 
-def oscillation_decomposition(ray: RayParams, stationary: StationarySet,
+def oscillation_decomposition(stationary: StationarySet,
                               coeffs: CoefficientSet, j: int):
-    """Oscillation diagnostics of contribution j.
+    """Oscillation diagnostics of contribution j on the ray
+    stationary.ray.
 
     The oscillatory part of delta_j^0 is
 

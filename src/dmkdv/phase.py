@@ -53,10 +53,11 @@ class RayParams:
 
 @dataclass(frozen=True)
 class StationarySet:
-    """Stationary points S_1..S_4 with phi''(S_j) and beta_j (index j-1)."""
+    """Stationary points S_1..S_4 with phi''(S_j) and beta_j (index j-1),
+    and the ray they belong to: the one carrier of (n, t) for everything
+    assembled from them."""
 
     S: tuple
-    theta0: float
     phi_dd: tuple
     beta: tuple
     ray: RayParams
@@ -95,7 +96,6 @@ def stationary_points(ray: RayParams) -> StationarySet:
             "value 2")
     A = 0.5 * (math.sqrt(2.0 + v) - 1j * math.sqrt(2.0 - v))
     S = (A, A.conjugate(), -A, -A.conjugate())
-    theta0 = -cmath.phase(A)
 
     root = math.sqrt(4.0 * ray.t ** 2 - ray.n ** 2)
     phi_dd = tuple((-1) ** j * 2j * root / (S[j - 1] * S[j - 1])
@@ -107,5 +107,5 @@ def stationary_points(ray: RayParams) -> StationarySet:
     # residual of the algebraic zero scales with t * eps
     if worst > 1e-10 * max(1.0, ray.t):
         raise DomainError(f"stationary-point residual {worst:.3e} too large")
-    return StationarySet(S=S, theta0=theta0, phi_dd=phi_dd, beta=beta, ray=ray)
+    return StationarySet(S=S, phi_dd=phi_dd, beta=beta, ray=ray)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -186,6 +187,18 @@ def test_scatter_reports_a_failed_check_on_one_line(tmp_path, capsys):
     assert err.startswith("ReflectionTooLargeError: max |r| = 16.2")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_simulate_fits_a_long_support(tmp_path):
+    # the window grows with the support: 1,300 sites once put the
+    # spill-guarded outer 10% inside the light cone (SpillError)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--set", "profile.kind=custom_list",
+                 "--set", f"profile.custom={json.dumps([0.01] * 1300)}",
+                 "--set", "times=[10]", "--set", "dt=0.05",
+                 "--output", str(out)]) == 0
+    [row] = list(csv.DictReader(out.read_text().splitlines()))
+    assert row["t"] == "10.0" and math.isfinite(float(row["q_direct"]))
 
 
 # 1,200 sites of 0.9: the coefficients of a and b overflow while they are

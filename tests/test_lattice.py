@@ -179,6 +179,26 @@ def test_support_state_covers_profile():
         np.sum(np.abs(gauss.realize(-400, 400).values)), rel=1e-12)
 
 
+@pytest.mark.parametrize("profile, n_min, size", [
+    (InitialProfile(kind="gaussian", amplitude=0.2, width=2.0), -77, 155),
+    (InitialProfile(kind="custom_list", center=3,
+                    custom=(0.0, 0.3, 0.0, -0.2, 0.0)), 4, 3),
+    (InitialProfile(kind="single_site", amplitude=0.3, center=-2), -2, 1),
+    (InitialProfile(kind="zero", center=5), 5, 1),
+    (InitialProfile(kind="custom_list", center=1, custom=(0.0, 0.0)), 1, 1),
+])
+def test_support_state_holds_exactly_the_nonzero_sites(profile, n_min, size):
+    support = profile.support_state()
+    assert (support.n_min, len(support.values)) == (n_min, size)
+    if support.values.any():  # no zero site at either end
+        assert support.values[0] != 0.0 and support.values[-1] != 0.0
+    else:  # no data: its center, with value 0
+        assert support.values.tolist() == [0.0]
+    wide = profile.realize(n_min - 300, n_min + 300)
+    assert np.array_equal(wide.values[300:300 + size], support.values)
+    assert not wide.values[:300].any() and not wide.values[300 + size:].any()
+
+
 def test_staggered_signs_and_involution():
     rng = np.random.default_rng(11)
     state = LatticeState(n_min=-4, values=rng.uniform(-0.5, 0.5, 9))

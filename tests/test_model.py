@@ -129,7 +129,7 @@ def test_leading_term_zero_reflection():
     stat = stationary_points(ray)
     coeffs = coefficient_set(ZERO_EVAL, stat)
     m1 = cross_solutions(coeffs)
-    res = leading_term(ray, stat, coeffs, m1)
+    res = leading_term(stat, coeffs, m1)
     assert res.q_asym == 0.0
     assert res.imag_residual == 0.0
     assert amplitude_envelope(res) == 0.0
@@ -141,7 +141,7 @@ def test_leading_term_modulus_bookkeeping():
     r_eval = single_site_eval(0.3)
     coeffs = coefficient_set(r_eval, stat)
     m1 = cross_solutions(coeffs)
-    res = leading_term(ray, stat, coeffs, m1)
+    res = leading_term(stat, coeffs, m1)
     for k in range(4):
         expect = abs(stat.beta[k]) * math.sqrt(coeffs.nu[k]) \
             * abs(coeffs.delta_j0[k]) ** 2
@@ -162,14 +162,14 @@ def test_leading_term_realness_and_convention_guard():
     r_eval = single_site_eval(0.3)
     coeffs = coefficient_set(r_eval, stat)
 
-    good = leading_term(ray, stat, coeffs, cross_solutions(coeffs))
+    good = leading_term(stat, coeffs, cross_solutions(coeffs))
     assert good.imag_residual < 1e-12
     model.check_realness(good)
 
     # leading_term reports the residual; check_realness is the guard
     bad_m1 = tuple(rot * m for rot, m in zip(ROTATIONS["uniform_phase"],
                                              cross_solutions(coeffs)))
-    bad = leading_term(ray, stat, coeffs, bad_m1)
+    bad = leading_term(stat, coeffs, bad_m1)
     assert bad.imag_residual > 1e-3
     with pytest.raises(ConventionError, match="^imaginary residual"):
         model.check_realness(bad)
@@ -186,13 +186,13 @@ def test_oscillation_decomposition_symmetric_ray():
     stat = stationary_points(ray)
     r_eval = single_site_eval(0.3)
     coeffs = coefficient_set(r_eval, stat)
-    amp, slope_t, slope_logt = oscillation_decomposition(ray, stat, coeffs, 1)
+    amp, slope_t, slope_logt = oscillation_decomposition(stat, coeffs, 1)
     # theta_1 = -pi/4, kappa_1 = Im S_1^2 = -1
     assert cmath.phase(stat.S[0]) == pytest.approx(-math.pi / 4)
     assert slope_t == pytest.approx(1.0)
     assert slope_logt == pytest.approx(-coeffs.nu[0] / 2.0)
     m1 = cross_solutions(coeffs)
-    res = leading_term(ray, stat, coeffs, m1)
+    res = leading_term(stat, coeffs, m1)
     assert amp == pytest.approx(abs(res.contributions[0]), rel=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_oscillation_phase_slope_finite_difference():
     fd = cmath.phase(vals[1] / vals[0]) / (2 * h)
     stat = stationary_points(RayParams(n=n, t=t))
     _, slope_t, _ = oscillation_decomposition(
-        RayParams(n=n, t=t), stat, coefficient_set(ZERO_EVAL, stat), 1)
+        stat, coefficient_set(ZERO_EVAL, stat), 1)
     assert fd == pytest.approx(slope_t, abs=1e-5)
 
 
@@ -219,6 +219,6 @@ def test_amplitude_times_sqrt_t_constant_on_ray():
         ray = RayParams(n=round(0.5 * t), t=t)
         stat = stationary_points(ray)
         coeffs = coefficient_set(r_eval, stat)
-        amp, _, _ = oscillation_decomposition(ray, stat, coeffs, 1)
+        amp, _, _ = oscillation_decomposition(stat, coeffs, 1)
         scaled.append(amp * math.sqrt(t))
     assert max(scaled) / min(scaled) < 1.0 + 1e-9

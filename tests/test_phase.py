@@ -56,7 +56,7 @@ def test_stationary_points_symmetric_ray():
               cmath.exp(3j * math.pi / 4), cmath.exp(-3j * math.pi / 4)]
     for got, want in zip(stat.S, expect):
         assert abs(got - want) < 1e-14
-    assert stat.theta0 == pytest.approx(math.pi / 4)
+    assert -cmath.phase(stat.S[0]) == pytest.approx(math.pi / 4)
 
 
 def test_stationary_point_modulus_identity():

@@ -177,7 +177,7 @@ def test_polynomials_match_oracle_random_data():
 def test_polynomials_match_oracle_gaussian_support():
     # 217 sites, of which the outer ones underflow to exact zeros
     state = InitialProfile(kind="gaussian", amplitude=0.2,
-                           width=2.0).support_state()
+                           width=2.0).realize(-108, 108)
     thetas = np.linspace(-np.pi, np.pi, 24, endpoint=False) + 0.01
     assert_matches_oracle(state, thetas)
     assert_matches_oracle(staggered(state), thetas)

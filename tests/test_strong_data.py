@@ -1,0 +1,102 @@
+"""The comparison on strong data, where it can fail.
+
+gaussian(0.5, 3) on the negative rays has nu_j up to 0.51 and
+max|r_u| = 0.999, so every term of delta_j^0 moves the leading term
+there.  One sweep integrates the profile to t = 100 and 200 and samples
+every site of four ray bands at t = 100 (every other one at t = 200).
+The full formula is set against copies with one term replaced
+(weights_oracles.assembled) and against the odd crosses rotated by -i;
+production code has no switch for either.  The bounds below were fixed
+before the first run.
+"""
+
+import functools
+
+import pytest
+
+import dmkdv.harness as harness
+import dmkdv.weights as weights
+from dmkdv import InitialProfile, RunConfig
+from test_harness import rotate_odd_crosses
+from weights_oracles import ABLATIONS, assembled
+
+PROFILE = InitialProfile(kind="gaussian", amplitude=0.5, width=3.0)
+CENTERS = (-1.5, -1.0, -0.5, -0.25)  # nu_j = 0.51, 0.12, 0.012, 3.4e-3
+HALF_BAND = 5  # rays k / 100 with |k - 100 c| <= 5
+TIMES = (100.0, 200.0)
+FORMULAS = ("full",) + ABLATIONS + ("rotated",)
+BEATEN_BY = 2.0  # each altered formula's worst band sup over the full one's
+REMAINDER_BAND = (0.3, 0.5)  # band sup |err| t at v = -1.5, both stops
+
+
+def _values(records, r_eval, formula):
+    """q_asym of every record by `formula`, with no realness guard: "full"
+    is production, an ablation or None (nothing replaced) the copy."""
+    with pytest.MonkeyPatch.context() as mp:
+        if formula == "rotated":
+            rotate_odd_crosses(mp)
+        elif formula != "full":
+            mp.setattr(weights, "_assembled",
+                       functools.partial(assembled, replaced=formula))
+        return [harness._asymptotic_row(r_eval, rec.n, rec.t).q_asym
+                for rec in records]
+
+
+@pytest.fixture(scope="module")
+def strong():
+    """(records, {formula: {(c, t): band sup of |q_direct - q_asym|}}),
+    with the full formula read both from the sweep and from the
+    unreplaced copy."""
+    rays = tuple(k / 100 for c in CENTERS
+                 for k in range(round(100 * c) - HALF_BAND,
+                                round(100 * c) + HALF_BAND + 1))
+    records = harness.run_compare(RunConfig(profile=PROFILE, v_list=rays,
+                                            t_list=TIMES, dt=0.005))
+    r_eval = harness._reflection(PROFILE)
+    values = {formula: _values(records, r_eval, formula)
+              for formula in FORMULAS}
+    values["copy"] = _values(records, r_eval, None)
+    sups = {}
+    for formula, q_asym in values.items():
+        bands = sups.setdefault(formula, {})
+        for rec, q in zip(records, q_asym):
+            band = (min(CENTERS, key=lambda c: abs(rec.v - c)), rec.t)
+            bands[band] = max(bands.get(band, 0.0), abs(rec.q_direct - q))
+    for formula, bands in sups.items():
+        print(formula, " ".join(f"{c:+g}@{t:g}:{sup:.3e}"
+                                for (c, t), sup in sorted(bands.items())))
+    return records, values, sups
+
+
+def test_strong_sweep_samples_every_band_site(strong):
+    records, _, sups = strong
+    assert len(records) == 88
+    assert all(rec.fail_reason is None for rec in records)
+    assert len(sups["full"]) == 8
+    assert {rec.n for rec in records if rec.t == 100.0} == {
+        k for c in CENTERS for k in range(round(100 * c) - HALF_BAND,
+                                          round(100 * c) + HALF_BAND + 1)}
+
+
+def test_unreplaced_copy_is_production(strong):
+    records, values, _ = strong
+    assert [q.hex() for q in values["copy"]] == \
+        [rec.q_asym.hex() for rec in records]
+    assert values["full"] == values["copy"]
+
+
+@pytest.mark.parametrize("formula", FORMULAS[1:])
+def test_every_altered_formula_is_beaten(strong, formula):
+    _, _, sups = strong
+    full, altered = max(sups["full"].values()), max(sups[formula].values())
+    assert altered >= BEATEN_BY * full, (formula, altered, full)
+
+
+def test_strong_data_remainder_is_order_inverse_t(strong):
+    # at nu = 0.51 the remainder reaches t^-1 (ROADMAP Baseline: |err| t
+    # flat at 0.34-0.35 from t = 200 to 1600)
+    _, _, sups = strong
+    low, high = REMAINDER_BAND
+    for t in TIMES:
+        scaled = sups["full"][(-1.5, t)] * t
+        assert low <= scaled <= high, (t, scaled)

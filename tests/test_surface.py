@@ -1,9 +1,15 @@
 """The package namespace holds only names that callers import from it,
-and every module's __all__ names only what the module defines."""
+every module's __all__ names only what the module defines, and every
+name the benchmark's tracing reaches in the package exists."""
 
 import ast
+import functools
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+import sys
+import textwrap
 from pathlib import Path
 
 import dmkdv
@@ -41,3 +47,62 @@ def test_every_name_in_each_all_exists():
     missing = [f"{module.__name__}.{name}" for module in listed
                for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _bench_module(name: str, monkeypatch):
+    """bench/<name>.py, loaded as bench_<name> for this test only."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for @dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attribute_chains(tree):
+    """(root, [attr, ...]) of every outermost attribute chain in `tree`,
+    innermost attribute first; a call's function stands for the call."""
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            yield (node.func if isinstance(node, ast.Call) else node), chain
+
+
+def test_bench_reaches_only_names_that_exist(monkeypatch):
+    # `pytest bench` fails two count pins already, so a package change
+    # that broke the traced bench would hide among them; this runs none
+    # of the bench's workloads or probes
+    tracing = _bench_module("tracing", monkeypatch)
+    workloads = _bench_module("workloads", monkeypatch)
+    hooks = [(dmkdv.harness, "_row_worker"), (dmkdv.harness, "integrate"),
+             (dmkdv.harness, "reflection_evaluator"),
+             (dmkdv.harness, "stationary_points"),
+             (dmkdv.weights, "coefficient_set"),
+             (dmkdv.model, "cross_solutions"), (dmkdv.model, "leading_term")]
+    before = [getattr(module, attr) for module, attr in hooks]
+    with tracing.install(tracing.Tracer()):
+        assert all(getattr(module, attr) is not fn
+                   for (module, attr), fn in zip(hooks, before))
+    assert [getattr(module, attr) for module, attr in hooks] == before
+    for table in (workloads.WORKLOADS, workloads.TOY):
+        for workload in table.values():
+            workload.config()
+    # kernel_probes: every attribute chain off a module or class that
+    # tracing imports resolves; one off a local starts with an attribute
+    # of one of those classes or of dict
+    names = vars(tracing)
+    classes = [obj for obj in names.values() if inspect.isclass(obj)] + [dict]
+    tree = ast.parse(textwrap.dedent(inspect.getsource(tracing.kernel_probes)))
+    resolved = 0
+    for root, chain in _attribute_chains(tree):
+        if isinstance(root, ast.Name) and root.id in names:
+            functools.reduce(getattr, chain, names[root.id])
+            resolved += 1
+        else:
+            assert any(hasattr(cls, chain[0]) for cls in classes), chain
+    assert resolved >= 5

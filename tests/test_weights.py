@@ -281,10 +281,10 @@ def test_delta_trivial_and_closed_form():
     d0 = delta_at(r_eval, stat, 0.0)
     assert abs(d0 - (1 - c * c) ** -0.5) < 1e-9
 
-    # general ray: arcs subtend 4*theta0, |r| constant
+    # general ray: arcs subtend 4*theta0, theta0 = -arg S_1, |r| constant
     stat2 = stationary_points(RayParams(n=50, t=100.0))
     d0g = delta_at(r_eval, stat2, 0.0)
-    expect = (1 - c * c) ** (-2 * stat2.theta0 / math.pi)
+    expect = (1 - c * c) ** (2 * cmath.phase(stat2.S[0]) / math.pi)
     assert abs(d0g - expect) < 1e-9
 
 

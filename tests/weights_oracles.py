@@ -2,9 +2,12 @@
 docstring, every coefficient one arc at a time, and the nodes of one
 arc: the oracles that `weights.coefficient_set`, which samples r once per
 panel level for all four arcs, and `weights._level_nodes`, which places
-the nodes of all arcs at once, are checked against.
+the nodes of all arcs at once, are checked against.  Also a copy of
+`weights._assembled` that can replace one term of delta_j^0, for the
+ablations that show each term matters.
 """
 
+import cmath
 import functools
 import math
 
@@ -13,6 +16,8 @@ import numpy as np
 from dmkdv.weights import (
     DEFAULT_TOL,
     _GL_NODES,
+    _T_ANCHORS,
+    CoefficientSet,
     _arc_sums,
     _assembled,
     _check_j,
@@ -20,6 +25,11 @@ from dmkdv.weights import (
     delta_j_at,
     log_density,
 )
+
+# the terms of delta_j^0 that `assembled` can replace, and by what:
+# beta_j t^(1/2) for beta_j inside the nu-power (no log t in the phase),
+# 1 for the whole nu-power, 0 for chi_j(S_j), 1 for hat_delta_j(S_j)
+ABLATIONS = ("beta", "nu_power", "chi", "hat_delta")
 
 
 def arc_nodes(arc, panels: int) -> tuple:
@@ -73,3 +83,36 @@ def hat_delta_at_stationary(r_eval, stationary, j: int,
     Sj = stationary.S[j - 1]
     return math.prod(delta_j_at(r_eval, stationary, k, Sj, tol)
                      for k in (1, 2, 3, 4) if k != j)
+
+
+def assembled(stationary, r_at_S, g_at_S, arc_sums, replaced=None):
+    """weights._assembled line for line, with the term of delta_j^0 named
+    by `replaced` (one of ABLATIONS, or None for none) replaced."""
+    exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
+    chis = []
+    for j, sums in enumerate(arc_sums, 1):
+        chis.append(complex(sums[j]))
+        sums[j] = 0.0
+        exponents += (-1) ** (j - 1) * sums
+    nu = tuple(float(-g / (2.0 * math.pi)) for g in g_at_S)
+    hat_delta_at_S = tuple(map(cmath.exp, exponents[1:]))
+    ray = stationary.ray
+    delta_j0 = []
+    for k in range(4):
+        Sj, sgn = stationary.S[k], (-1) ** k
+        kappa_j = (Sj * Sj).imag
+        osc = cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * kappa_j))
+        beta = stationary.beta[k]
+        if replaced == "beta":
+            beta = beta * math.sqrt(ray.t)
+        power = cmath.exp(sgn * 1j * nu[k] * cmath.log(
+            beta / (Sj - _T_ANCHORS[k])))
+        if replaced == "nu_power":
+            power = 1.0
+        chi = 0.0 if replaced == "chi" else chis[k]
+        hat = 1.0 if replaced == "hat_delta" else hat_delta_at_S[k]
+        delta_j0.append(osc * power * cmath.exp(sgn * chi) * hat)
+    return CoefficientSet(
+        r_at_S=tuple(r_at_S.tolist()), nu=nu, chi_at_S=tuple(chis),
+        hat_delta_at_S=hat_delta_at_S, delta_j0=tuple(delta_j0),
+        delta_at_zero=cmath.exp(exponents[0]))
