@@ -16,15 +16,13 @@ from dmkdv import (
     RayParams,
     coefficient_set,
     cross_solutions,
-    delta_at,
-    delta_j_at,
     leading_term,
-    oscillation_decomposition,
     phase_derivative,
     reflection_evaluator,
     staggered,
     stationary_points,
 )
+from dmkdv.harness import delta_product_checks
 
 profile = InitialProfile(kind="single_site", amplitude=0.3)
 r_eval = reflection_evaluator(staggered(profile.support_state()))
@@ -50,11 +48,9 @@ for j in (1, 2, 3, 4):
           f"{coeffs.hat_delta_at_S[k]:26.9f} {abs(coeffs.delta_j0[k]):12.9f}")
 
 z = 1.7 * cmath.exp(0.8j)
-product = 1.0
-for j in (1, 2, 3, 4):
-    product *= delta_j_at(r_eval, stat, j, z)
+[check] = delta_product_checks([z])  # this profile on this ray
 print(f"\nproduct identity at z = {z:.3f}: "
-      f"|delta - prod delta_j| = {abs(delta_at(r_eval, stat, z) - product):.2e}")
+      f"|delta - prod delta_j| = {check['measured']:.2e}")
 
 m1 = cross_solutions(coeffs)
 print(f"\n{'j':>2} {'(m1^j)_12':>24} {'|m1| - sqrt(nu)':>16}")
@@ -64,7 +60,6 @@ for j, (entry, nu) in enumerate(zip(m1, coeffs.nu), start=1):
 result = leading_term(stat, coeffs, m1)
 print(f"\nleading term at (n=50, t=100): {result.q_asym:+.6e} "
       f"(imaginary residual {result.imag_residual:.2e})")
-for j in (1, 2, 3, 4):
-    amp, slope_t, slope_logt = oscillation_decomposition(stat, coeffs, j)
-    print(f"  j={j}: amplitude {amp:.3e}, phase rates: {slope_t:+.4f} per t, "
-          f"{slope_logt:+.5f} per log t")
+for j, (term, S) in enumerate(zip(result.contributions, stat.S), start=1):
+    print(f"  j={j}: amplitude {abs(term):.3e}, "
+          f"phase rate {-(S * S).imag:+.4f} per t")

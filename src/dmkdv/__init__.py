@@ -5,8 +5,8 @@ Building blocks:
 * ``lattice``    -- the ODE system and its RK4 integrator
 * ``scattering`` -- a(z), b(z) as Laurent polynomials; r(z) on |z| = 1
 * ``phase``      -- phase function, stationary points, scaling factors
-* ``weights``    -- scalar-problem function delta and arc-integral
-                    coefficients (nu_j, chi_j, hat_delta_j, delta_j^0)
+* ``weights``    -- arc-integral coefficients (nu_j, chi_j,
+                    hat_delta_j, delta_j^0, delta(0))
 * ``model``      -- Gamma-function cross entries and the leading-order
                     asymptotic value of q_n
 * ``harness``    -- end-to-end sweeps, self-test, emitters, used by the
@@ -44,9 +44,8 @@ from .model import (
     cross_solutions,
     leading_term,
     m1_entry,
-    oscillation_decomposition,
 )
-from .phase import RayParams, phase_at, phase_derivative, stationary_points
+from .phase import RayParams, phase_derivative, stationary_points
 from .scattering import (
     UnitCirclePoint,
     reflection_evaluator,
@@ -56,10 +55,7 @@ from .scattering import (
 )
 from .weights import (
     ArcSpec,
-    cauchy_arc_integral,
     coefficient_set,
-    delta_at,
-    delta_j_at,
     log_density,
 )
 

@@ -34,8 +34,9 @@ class ReflectionTooLargeError(DmkdvError):
 
 
 class MergingPointsError(DmkdvError):
-    """Ray too close to |n/t| = 2: the stationary points coalesce and the
-    four-point asymptotics does not apply."""
+    """Ray with |n/t| >= 2 - phase.MERGING_MARGIN = 1.95: the stationary
+    points coalesce at |n/t| = 2 and leave the unit circle beyond it, so
+    the four-point asymptotics does not apply."""
 
 
 class QuadratureError(DmkdvError):

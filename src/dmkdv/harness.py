@@ -17,6 +17,7 @@ them to show that the rejected form fails.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -38,12 +39,10 @@ __all__ = [
     "emit",
     "write_table",
     "COMPARE_COLUMNS",
-    "CSV_HEADER",
 ]
 
 COMPARE_COLUMNS = ("n", "t", "v", "q_direct", "q_asym", "abs_err",
                    "scaled_err", "imag_residual")
-CSV_HEADER = ",".join(COMPARE_COLUMNS)
 
 
 def _text(key: str, value) -> str:
@@ -514,20 +513,35 @@ def phase_checks(rng: np.random.Generator) -> list:
             _check("phase_beta_identity", worst_identity, 1e-12)]
 
 
-def delta_product_checks(points, tol: float = weights.DEFAULT_TOL) -> list:
+# the self-test's product points: radii 0.3..0.85 and 1.15..2, angles k pi/10
+PRODUCT_POINTS = tuple(
+    radius * np.exp(2j * math.pi * k / 20.0)
+    for k, radius in enumerate([0.3 + 0.55 * (i / 9.0) for i in range(10)]
+                               + [1.15 + 0.85 * (i / 9.0) for i in range(10)]))
+
+
+def delta_product_checks(points=PRODUCT_POINTS,
+                         tol: float = weights.DEFAULT_TOL) -> list:
     """delta(z) = prod_j delta_j(z) within 1e-9 at every z of `points`, on
     single-site 0.3 data and the ray n = 50, t = 100, with the arc
-    quadrature at `tol`."""
+    quadrature at `tol`.  The exponents of both sides come from one
+    weights._arc_sums call each over all the points: delta's two arcs
+    S1 -> S2 and S3 -> S4, and the four arcs T_j -> S_j, signed
+    (-1)^(j-1)."""
     profile = InitialProfile(kind="single_site", amplitude=0.3)
-    r_eval = reflection_evaluator(profile.support_state())
+    density = functools.partial(
+        weights.log_density, reflection_evaluator(profile.support_state()))
     stat = stationary_points(RayParams(n=50, t=100.0))
-    worst = 0.0
-    for z in points:
-        d = weights.delta_at(r_eval, stat, z, tol=tol)
-        prod = 1.0 + 0.0j
-        for j in (1, 2, 3, 4):
-            prod *= weights.delta_j_at(r_eval, stat, j, z, tol=tol)
-        worst = max(worst, abs(d - prod))
+    S = stat.S
+    delta = weights._arc_sums(density, [weights.ArcSpec.between(S[0], S[1]),
+                                        weights.ArcSpec.between(S[2], S[3])],
+                              points, 0.0, tol)
+    factors = weights._arc_sums(
+        density, [weights.delta_j_arc(stat, j) for j in (1, 2, 3, 4)],
+        points, 0.0, tol)
+    signs = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    worst = np.abs(np.exp(-delta.sum(axis=0))
+                   - np.exp((signs * factors).sum(axis=0))).max()
     return [_check("delta_product_identity", worst, 1e-9)]
 
 
@@ -540,17 +554,13 @@ def selftest() -> dict:
     phase-check rays.
     """
     rng = np.random.default_rng(20240901)
-    radii = [0.3 + 0.55 * (k / 9.0) for k in range(10)] \
-        + [1.15 + 0.85 * (k / 9.0) for k in range(10)]
-    product_points = [radius * np.exp(2j * math.pi * k / 20.0)
-                      for k, radius in enumerate(radii)]
     checks = []
     for fn in (gamma_checks,
                lambda: modulus_checks(0.3),
                lambda: unitarity_checks(lattice.LatticeState(
                    n_min=-8, values=rng.uniform(-0.5, 0.5, 16))),
                lambda: phase_checks(rng),
-               lambda: delta_product_checks(product_points),
+               delta_product_checks,
                integrator_checks,
                realness_checks):
         started = time.perf_counter()

@@ -41,7 +41,6 @@ __all__ = [
     "leading_term",
     "check_realness",
     "amplitude_envelope",
-    "oscillation_decomposition",
 ]
 
 # Lanczos coefficients, g = 7, n = 9 (Godfrey / GSL set)
@@ -154,25 +153,3 @@ def check_realness(result: AsymptoticResult) -> None:
 def amplitude_envelope(result: AsymptoticResult) -> float:
     """Sum of contribution moduli over |delta(0)|: the O(t^-1/2) envelope."""
     return sum(abs(c) for c in result.contributions) / abs(result.delta_at_zero)
-
-
-def oscillation_decomposition(stationary: StationarySet,
-                              coeffs: CoefficientSet, j: int):
-    """Oscillation diagnostics of contribution j on the ray
-    stationary.ray.
-
-    The oscillatory part of delta_j^0 is
-
-        exp(i [2 n theta_j - 2 kappa_j t + (-1)^j nu_j log t] / 2 + i const),
-
-    theta_j = arg S_j, kappa_j = Im S_j^2.  Returns (amplitude,
-    phase_slope_t, phase_slope_logt) where amplitude = |contribution_j| =
-    |beta_j| sqrt(nu_j) |delta_j^0|^2 and the slopes are the t and log t
-    rates of that half-angle phase: -kappa_j and (-1)^j nu_j / 2.
-    """
-    _check_j(j)
-    k = j - 1
-    amplitude = (abs(stationary.beta[k]) * math.sqrt(coeffs.nu[k])
-                 * abs(coeffs.delta_j0[k]) ** 2)
-    kappa = (stationary.S[k] * stationary.S[k]).imag
-    return amplitude, -kappa, (-1) ** j * coeffs.nu[k] / 2.0

@@ -12,13 +12,13 @@ points on the unit circle,
 
 and the local scaling factors beta_j satisfy phi''(S_j) beta_j^2 =
 (-1)^(j+1) i/2, which is the identity everything downstream leans on.
-The points coalesce at z = +-1 as |v| -> 2; stationary_points is the one
-place that refuses a ray within MERGING_MARGIN of that edge.
+The points coalesce at z = +-1 as |v| -> 2 and leave the circle beyond;
+stationary_points is the one place that refuses a ray with |v| >=
+2 - MERGING_MARGIN.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,7 +27,6 @@ from .errors import DomainError, MergingPointsError
 __all__ = [
     "RayParams",
     "StationarySet",
-    "phase_at",
     "phase_derivative",
     "stationary_points",
 ]
@@ -63,37 +62,26 @@ class StationarySet:
     ray: RayParams
 
 
-def _nonzero(z) -> complex:
-    """complex(z), refused at z = 0, where the phase is undefined."""
+def phase_derivative(z: complex, ray: RayParams) -> complex:
+    """phi'(z) = t(z + z^-3) - n/z; DomainError at z = 0."""
     zc = complex(z)
     if zc == 0:
         raise DomainError("phase is undefined at z = 0")
-    return zc
-
-
-def phase_at(z: complex, ray: RayParams) -> complex:
-    """phi(z) = (t/2)(z^2 - z^-2) - n Log z."""
-    zc = _nonzero(z)
-    return 0.5 * ray.t * (zc * zc - 1.0 / (zc * zc)) - ray.n * cmath.log(zc)
-
-
-def phase_derivative(z: complex, ray: RayParams) -> complex:
-    """phi'(z) = t(z + z^-3) - n/z."""
-    zc = _nonzero(z)
     return ray.t * (zc + zc ** -3) - ray.n / zc
 
 
 def stationary_points(ray: RayParams) -> StationarySet:
     """Locate S_1..S_4 and precompute phi''(S_j) and beta_j.
 
-    Raises MergingPointsError when |v| >= 2 - MERGING_MARGIN, near the
-    light-cone edge |v| = 2 where the points coalesce at z = +-1.
+    Raises MergingPointsError when |v| >= 2 - MERGING_MARGIN: the points
+    coalesce at z = +-1 at the light-cone edge |v| = 2 and leave the
+    circle beyond it.
     """
     v = ray.v
     if abs(v) >= 2.0 - MERGING_MARGIN:
         raise MergingPointsError(
-            f"|v| = {abs(v):.4f} is within {MERGING_MARGIN} of the merging "
-            "value 2")
+            f"|v| = {abs(v):.4f} >= {2.0 - MERGING_MARGIN}: the stationary "
+            "points merge at |v| = 2 and leave the unit circle beyond it")
     A = 0.5 * (math.sqrt(2.0 + v) - 1j * math.sqrt(2.0 - v))
     S = (A, A.conjugate(), -A, -A.conjugate())
 

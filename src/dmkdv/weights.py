@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import QuadratureError
 from .phase import StationarySet
 from .scattering import checked_abs2, circle_modulus
 
@@ -55,9 +55,6 @@ __all__ = [
     "ArcSpec",
     "CoefficientSet",
     "log_density",
-    "cauchy_arc_integral",
-    "delta_at",
-    "delta_j_at",
     "coefficient_set",
 ]
 
@@ -184,51 +181,10 @@ def _arc_sums(density, arcs, points, shifts, tol: float = DEFAULT_TOL,
         f"(residual {residual.max():.3e} > {tol:.3e})")
 
 
-def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
-                        tol: float = DEFAULT_TOL) -> complex:
-    """(1/2pi i) int_arc density(tau) dtau / (tau - z).
-
-    `density` maps an array of points tau on the circle to an array of
-    values; z must be finite and off the closed arc: not within 1e-13 of
-    the circle with z = start or 0 <= phase(z / start) / dtheta <= 1.
-    """
-    zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise DomainError(f"evaluation point {zc!r} is not finite")
-    rel = cmath.phase(zc / arc.start) / arc.dtheta
-    if abs(abs(zc) - 1.0) < 1e-13 and (zc == arc.start or 0 <= rel <= 1):
-        raise DomainError("evaluation point lies on the integration arc")
-    return complex(_arc_sums(density, [arc], zc, 0.0, tol)[0, 0])
-
-
-def delta_arcs(stationary: StationarySet) -> tuple:
-    """The two arcs of the scalar problem: S1->S2 through 1, S3->S4 through -1."""
-    S = stationary.S
-    return (ArcSpec.between(S[0], S[1]), ArcSpec.between(S[2], S[3]))
-
-
 def delta_j_arc(stationary: StationarySet, j: int) -> ArcSpec:
     """Per-point arc T_j -> S_j (short arc)."""
     _check_j(j)
     return ArcSpec.between(_T_ANCHORS[j - 1], stationary.S[j - 1])
-
-
-def delta_at(r_eval, stationary: StationarySet, z: complex,
-             tol: float = DEFAULT_TOL) -> complex:
-    """Scalar-problem solution delta(z); tends to 1 as z -> infinity."""
-    density = functools.partial(log_density, r_eval)
-    total = 0.0 + 0.0j
-    for arc in delta_arcs(stationary):
-        total += cauchy_arc_integral(density, arc, z, tol)
-    return cmath.exp(-total)
-
-
-def delta_j_at(r_eval, stationary: StationarySet, j: int, z: complex,
-               tol: float = DEFAULT_TOL) -> complex:
-    """Single-arc factor delta_j(z); delta = prod_j delta_j."""
-    val = cauchy_arc_integral(functools.partial(log_density, r_eval),
-                              delta_j_arc(stationary, j), z, tol)
-    return cmath.exp((-1) ** (j - 1) * val)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dmkdv import (
     RunConfig,
     UnitCirclePoint,
     amplitude_envelope,
-    delta_at,
+    coefficient_set,
     reflection_evaluator,
     scattering_coefficients,
     stationary_points,
@@ -34,7 +34,6 @@ from dmkdv.harness import (
     unitarity_checks,
 )
 from dmkdv.phase import RayParams
-from weights_oracles import chi_at_stationary
 
 REFERENCE = InitialProfile(kind="single_site", amplitude=0.3)
 
@@ -110,10 +109,9 @@ def test_acceptance_5_constant_modulus_closed_form():
     c = 0.3
     r_eval = reflection_evaluator(REFERENCE.support_state())
     stat = stationary_points(RayParams(n=0, t=100.0))
-    d0 = delta_at(r_eval, stat, 0.0)
-    gap = abs(d0 - (1 - c * c) ** -0.5)
-    worst_chi = max(abs(chi_at_stationary(r_eval, stat, j))
-                    for j in (1, 2, 3, 4))
+    coeffs = coefficient_set(r_eval, stat)  # the numbers the rows use
+    gap = abs(coeffs.delta_at_zero - (1 - c * c) ** -0.5)
+    worst_chi = max(map(abs, coeffs.chi_at_S))
     report(5, "constant-|r| closed forms",
            gap < 1e-9 and worst_chi < 1e-10,
            f"|delta(0)-(1-c^2)^-1/2|={gap:.2e} < 1e-9, "

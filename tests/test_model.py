@@ -18,7 +18,6 @@ from dmkdv import (
     cross_solutions,
     leading_term,
     m1_entry,
-    oscillation_decomposition,
     reflection_evaluator,
     stationary_points,
 )
@@ -181,23 +180,23 @@ def test_leading_term_realness_and_convention_guard():
             model.check_realness(broken)
 
 
-def test_oscillation_decomposition_symmetric_ray():
-    ray = RayParams(n=0, t=64.0)
-    stat = stationary_points(ray)
-    r_eval = single_site_eval(0.3)
-    coeffs = coefficient_set(r_eval, stat)
-    amp, slope_t, slope_logt = oscillation_decomposition(stat, coeffs, 1)
-    # theta_1 = -pi/4, kappa_1 = Im S_1^2 = -1
+def test_contribution_modulus_symmetric_ray():
+    # |contribution_j| = |beta_j| nu_j^(1/2) |delta_j^0|^2: |S_j| = 1 and
+    # |(m1^j)_12| = nu_j^(1/2); on this ray theta_1 = -pi/4, Im S_1^2 = -1
+    stat = stationary_points(RayParams(n=0, t=64.0))
+    coeffs = coefficient_set(single_site_eval(0.3), stat)
+    res = leading_term(stat, coeffs, cross_solutions(coeffs))
     assert cmath.phase(stat.S[0]) == pytest.approx(-math.pi / 4)
-    assert slope_t == pytest.approx(1.0)
-    assert slope_logt == pytest.approx(-coeffs.nu[0] / 2.0)
-    m1 = cross_solutions(coeffs)
-    res = leading_term(stat, coeffs, m1)
-    assert amp == pytest.approx(abs(res.contributions[0]), rel=1e-12)
+    assert (stat.S[0] * stat.S[0]).imag == pytest.approx(-1.0)
+    for k in range(4):
+        assert abs(res.contributions[k]) == pytest.approx(
+            abs(stat.beta[k]) * math.sqrt(coeffs.nu[k])
+            * abs(coeffs.delta_j0[k]) ** 2, rel=1e-12)
 
 
 def test_oscillation_phase_slope_finite_difference():
-    # d/dt arg(S^n e^{-i t kappa}) at fixed n equals -kappa by stationarity
+    # d/dt arg(S^n e^{-i t kappa}) at fixed n equals -kappa by stationarity,
+    # kappa_1 = Im S_1^2
     n, t, h = 30, 80.0, 1e-3
     vals = []
     for tt in (t - h, t + h):
@@ -206,19 +205,17 @@ def test_oscillation_phase_slope_finite_difference():
         coeffs = coefficient_set(ZERO_EVAL, stat)
         vals.append(coeffs.delta_j0[0])
     fd = cmath.phase(vals[1] / vals[0]) / (2 * h)
-    stat = stationary_points(RayParams(n=n, t=t))
-    _, slope_t, _ = oscillation_decomposition(
-        stat, coefficient_set(ZERO_EVAL, stat), 1)
-    assert fd == pytest.approx(slope_t, abs=1e-5)
+    S1 = stationary_points(RayParams(n=n, t=t)).S[0]
+    assert fd == pytest.approx(-(S1 * S1).imag, abs=1e-5)
 
 
 def test_amplitude_times_sqrt_t_constant_on_ray():
+    # |contribution_1| t^(1/2) along the ray v = 1/2
     r_eval = single_site_eval(0.3)
     scaled = []
     for t in (100.0, 200.0, 400.0):
-        ray = RayParams(n=round(0.5 * t), t=t)
-        stat = stationary_points(ray)
+        stat = stationary_points(RayParams(n=round(0.5 * t), t=t))
         coeffs = coefficient_set(r_eval, stat)
-        amp, _, _ = oscillation_decomposition(stat, coeffs, 1)
-        scaled.append(amp * math.sqrt(t))
+        res = leading_term(stat, coeffs, cross_solutions(coeffs))
+        scaled.append(abs(res.contributions[0]) * math.sqrt(t))
     assert max(scaled) / min(scaled) < 1.0 + 1e-9

@@ -8,7 +8,6 @@ from dmkdv import (
     DomainError,
     MergingPointsError,
     RayParams,
-    phase_at,
     phase_derivative,
     stationary_points,
 )
@@ -26,28 +25,12 @@ def random_ray(rng, v_lim=1.8):
 
 
 def test_phase_examples():
+    # phi'(z) = t(z + z^-3) - n/z: 2t - n at z = 1, i(2t + n) at z = i
     ray = RayParams(n=5, t=3.0)
-    assert phase_at(1.0, ray) == 0.0
-    assert abs(phase_at(1j, ray) - (-1j * ray.n * math.pi / 2)) < 1e-14
+    assert phase_derivative(1.0, ray) == 1.0
+    assert abs(phase_derivative(1j, ray) - 11j) < 1e-14
     with pytest.raises(DomainError):
-        phase_at(0.0, ray)
-
-
-def test_phase_purely_imaginary_on_circle():
-    ray = RayParams(n=-13, t=9.0)
-    for theta in np.linspace(-3.0, 3.0, 17):
-        val = phase_at(cmath.exp(1j * theta), ray)
-        assert abs(val.real) < 1e-12 * max(1.0, abs(val))
-
-
-def test_sign_pattern_off_circle():
-    # symmetric ray: Re phi = (t/2) cos(2 theta) (|z|^2 - |z|^-2)
-    ray = RayParams(n=0, t=1.0)
-    assert phase_at(1.3, ray).real > 0
-    assert phase_at(-1.3, ray).real > 0
-    assert phase_at(1.3j, ray).real < 0
-    assert phase_at(0.75, ray).real < 0
-    assert phase_at(0.75j, ray).real > 0
+        phase_derivative(0.0, ray)
 
 
 def test_stationary_points_symmetric_ray():
@@ -126,10 +109,14 @@ def test_scaling_factor_homogeneity():
 
 
 def test_merging_points_guard():
-    # refused from |v| = 2 - margin = 1.95 on, the edge included
-    for n in (196, -195, 195, 250):
-        with pytest.raises(MergingPointsError):
-            stationary_points(RayParams(n=n, t=100.0))
+    # refused from |v| = 2 - margin = 1.95 on, the edge included, and past
+    # |v| = 2, where the points leave the circle; the message states the bound
+    for n, t in ((196, 100.0), (-195, 100.0), (195, 100.0), (250, 100.0),
+                 (1, 1e-9)):
+        with pytest.raises(MergingPointsError, match=r"\|v\| = \d+\.\d{4} "
+                           r">= 1\.95: the stationary points merge at "
+                           r"\|v\| = 2 and leave the unit circle beyond it$"):
+            stationary_points(RayParams(n=n, t=t))
     assert stationary_points(RayParams(n=194, t=100.0)).ray.v == 1.94
 
 

@@ -1,6 +1,7 @@
 """The package namespace holds only names that callers import from it,
-every module's __all__ names only what the module defines, and every
-name the benchmark's tracing reaches in the package exists."""
+every module's __all__ names only what the module defines and what the
+package or the benchmark reads, and every name the benchmark's tracing
+reaches in the package exists."""
 
 import ast
 import functools
@@ -47,6 +48,26 @@ def test_every_name_in_each_all_exists():
     missing = [f"{module.__name__}.{name}" for module in listed
                for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_name_in_each_all_is_read():
+    # a public name that only tests or demos read belongs beside them:
+    # each must be loaded by name or as an attribute in a module of the
+    # package other than __init__.py, or in the benchmark
+    sources = [path for path in (ROOT / "src" / "dmkdv").glob("*.py")
+               if path.name != "__init__.py"] + [*ROOT.glob("bench/*.py")]
+    read = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    modules = [importlib.import_module(f"dmkdv.{info.name}")
+               for info in pkgutil.iter_modules(dmkdv.__path__)]
+    unread = [f"{module.__name__}.{name}" for module in modules
+              for name in getattr(module, "__all__", ()) if name not in read]
+    assert unread == []
 
 
 def _bench_module(name: str, monkeypatch):

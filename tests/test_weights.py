@@ -15,10 +15,7 @@ from dmkdv import (
     QuadratureError,
     RayParams,
     ReflectionTooLargeError,
-    cauchy_arc_integral,
     coefficient_set,
-    delta_at,
-    delta_j_at,
     log_density,
     reflection_evaluator,
     staggered,
@@ -30,13 +27,16 @@ from dmkdv.weights import (
     _GL_WEIGHTS,
     _arc_sums,
     _level_nodes,
-    delta_arcs,
     delta_j_arc,
 )
 from weights_oracles import (
     arc_nodes,
+    cauchy_arc_integral,
     chi_at_stationary,
     coefficient_set_by_arc,
+    delta_arcs,
+    delta_at,
+    delta_j_at,
     hat_delta_at_stationary,
     nu_at,
 )

@@ -2,7 +2,10 @@
 docstring, every coefficient one arc at a time, and the nodes of one
 arc: the oracles that `weights.coefficient_set`, which samples r once per
 panel level for all four arcs, and `weights._level_nodes`, which places
-the nodes of all arcs at once, are checked against.  Also a copy of
+the nodes of all arcs at once, are checked against.  delta(z) and
+delta_j(z) are read one arc and one point per call, by
+cauchy_arc_integral, which refuses a point that is not finite or lies on
+its arc.  Also a copy of
 `weights._assembled` that can replace one term of delta_j^0, for the
 ablations that show each term matters.
 """
@@ -13,16 +16,17 @@ import math
 
 import numpy as np
 
+from dmkdv import DomainError
 from dmkdv.weights import (
     DEFAULT_TOL,
     _GL_NODES,
     _T_ANCHORS,
+    ArcSpec,
     CoefficientSet,
     _arc_sums,
     _assembled,
     _check_j,
     delta_j_arc,
-    delta_j_at,
     log_density,
 )
 
@@ -52,6 +56,48 @@ def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
                       np.where(np.arange(5) == j, g_at_S[j - 1], 0.0), tol)[0]
             for j, arc in enumerate(arcs, 1)]
     return _assembled(stationary, r_at_S, g_at_S, sums)
+
+
+def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
+                        tol: float = DEFAULT_TOL) -> complex:
+    """(1/2pi i) int_arc density(tau) dtau / (tau - z).
+
+    `density` maps an array of points tau on the circle to an array of
+    values; z must be finite and off the closed arc: not within 1e-13 of
+    the circle with z = start or 0 <= phase(z / start) / dtheta <= 1.
+    """
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"evaluation point {zc!r} is not finite")
+    rel = cmath.phase(zc / arc.start) / arc.dtheta
+    if abs(abs(zc) - 1.0) < 1e-13 and (zc == arc.start or 0 <= rel <= 1):
+        raise DomainError("evaluation point lies on the integration arc")
+    return complex(_arc_sums(density, [arc], zc, 0.0, tol)[0, 0])
+
+
+def delta_arcs(stationary) -> tuple:
+    """The two arcs of the scalar problem: S1->S2 through 1, S3->S4
+    through -1."""
+    S = stationary.S
+    return (ArcSpec.between(S[0], S[1]), ArcSpec.between(S[2], S[3]))
+
+
+def delta_at(r_eval, stationary, z: complex,
+             tol: float = DEFAULT_TOL) -> complex:
+    """Scalar-problem solution delta(z); tends to 1 as z -> infinity."""
+    density = functools.partial(log_density, r_eval)
+    total = 0.0 + 0.0j
+    for arc in delta_arcs(stationary):
+        total += cauchy_arc_integral(density, arc, z, tol)
+    return cmath.exp(-total)
+
+
+def delta_j_at(r_eval, stationary, j: int, z: complex,
+               tol: float = DEFAULT_TOL) -> complex:
+    """Single-arc factor delta_j(z); delta = prod_j delta_j."""
+    val = cauchy_arc_integral(functools.partial(log_density, r_eval),
+                              delta_j_arc(stationary, j), z, tol)
+    return cmath.exp((-1) ** (j - 1) * val)
 
 
 def nu_at(r_eval, stationary, j: int) -> float:
