@@ -18,14 +18,12 @@ from dmkdv import (
     cross_solutions,
     leading_term,
     phase_derivative,
-    reflection_evaluator,
-    staggered,
     stationary_points,
 )
-from dmkdv.harness import delta_product_checks
+from dmkdv.harness import delta_product_checks, reflection_u
 
 profile = InitialProfile(kind="single_site", amplitude=0.3)
-r_eval = reflection_evaluator(staggered(profile.support_state()))
+r_eval = reflection_u(profile)
 
 ray = RayParams(n=50, t=100.0)
 stat = stationary_points(ray)

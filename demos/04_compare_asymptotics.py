@@ -12,10 +12,8 @@ The same sweep is available from the shell:
     dmkdv compare --set rays=[0.5] --set times=[25,50,100] --output cmp.csv
 """
 
-import math
-
 from dmkdv import InitialProfile, RunConfig, amplitude_envelope
-from dmkdv.harness import asymptotic_value, run_compare
+from dmkdv.harness import asymptotic_value, reflection_u, run_compare
 
 config = RunConfig(
     profile=InitialProfile(kind="single_site", amplitude=0.3),
@@ -25,10 +23,11 @@ config = RunConfig(
 )
 
 records = run_compare(config)
+r_eval = reflection_u(config.profile)
 print(f"{'v':>5} {'t':>5} {'n':>4} {'q_direct':>13} {'q_asym':>13} "
       f"{'abs_err':>10} {'err*t/log t':>11} {'err/envelope':>12}")
 for rec in records:
-    env = amplitude_envelope(asymptotic_value(config, rec.v, rec.t))
+    env = amplitude_envelope(asymptotic_value(r_eval, rec.n, rec.t))
     print(f"{rec.v:5.2f} {rec.t:5.0f} {rec.n:4d} {rec.q_direct:13.6e} "
           f"{rec.q_asym:13.6e} {rec.abs_err:10.2e} {rec.scaled_err:11.5f} "
           f"{rec.abs_err / env:12.4f}")

@@ -3,9 +3,10 @@
 Runs the full chain for a sweep of rays and times: integrate the lattice
 directly, once per profile through the sorted times (_trajectory, whose
 states every row reads its q_n from), build the
-reflection coefficient r(z) of the initial profile once per sweep,
-evaluate the leading-order asymptotic value per row from it (how a row
-samples r is stated in weights.coefficient_set), and record the
+reflection coefficient r_u of the initial profile once per sweep
+(reflection_u), evaluate the leading-order asymptotic value per row from
+it (asymptotic_value(r_eval, n, t), the one route to the formula; how a
+row samples r is stated in weights.coefficient_set), and record the
 comparison: the measured values, from which the error columns are
 derived.  Also hosts what the CLI writes and checks with:
 write_table, the one writer of every output table (emit is its form for
@@ -35,6 +36,8 @@ __all__ = [
     "RunConfig",
     "ComparisonRecord",
     "run_compare",
+    "reflection_u",
+    "asymptotic_value",
     "selftest",
     "emit",
     "write_table",
@@ -208,9 +211,15 @@ def probe_site(v: float, t: float, v_max: float) -> int:
     return n
 
 
-def asymptotic_value(config: RunConfig, v: float,
-                     t: float) -> model.AsymptoticResult:
-    """Leading-order asymptotic value of q_n(t) at n = round(v t).
+def reflection_u(profile: InitialProfile):
+    """r_u(z), u_k = (-1)^k q_k(0): the reflection coefficient that every
+    asymptotic value of the profile is built from (see asymptotic_value)."""
+    return reflection_evaluator(staggered(profile.support_state()))
+
+
+def asymptotic_value(r_eval, n: int, t: float) -> model.AsymptoticResult:
+    """Leading-order asymptotic value of q_n(t) from r_eval, the profile's
+    reflection_u, built once and shared by every value of the profile.
 
     The cross-sum functional R (leading_term) reconstructs the lattice
     field in a staggered, site-shifted gauge relative to the transfer
@@ -219,26 +228,13 @@ def asymptotic_value(config: RunConfig, v: float,
         q_n(t) = (-1)^n R(n+1, t; r_u),   u_k = (-1)^k q_k(0).
 
     The gauge is pinned by two independent oracles: direct integration,
-    and the exact linearization q_n = q_0 (-1)^n J_n(2t) for small
-    single-site data (Bessel asymptotics fix both the site shift and the
-    sign alternation; see tests).  The ray n+1 may lie 1/t past v_max;
+    and the exact linearization q_n = sum_k q_k J_(k-n)(2t) for small
+    data (Bessel asymptotics fix both the site shift and the sign
+    alternation; see tests).  The ray n+1 may lie 1/t past v_max;
     stationary_points refuses it only near the merging points.  The
     imaginary residual is returned as measured; a sweep's rows apply
-    model.check_realness to it.  Builds r_u for this one value; a sweep
-    builds it once and shares it between its rows.
+    model.check_realness to it.
     """
-    return _asymptotic_row(_reflection(config.profile),
-                           probe_site(v, t, config.v_max), t)
-
-
-def _reflection(profile: InitialProfile):
-    """r_u(z), u_k = (-1)^k q_k(0): the reflection coefficient that every
-    asymptotic value of the profile is built from (see asymptotic_value)."""
-    return reflection_evaluator(staggered(profile.support_state()))
-
-
-def _asymptotic_row(r_eval, n: int, t: float) -> model.AsymptoticResult:
-    """asymptotic_value at site n from a prebuilt r_u (see _reflection)."""
     stat = stationary_points(RayParams(n=n + 1, t=t))
     coeffs = weights.coefficient_set(r_eval, stat)
     m1 = model.cross_solutions(coeffs)
@@ -292,7 +288,7 @@ def _row_worker(config: RunConfig, v: float, t: float, stop,
     q_direct = q_asym = imag_residual = math.nan
     if reason is None and r_eval is not None:
         try:
-            result = _asymptotic_row(r_eval, n, t)
+            result = asymptotic_value(r_eval, n, t)
             model.check_realness(result)
             q_asym, imag_residual = result.q_asym, result.imag_residual
         except DmkdvError as exc:
@@ -324,7 +320,7 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     r_eval = unbuilt = None
     if compute_asym:
         try:
-            r_eval = _reflection(config.profile)
+            r_eval = reflection_u(config.profile)
         except DmkdvError as exc:
             unbuilt = exc.describe()
     stops = dict.fromkeys(config.t_list, (None, unbuilt, 0.0))
@@ -384,13 +380,14 @@ def emit(records, path: str, fmt: str = "csv",
 
 def emit_plot_data(records, path_stem: str) -> list:
     """Gnuplot-compatible two-column (t, abs_err) file per ray, named by
-    the ray's v exactly as the CSV table prints it."""
+    the ray's v exactly as the CSV table prints it: rays are grouped by
+    that name, so 0.0 and -0.0 get a file each."""
     paths = []
     by_ray = {}
     for rec in records:
-        by_ray.setdefault(rec.v, []).append(rec)
-    for v, rows in by_ray.items():
-        path = f"{path_stem}_ray{_fmt(v)}.dat"
+        by_ray.setdefault(_fmt(rec.v), []).append(rec)
+    for name, rows in by_ray.items():
+        path = f"{path_stem}_ray{name}.dat"
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("# t abs_err\n")
             for rec in rows:
@@ -447,18 +444,17 @@ def unitarity_checks(state: lattice.LatticeState) -> list:
 
 
 def realness_checks() -> list:
-    """The realness audit on single-site 0.3 data at v = 0.5, t = 800,
+    """The realness audit on single-site 0.3 data at n = 400, t = 800,
     read from asymptotic_value, which applies no realness guard: the
     imaginary residual over t^-1/2 must stay below 0.05 for the cross
     entries of model.m1_entry, and reach 0.05 once the odd crosses are
     rotated by -i (e^(-i pi/4) for every j, the form the model rejects).
     Both residuals come from one asymptotic value.
     """
-    config = RunConfig(profile=InitialProfile(kind="single_site",
-                                              amplitude=0.3))
+    profile = InitialProfile(kind="single_site", amplitude=0.3)
     t = 800.0
     scale = t ** -0.5
-    res = asymptotic_value(config, 0.5, t)
+    res = asymptotic_value(reflection_u(profile), 400, t)
     rotated = sum(rot * c for rot, c in zip((-1j, 1, -1j, 1),
                                             res.contributions))
     rejected = abs((rotated / res.delta_at_zero).imag)

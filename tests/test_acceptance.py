@@ -30,6 +30,7 @@ from dmkdv.harness import (
     modulus_checks,
     phase_checks,
     realness_checks,
+    reflection_u,
     run_compare,
     unitarity_checks,
 )
@@ -50,7 +51,8 @@ def sweep():
     started = time.perf_counter()
     records = run_compare(config)
     elapsed = time.perf_counter() - started
-    envelopes = [amplitude_envelope(asymptotic_value(config, r.v, r.t))
+    r_eval = reflection_u(REFERENCE)
+    envelopes = [amplitude_envelope(asymptotic_value(r_eval, r.n, r.t))
                  for r in records]
     return config, records, envelopes, elapsed
 

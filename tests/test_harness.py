@@ -35,6 +35,7 @@ from dmkdv.harness import (
     emit,
     emit_plot_data,
     probe_site,
+    reflection_u,
     run_compare,
     selftest,
 )
@@ -292,6 +293,13 @@ def test_emit_plot_data(tmp_path):
     assert paths == [str(tmp_path / "close_ray0.3000001.dat"),
                      str(tmp_path / "close_ray0.3000002.dat")]
     assert all(len(Path(p).read_text().splitlines()) == 2 for p in paths)
+    # 0.0 == -0.0, but the table prints two rays, so they get two files
+    signed = [dataclasses.replace(rec, v=v) for v in (0.0, -0.0)
+              for rec in make_records(2)]
+    paths = emit_plot_data(signed, str(tmp_path / "zero"))
+    assert paths == [str(tmp_path / "zero_ray0.0.dat"),
+                     str(tmp_path / "zero_ray-0.0.dat")]
+    assert all(len(Path(p).read_text().splitlines()) == 3 for p in paths)
 
 
 def test_zero_profile_rows_are_zero():
@@ -592,13 +600,32 @@ def test_asymptotics_match_linear_limit():
     # whole asymptotics chain (stationary points, coefficients, cross
     # entries, gauge) with an oracle that never touches the integrator.
     c = 0.02
-    config = RunConfig(profile=InitialProfile(kind="single_site", amplitude=c))
+    r_eval = reflection_u(InitialProfile(kind="single_site", amplitude=c))
     for v in (0.0, 0.5, -0.8, 1.2):
         for t in (60.0, 75.0):
-            n = probe_site(v, t, config.v_max)
+            n = probe_site(v, t, 1.8)
             truth = c * (-1) ** n * scipy.special.jv(n, 2 * t)
-            res = asymptotic_value(config, v, t)
+            res = asymptotic_value(r_eval, n, t)
             assert abs(res.q_asym - truth) < 3e-5  # O(t^-1) correction scale
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(values=st.lists(st.floats(-0.02, 0.02), min_size=1, max_size=6),
+       center=st.integers(-3, 3),
+       rays=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4),
+       t=st.sampled_from((60.0, 75.0)))
+def test_property_asymptotics_match_linear_limit(values, center, rays, t):
+    # small multi-site data: q_n(t) = sum_k q_k J_(k-n)(2t) + O(q^3), so
+    # a wrong sign alternation or site shift of the gauge shows at once
+    profile = InitialProfile(kind="custom_list", center=center,
+                             custom=tuple(values))
+    r_eval = reflection_u(profile)
+    sites = np.arange(center, center + len(values))
+    for v in rays:
+        n = probe_site(v, t, 1.8)
+        truth = np.dot(values, scipy.special.jv(sites - n, 2 * t))
+        res = asymptotic_value(r_eval, n, t)
+        assert abs(res.q_asym - truth) <= 0.05 * np.abs(values).sum()
 
 
 def test_asymptotics_match_integration_two_site():

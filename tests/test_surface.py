@@ -1,7 +1,8 @@
 """The package namespace holds only names that callers import from it,
 every module's __all__ names only what the module defines and what the
-package or the benchmark reads, and every name the benchmark's tracing
-reaches in the package exists."""
+package or the benchmark reads, every name a module, demo or test
+imports is read, and every name the benchmark's tracing reaches in the
+package exists."""
 
 import ast
 import functools
@@ -67,6 +68,28 @@ def test_every_name_in_each_all_is_read():
                for info in pkgutil.iter_modules(dmkdv.__path__)]
     unread = [f"{module.__name__}.{name}" for module in modules
               for name in getattr(module, "__all__", ()) if name not in read]
+    assert unread == []
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports to re-export, and `from __future__` binds nothing
+    paths = [path for path in (ROOT / "src" / "dmkdv").glob("*.py")
+             if path.name != "__init__.py"]
+    paths += [*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py")]
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.relative_to(ROOT)}: {name}"
+                   for name in sorted(imported - read)]
+    assert len(paths) >= 20
     assert unread == []
 
 

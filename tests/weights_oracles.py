@@ -5,13 +5,15 @@ panel level for all four arcs, and `weights._level_nodes`, which places
 the nodes of all arcs at once, are checked against.  delta(z) and
 delta_j(z) are read one arc and one point per call, by
 cauchy_arc_integral, which refuses a point that is not finite or lies on
-its arc.  Also a copy of
-`weights._assembled` that can replace one term of delta_j^0, for the
-ablations that show each term matters.
+its arc.  Also `assembled`, which calls `weights._assembled` on inputs
+changed so that one term of delta_j^0 is replaced, for the ablations that
+show each term matters; no copy of the assembly is kept here.
 """
 
 import cmath
+import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -20,9 +22,7 @@ from dmkdv import DomainError
 from dmkdv.weights import (
     DEFAULT_TOL,
     _GL_NODES,
-    _T_ANCHORS,
     ArcSpec,
-    CoefficientSet,
     _arc_sums,
     _assembled,
     _check_j,
@@ -131,34 +131,23 @@ def hat_delta_at_stationary(r_eval, stationary, j: int,
                      for k in (1, 2, 3, 4) if k != j)
 
 
-def assembled(stationary, r_at_S, g_at_S, arc_sums, replaced=None):
-    """weights._assembled line for line, with the term of delta_j^0 named
-    by `replaced` (one of ABLATIONS, or None for none) replaced."""
-    exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
-    chis = []
-    for j, sums in enumerate(arc_sums, 1):
-        chis.append(complex(sums[j]))
-        sums[j] = 0.0
-        exponents += (-1) ** (j - 1) * sums
-    nu = tuple(float(-g / (2.0 * math.pi)) for g in g_at_S)
-    hat_delta_at_S = tuple(map(cmath.exp, exponents[1:]))
-    ray = stationary.ray
-    delta_j0 = []
-    for k in range(4):
-        Sj, sgn = stationary.S[k], (-1) ** k
-        kappa_j = (Sj * Sj).imag
-        osc = cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * kappa_j))
-        beta = stationary.beta[k]
-        if replaced == "beta":
-            beta = beta * math.sqrt(ray.t)
-        power = cmath.exp(sgn * 1j * nu[k] * cmath.log(
-            beta / (Sj - _T_ANCHORS[k])))
-        if replaced == "nu_power":
-            power = 1.0
-        chi = 0.0 if replaced == "chi" else chis[k]
-        hat = 1.0 if replaced == "hat_delta" else hat_delta_at_S[k]
-        delta_j0.append(osc * power * cmath.exp(sgn * chi) * hat)
-    return CoefficientSet(
-        r_at_S=tuple(r_at_S.tolist()), nu=nu, chi_at_S=tuple(chis),
-        hat_delta_at_S=hat_delta_at_S, delta_j0=tuple(delta_j0),
-        delta_at_zero=cmath.exp(exponents[0]))
+def assembled(stationary, r_at_S, g_at_S, arc_sums, replaced):
+    """weights._assembled on inputs changed so that the term of delta_j^0
+    named by `replaced`, one of ABLATIONS, is replaced; the other
+    coefficients stay those of the full formula."""
+    if replaced == "beta":
+        root_t = math.sqrt(stationary.ray.t)
+        stationary = dataclasses.replace(
+            stationary, beta=tuple(beta * root_t for beta in stationary.beta))
+    elif replaced == "chi":  # each arc's sum at its own S_j
+        for j in (1, 2, 3, 4):
+            arc_sums[j - 1][j] = 0.0
+    elif replaced == "hat_delta":  # each arc's sums at the other S_k
+        for j, k in itertools.permutations((1, 2, 3, 4), 2):
+            arc_sums[j - 1][k] = 0.0
+    elif replaced == "nu_power":  # nu_j = 0 in delta_j^0, not in the crosses
+        nu = _assembled(stationary, r_at_S, g_at_S, np.array(arc_sums)).nu
+        return dataclasses.replace(
+            _assembled(stationary, r_at_S, np.zeros_like(g_at_S), arc_sums),
+            nu=nu)
+    return _assembled(stationary, r_at_S, g_at_S, arc_sums)
