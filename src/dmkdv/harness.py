@@ -520,24 +520,20 @@ def delta_product_checks(points=PRODUCT_POINTS,
                          tol: float = weights.DEFAULT_TOL) -> list:
     """delta(z) = prod_j delta_j(z) within 1e-9 at every z of `points`, on
     single-site 0.3 data and the ray n = 50, t = 100, with the arc
-    quadrature at `tol`.  The exponents of both sides come from one
-    weights._arc_sums call each over all the points: delta's two arcs
-    S1 -> S2 and S3 -> S4, and the four arcs T_j -> S_j, signed
-    (-1)^(j-1)."""
+    quadrature at `tol`.  Each of the six arcs is swept at all the points
+    by its own weights._arc_sums call: delta's two arcs S1 -> S2 and
+    S3 -> S4, and the four arcs T_j -> S_j, signed (-1)^(j-1)."""
     profile = InitialProfile(kind="single_site", amplitude=0.3)
     density = functools.partial(
         weights.log_density, reflection_evaluator(profile.support_state()))
     stat = stationary_points(RayParams(n=50, t=100.0))
     S = stat.S
-    delta = weights._arc_sums(density, [weights.ArcSpec.between(S[0], S[1]),
-                                        weights.ArcSpec.between(S[2], S[3])],
-                              points, 0.0, tol)
-    factors = weights._arc_sums(
-        density, [weights.delta_j_arc(stat, j) for j in (1, 2, 3, 4)],
-        points, 0.0, tol)
-    signs = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-    worst = np.abs(np.exp(-delta.sum(axis=0))
-                   - np.exp((signs * factors).sum(axis=0))).max()
+    delta = sum(weights._arc_sums(density, weights.ArcSpec.between(
+        S[k], S[k + 1]), points, 0.0, tol) for k in (0, 2))
+    factors = sum((-1) ** (j - 1) * weights._arc_sums(
+        density, weights.delta_j_arc(stat, j), points, 0.0, tol)
+        for j in (1, 2, 3, 4))
+    worst = np.abs(np.exp(-delta) - np.exp(factors)).max()
     return [_check("delta_product_identity", worst, 1e-9)]
 
 

@@ -90,18 +90,26 @@ class AsymptoticResult:
 
 
 def m1_entry(nu: float, r_at_S: complex, j: int) -> complex:
-    """(m1^j)_12 for one cross; returns 0 at nu = 0 by continuity."""
+    """(m1^j)_12 for one cross, written without the pole at nu = 0 by
+    Gamma(1 -+ i nu) = -+ i nu Gamma(-+ i nu) and nu / r = rho conj(r):
+
+        odd j :  (2pi)^(1/2) e^(-pi nu/2) e^(+i pi/4) rho conj(r)
+                 / Gamma(1 - i nu),
+        even j:  (2pi)^(1/2) e^(-pi nu/2) e^(-i pi/4) rho conj(r)
+                 / Gamma(1 + i nu),
+
+    with rho = nu / |r|^2, or its limit 1/(2pi) once |r|^2 <= 2^-53, so
+    that data whose |r|^2 underflows keeps its linear-limit value."""
     _check_j(j)
     if not nu >= 0:  # refuses NaN too
         raise ValueError("nu must be nonnegative")
-    if nu == 0.0 or r_at_S == 0.0:
-        return 0.0 + 0.0j
-    root = math.sqrt(2.0 * math.pi) * math.exp(-math.pi * nu / 2.0)
+    abs2 = abs(r_at_S) ** 2
+    rho = nu / abs2 if abs2 > 2.0 ** -53 else 1.0 / (2.0 * math.pi)
+    root = math.sqrt(2.0 * math.pi) * math.exp(-math.pi * nu / 2.0) \
+        * rho * complex(r_at_S).conjugate()
     if j % 2 == 1:
-        return 1j * root * cmath.exp(0.25j * math.pi) \
-            / (r_at_S * complex_gamma(-1j * nu))
-    return -1j * root * cmath.exp(-0.25j * math.pi) \
-        / (r_at_S * complex_gamma(1j * nu))
+        return root * cmath.exp(0.25j * math.pi) / complex_gamma(1.0 - 1j * nu)
+    return root * cmath.exp(-0.25j * math.pi) / complex_gamma(1.0 + 1j * nu)
 
 
 def cross_solutions(coeffs: CoefficientSet) -> tuple:

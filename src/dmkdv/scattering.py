@@ -265,8 +265,8 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
 def circle_modulus(z):
     """|z| of a scalar or numpy-array z, after the one check of |z| = 1:
     DomainError unless every |z| lies within 1e-14 of 1.  A scalar takes
-    plain float arithmetic and no division: the per-row ArcSpec checks
-    cost what an inline test did."""
+    plain float arithmetic and no division: the ArcSpec check of a row's
+    one arc costs what an inline test did."""
     modulus = abs(z)
     off = abs(modulus - 1.0)
     if isinstance(off, np.ndarray):

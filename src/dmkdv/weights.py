@@ -28,14 +28,17 @@ branch (cut on the negative real axis).
 
 Every integral is one rule: composite 16-point Gauss-Legendre in the
 angle on 2^m equal panels, m growing until no sum moves by more than the
-tolerance.  The arcs of one call refine together: each level places the
-nodes of every arc in one array expression, samples the density once on
-them and forms every Cauchy sum of every arc in one pass, and the call
-returns at the first level where no sum of any arc moved by more than
-the tolerance.  Nothing can settle before level 1, so coefficient_set
-samples levels 0 and 1 in one call.
+tolerance.  One call sweeps one arc at all its points: each level
+places the arc's nodes, samples the density once on them and forms
+every Cauchy sum in one pass, and the call returns at the first level
+where no sum moved by more than the tolerance.
 chi_j(S_j) subtracts g(S_j) from the density, leaving an analytic
 integrand; no Gauss node sits on the endpoint S_j.
+
+For real lattice data the four arcs T_j -> S_j are images of one:
+|r| is even under z -> conj(z) and under z -> -z, and S_2 = conj(S_1),
+S_3 = -S_1, S_4 = -conj(S_1).  coefficient_set therefore sweeps arc 1
+alone and reads the other three from its sums.
 """
 
 from __future__ import annotations
@@ -115,70 +118,54 @@ def _density(r_values):
     return np.log1p(-checked_abs2(r_values))
 
 
-def _level_nodes(arcs, panels: int) -> tuple:
-    """(half, tau) of one panel level for every arc at once: half the
-    angle of each arc's `panels` equal panels, shaped (arcs,), and the 16
-    Gauss nodes of every panel on the circle, shaped (arcs, panels * 16).
-    Each element takes the arithmetic of one arc on its own, so the nodes
-    are bitwise those of the arc alone."""
-    half = 0.5 * np.array([arc.dtheta for arc in arcs]) / panels
-    mids = (np.array([arc.theta_start for arc in arcs])[:, None]
-            + half[:, None] * (2.0 * np.arange(panels) + 1.0))
-    angles = mids[:, :, None] + half[:, None, None] * _GL_NODES
-    return half, np.exp(1j * angles.reshape(len(arcs), -1))
+def _level_nodes(arc: ArcSpec, panels: int) -> tuple:
+    """(half, tau) of one panel level of `arc`: half the angle of each of
+    its `panels` equal panels, and the 16 Gauss nodes of every panel on
+    the circle, panel by panel."""
+    half = 0.5 * arc.dtheta / panels
+    mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
+    return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
 
 
-def _arc_sums(density, arcs, points, shifts, tol: float = DEFAULT_TOL,
-              sampled=()) -> np.ndarray:
+def _arc_sums(density, arc: ArcSpec, points, shifts,
+              tol: float = DEFAULT_TOL) -> np.ndarray:
     """The sums (1/2pi i) int_arc (density(tau) - shift) dtau / (tau - z)
-    of every arc at its points, shaped (arcs, points): `points` and
-    `shifts` broadcast to that shape, and dtau/(2pi i) = tau dtheta/(2pi)
-    at tau = e^(i theta).
-
-    The arcs refine together as the module docstring states; `sampled`
-    holds the (half, tau, values) of the first levels, already computed.
+    at every point z of `points`, with `shifts` broadcast against them
+    and the result shaped like both: dtau/(2pi i) = tau dtheta/(2pi) at
+    tau = e^(i theta).  The arc refines as the module docstring states.
 
     QuadratureError past the panel budget, or earlier, at the first level
-    where an arc's residual has stopped falling while `tol` lies below
-    that arc's rounding floor _FLOOR_ULPS * eps * max_k sum |weighted
-    terms_k|: no finer level can then be trusted to meet `tol`."""
-    shape = np.broadcast_shapes((len(arcs), 1), np.shape(points),
-                                np.shape(shifts))
-    z, c = (np.broadcast_to(a, shape)[:, :, None, None]
-            for a in (np.asarray(points, dtype=complex), shifts))
-    previous, residual = None, np.full(len(arcs), math.inf)
+    where the residual has stopped falling while `tol` lies below the
+    rounding floor _FLOOR_ULPS * eps * max_z sum |weighted terms|: no
+    finer level can then be trusted to meet `tol`."""
+    z, c = (a[..., None, None] for a in np.broadcast_arrays(
+        np.asarray(points, dtype=complex), shifts))
+    previous, residual = None, math.inf
     for level in range(_MAX_LEVEL + 1):
         panels = 2 ** level
-        if level < len(sampled):
-            half, tau, values = sampled[level]
-        else:
-            half, tau = _level_nodes(arcs, panels)
-            values = density(tau.ravel())
-        tau = tau.reshape(len(arcs), 1, panels, _GL_NODES.size)
-        values = values.reshape(tau.shape)
+        half, tau = _level_nodes(arc, panels)
+        values = density(tau).reshape(panels, _GL_NODES.size)
+        tau = tau.reshape(values.shape)
         terms = (values - c) * tau / (tau - z)
-        terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))[:, None, None, None]
-        sums = terms.sum(axis=(2, 3))
+        terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))
+        sums = terms.sum(axis=(-2, -1))
         if previous is not None:
-            last, residual = residual, abs(sums - previous).max(axis=1)
-            if (residual <= tol).all():
+            last, residual = residual, abs(sums - previous).max()
+            if residual <= tol:
                 return sums
-            stalled = (residual > tol) & (residual >= last)
-            if stalled.any():
-                floor = _FLOOR_ULPS * _EPS * abs(terms).sum(axis=(2, 3)).max(
-                    axis=1)
-                tripped = np.flatnonzero(stalled & (tol < floor))
-                if tripped.size:
-                    k = tripped[0]
+            if residual >= last:
+                floor = _FLOOR_ULPS * _EPS * abs(terms).sum(
+                    axis=(-2, -1)).max()
+                if tol < floor:
                     raise QuadratureError(
                         f"arc quadrature stalled at {panels} panels: "
-                        f"residual {residual[k]:.3e} stopped falling and "
+                        f"residual {residual:.3e} stopped falling and "
                         f"tol {tol:.3e} is below the rounding floor "
-                        f"{floor[k]:.3e}")
+                        f"{floor:.3e}")
         previous = sums
     raise QuadratureError(
         f"arc quadrature unsettled at {panels} panels "
-        f"(residual {residual.max():.3e} > {tol:.3e})")
+        f"(residual {residual:.3e} > {tol:.3e})")
 
 
 def delta_j_arc(stationary: StationarySet, j: int) -> ArcSpec:
@@ -204,43 +191,38 @@ def coefficient_set(r_eval, stationary: StationarySet,
                     tol: float = DEFAULT_TOL) -> CoefficientSet:
     """Compute every coefficient the asymptotic formula needs.
 
-    The four arcs T_j -> S_j refine together (see the module docstring),
-    so r is sampled once per panel level: the first sample holds the
-    four S_j and the nodes of levels 0 and 1 of every arc, 4 + 64 + 128
-    = 196 points, and each later level samples all four arcs.  The
-    values at the S_j give g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and
-    are kept as r_at_S for the cross entries.  The arcs are swept at
-    z = 0 and at every S_k, with g(S_j) subtracted at arc j's own
-    endpoint (chi_j).  delta(0) is prod_j delta_j(0): arc S1 -> S2
-    through 1 is arc T1 -> S1 reversed followed by arc T2 -> S2, and
-    likewise through -1.  delta_j^0 is then assembled from nu_j,
-    chi_j(S_j) and hat_delta_j(S_j) by the formula of the module
-    docstring.
+    r_eval must be the r of real lattice data: the other three arcs are
+    read as images of arc 1 (see the module docstring), which holds only
+    when |r| is even under z -> conj(z) and z -> -z.  r is sampled once
+    at the four S_j, and then once per panel level of arc 1.  The values
+    at the S_j give g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are
+    kept as r_at_S for the cross entries.  Arc 1 is swept at the points
+    s = (0, S_1, S_2, S_3, S_4), with g(S_1) subtracted at S_1 only
+    (chi_1); arc 2 is -conj(s[[0, 2, 1, 4, 3]]), arc 3 is
+    s3 = s[[0, 3, 4, 1, 2]] and arc 4 is -conj(s3[[0, 2, 1, 4, 3]]).
+    delta(0) is prod_j delta_j(0): arc S1 -> S2 through 1 is arc
+    T1 -> S1 reversed followed by arc T2 -> S2, and likewise through -1.
+    delta_j^0 is then assembled from nu_j, chi_j(S_j) and
+    hat_delta_j(S_j) by the formula of the module docstring.
 
-    Data that would trip two guards may report either one:
-    ReflectionTooLargeError from any sample, or QuadratureError from the
-    first arc (in order j = 1..4) to stall.  Either fails the row.  A
-    node of level 1 where |r| reaches 1 - 1e-8, or where r is NaN, trips
-    the guard in the first sample, whose reported max |r| is then the
-    peak over all 196 points.
+    ReflectionTooLargeError when |r| reaches 1 - 1e-8, or r is NaN, at an
+    S_j (the first call) or at a node of arc 1 (a later one); only arc 1
+    can raise QuadratureError.  Either fails the row.
     """
-    arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
-    levels = [_level_nodes(arcs, panels) for panels in (1, 2)]
-    points = np.concatenate([np.array(stationary.S)]
-                            + [taus.ravel() for _, taus in levels])
-    r_values = r_eval(points)
-    g = _density(r_values)
-    sampled = [nodes + (values,) for nodes, values
-               in zip(levels, np.split(g[4:], [levels[0][1].size]))]
-    shifts = np.where(np.eye(4, 5, 1, dtype=bool), g[:4, None], 0.0)
-    sums = _arc_sums(functools.partial(log_density, r_eval), arcs,
-                     (0.0,) + stationary.S, shifts, tol, sampled)
-    return _assembled(stationary, r_values[:4], g[:4], sums)
+    S = np.array(stationary.S)
+    r_at_S = r_eval(S)
+    g = _density(r_at_S)
+    s = _arc_sums(functools.partial(log_density, r_eval),
+                  delta_j_arc(stationary, 1), np.concatenate(([0.0], S)),
+                  np.array([0.0, g[0], 0.0, 0.0, 0.0]), tol)
+    conj, s3 = [0, 2, 1, 4, 3], s[[0, 3, 4, 1, 2]]
+    return _assembled(stationary, r_at_S, g,
+                      np.array([s, -s[conj].conj(), s3, -s3[conj].conj()]))
 
 
 def _assembled(stationary: StationarySet, r_at_S, g_at_S,
                arc_sums) -> CoefficientSet:
-    """The CoefficientSet from r(S_j), g(S_j) and the four sweeps' sums."""
+    """The CoefficientSet from r(S_j), g(S_j) and the four arcs' sums."""
     exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
     chis = []
     for j, sums in enumerate(arc_sums, 1):

@@ -40,10 +40,14 @@ ROTATIONS = {"conjugate_pair": (1, 1, 1, 1),
 
 
 def _oracle_uniform_phase(nu, r_at_S, j):
-    root = math.sqrt(2.0 * math.pi) * math.exp(-math.pi * nu / 2.0)
-    sgn = (-1) ** (j - 1)
-    return sgn * 1j * root * cmath.exp(-0.25j * math.pi) \
-        / (r_at_S * complex_gamma((-1) ** j * 1j * nu))
+    # in m1_entry's pole-free form: nu / (r Gamma(-+ i nu)) is
+    # -+ i rho conj(r) / Gamma(1 -+ i nu), rho = nu / |r|^2
+    abs2 = abs(r_at_S) ** 2
+    rho = nu / abs2 if abs2 > 2.0 ** -53 else 1.0 / (2.0 * math.pi)
+    root = math.sqrt(2.0 * math.pi) * math.exp(-math.pi * nu / 2.0) \
+        * rho * complex(r_at_S).conjugate()
+    return root * cmath.exp(-0.25j * math.pi) \
+        / complex_gamma(1.0 + (-1) ** j * 1j * nu)
 
 
 def test_gamma_special_values():

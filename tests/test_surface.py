@@ -1,15 +1,17 @@
 """The package namespace holds only names that callers import from it,
 every module's __all__ names only what the module defines and what the
 package or the benchmark reads, every name a module, demo or test
-imports is read, and every name the benchmark's tracing reaches in the
-package exists."""
+imports is read, importing the package loads no test-only dependency,
+and every name the benchmark's tracing reaches in the package exists."""
 
 import ast
 import functools
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -91,6 +93,19 @@ def test_every_imported_name_is_read():
                    for name in sorted(imported - read)]
     assert len(paths) >= 20
     assert unread == []
+
+
+def test_import_loads_no_test_only_dependency():
+    # pyproject.toml lists only numpy at run time; a fresh interpreter
+    # imports the package and the CLI, as `dmkdv` and setup_s do
+    probe = ("import sys, dmkdv, dmkdv.cli; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in "
+             "('scipy', 'mpmath', 'hypothesis', 'pytest') "
+             "or m.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _bench_module(name: str, monkeypatch):

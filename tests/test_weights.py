@@ -1,5 +1,5 @@
 import cmath
-import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -21,16 +21,13 @@ from dmkdv import (
     staggered,
     stationary_points,
 )
-from dmkdv import weights
 from dmkdv.weights import (
     _GL_NODES,
     _GL_WEIGHTS,
     _arc_sums,
-    _level_nodes,
     delta_j_arc,
 )
 from weights_oracles import (
-    arc_nodes,
     cauchy_arc_integral,
     chi_at_stationary,
     coefficient_set_by_arc,
@@ -203,10 +200,10 @@ def test_quadrature_error_on_unreachable_tolerance():
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-16])
 def test_quadrature_stops_at_the_rounding_floor(tol):
-    # gaussian(0.5, 3) on the ray of v = -1.8, t = 50: the first arc's
-    # residual falls to 5.8e-14 at 8 panels and rises to 1.1e-13 at 16,
-    # rounding noise above both tolerances; without the floor the sweep
-    # walks to 4,096 panels (65,536 nodes)
+    # gaussian(0.5, 3) on the ray of v = -1.8, t = 50: arc 1's residual
+    # falls to 5.8e-14 at 8 panels and rises to 1.1e-13 at 16, rounding
+    # noise above both tolerances; without the floor the sweep walks to
+    # 4,096 panels (65,536 nodes)
     profile = InitialProfile(kind="gaussian", amplitude=0.5, width=3.0)
     r_eval = reflection_evaluator(staggered(profile.support_state()))
     sampled = []
@@ -218,16 +215,16 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     stat = stationary_points(RayParams(n=-89, t=50.0))
     with pytest.raises(QuadratureError, match="rounding floor"):
         coefficient_set(counting, stat, tol=tol)
-    assert sampled[0] == 4 + 4 * 16 + 4 * 32  # the S_j, levels 0 and 1
-    assert max(sampled) == 4 * 16 * 16  # four arcs at 16 panels
+    assert sampled[0] == 4  # the S_j
+    assert max(sampled) == 16 * 16  # arc 1 at 16 panels
 
 
 @pytest.mark.parametrize("profile, n, t", [
     (InitialProfile(kind="single_site", amplitude=0.3), 51, 100.0),
     (InitialProfile(kind="gaussian", amplitude=0.2, width=2.0), 401, 800.0)])
 def test_coefficient_set_samples_r_once_per_level(profile, n, t):
-    # the arcs settle together at 2 panels: one sample holds the four S_j and
-    # the four arcs' nodes at 1 and 2 panels, 16 and 32 each
+    # arc 1 settles at 2 panels: one sample of the four S_j, then one of
+    # its nodes at 1 panel and one at 2
     r_eval = reflection_evaluator(staggered(profile.support_state()))
     sampled = []
 
@@ -236,12 +233,12 @@ def test_coefficient_set_samples_r_once_per_level(profile, n, t):
         return r_eval(z)
 
     coefficient_set(counting, stationary_points(RayParams(n=n, t=t)))
-    assert sampled == [4 + 4 * 16 + 4 * 32]
+    assert sampled == [4, 16, 32]
 
 
 def test_a_nan_r_fails_at_the_first_sample():
-    # the |r| < 1 guard refuses NaN as it refuses |r| >= 1 - 1e-8, before
-    # a single panel level is refined
+    # the |r| < 1 guard refuses NaN as it refuses |r| >= 1 - 1e-8, at the
+    # S_j, before a single panel level is sampled
     sampled = []
 
     def nan_r(z):
@@ -251,7 +248,7 @@ def test_a_nan_r_fails_at_the_first_sample():
     stat = stationary_points(RayParams(n=51, t=100.0))
     with pytest.raises(ReflectionTooLargeError, match=r"^max \|r\| = nan "):
         coefficient_set(nan_r, stat)
-    assert sampled == [4 + 4 * 16 + 4 * 32]
+    assert sampled == [4]
     sampled.clear()
     with pytest.raises(ReflectionTooLargeError):
         delta_at(nan_r, stat, 0.0)
@@ -439,99 +436,50 @@ def test_coefficient_set_matches_individual_operations(make_eval, n):
             hat_delta_at_stationary(r_eval, stat, j), abs=1e-11)
 
 
-def _bits(coeffs) -> list:
-    return [float.hex(x) for value in dataclasses.astuple(coeffs)
-            for z in np.ravel(value) for x in (z.real, z.imag)]
-
-
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(st.integers(-10, 10),
        st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
        st.floats(-1.7, 1.7),
        st.sampled_from((20.0, 100.0, 400.0)))
-def test_property_batched_sums_equal_arc_by_arc(n_min, values, v, t):
-    # on these examples the arcs settle at the same level, so refining
-    # them together gives bitwise the sums of one sweep per arc
+def test_property_image_arcs_match_arc_by_arc(n_min, values, v, t):
+    # arcs 2-4 read as images of arc 1 give the coefficients of four
+    # sweeps, one per arc, within the sums' rounding: r(S_j) and nu_j
+    # are the same values, the rest lies within 1e-12 max(1, |ref|)
     r_eval = reflection_evaluator(
         LatticeState(n_min=n_min, values=np.array(values)))
     stat = stationary_points(RayParams(n=round(v * t), t=t))
-    assert _bits(coefficient_set(r_eval, stat)) == _bits(
-        coefficient_set_by_arc(r_eval, stat))
-
-
-def test_arcs_refine_together():
-    # a constant density settles the upper arc alone at 2 panels, an
-    # oscillating one needs more on the lower arc: the joint call samples
-    # both arcs at every level, and each arc's sums stay within 10 tol of
-    # that arc swept alone
-    arcs = [ArcSpec.between(cmath.exp(0.2j), cmath.exp(1.2j)),
-            ArcSpec.between(cmath.exp(-0.2j), cmath.exp(-1.2j))]
-    sampled = []
-
-    def density(tau):
-        sampled.append(tau.size)
-        return np.where(tau.imag > 0, 1.0, np.cos(40.0 * np.angle(tau)))
-
-    def swept(arcs, tol=1e-11):
-        sampled.clear()
-        return _arc_sums(density, arcs, (0.0, 0.5j, 2.0), 0.0, tol), \
-            list(sampled)
-
-    (upper, upper_levels), (lower, lower_levels) = (swept([arc])
-                                                    for arc in arcs)
-    both, levels = swept(arcs)
-    assert len(upper_levels) < len(lower_levels) == len(levels)
-    assert levels == [2 * 16 * 2 ** m for m in range(len(levels))]
-    assert abs(both[0] - upper[0]).max() <= 10 * 1e-11
-    assert abs(both[1] - lower[0]).max() <= 10 * 1e-11
+    got = coefficient_set(r_eval, stat)
+    ref = coefficient_set_by_arc(r_eval, stat)
+    assert got.r_at_S == ref.r_at_S and got.nu == ref.nu
+    for name in ("chi_at_S", "hat_delta_at_S", "delta_j0", "delta_at_zero"):
+        for a, b in zip(np.ravel(getattr(got, name)),
+                        np.ravel(getattr(ref, name))):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
 
 
 @pytest.mark.parametrize("profile", [
     InitialProfile(kind="gaussian", amplitude=0.5, width=3.0),
     InitialProfile(kind="custom_list", custom=(0.3, -0.2, 0.15, 0.4, -0.1))])
 @pytest.mark.parametrize("n, t", [(-89, 50.0), (30, 80.0), (401, 800.0)])
-def test_arc_sums_are_images_of_one_another(monkeypatch, profile, n, t):
+def test_arc_sums_are_images_of_one_another(profile, n, t):
     # |r| on the circle is even under z -> conj(z) (real data) and under
     # z -> -z, so arc T2 -> S2 is the mirror image of arc T1 -> S1 and arc
-    # T3 -> S3 its rotation by pi.  The points (0, S1, S2, S3, S4) map to
-    # (0, S2, S1, S4, S3) under conjugation and to (0, S3, S4, S1, S2)
-    # under negation.
-    swept = []
-
-    def recording(*args):
-        sums = _arc_sums(*args)
-        swept.append(sums.copy())
-        return sums
-
-    monkeypatch.setattr(weights, "_arc_sums", recording)
+    # T3 -> S3 its rotation by pi: the symmetry coefficient_set reads
+    # arcs 2-4 by.  The points (0, S1, S2, S3, S4) map to (0, S2, S1, S4,
+    # S3) under conjugation and to (0, S3, S4, S1, S2) under negation.
+    # Each arc is swept on its own, g(S_j) subtracted at its own S_j.
     r_eval = reflection_evaluator(staggered(profile.support_state()))
-    coefficient_set(r_eval, stationary_points(RayParams(n=n, t=t)))
-    (sums,) = swept
+    stat = stationary_points(RayParams(n=n, t=t))
+    g = log_density(r_eval, np.array(stat.S))
+    sums = np.array([_arc_sums(functools.partial(log_density, r_eval),
+                               delta_j_arc(stat, j), (0.0,) + stat.S,
+                               np.where(np.arange(5) == j, g[j - 1], 0.0))
+                     for j in (1, 2, 3, 4)])
     conj, neg = [0, 2, 1, 4, 3], [0, 3, 4, 1, 2]
     bound = 1e-13 * abs(sums).max()
     assert abs(sums[1] + sums[0, conj].conj()).max() <= bound
     assert abs(sums[3] + sums[2, conj].conj()).max() <= bound
     assert abs(sums[2] - sums[0, neg]).max() <= bound
-
-
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(st.lists(st.tuples(st.floats(-math.pi, math.pi),
-                          st.floats(0.01, math.pi - 0.01), st.booleans()),
-                min_size=1, max_size=4),
-       st.integers(1, 64))
-def test_property_level_nodes_equal_one_arc_nodes(ends, panels):
-    # the nodes of one level, computed for all arcs at once, are bitwise
-    # those of each arc on its own
-    arcs = [ArcSpec.between(cmath.exp(1j * start),
-                            cmath.exp(1j * (start - span if back
-                                            else start + span)))
-            for start, span, back in ends]
-    halves, taus = _level_nodes(arcs, panels)
-    assert taus.shape == (len(arcs), 16 * panels)
-    for arc, half, tau in zip(arcs, halves.tolist(), taus):
-        want_half, want_tau = arc_nodes(arc, panels)
-        assert float.hex(half) == float.hex(want_half)
-        assert tau.tobytes() == want_tau.tobytes()
 
 
 @COEFFICIENT_CASES

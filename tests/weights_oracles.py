@@ -1,9 +1,8 @@
 """One coefficient at a time, by its definition in the weights module
-docstring, every coefficient one arc at a time, and the nodes of one
-arc: the oracles that `weights.coefficient_set`, which samples r once per
-panel level for all four arcs, and `weights._level_nodes`, which places
-the nodes of all arcs at once, are checked against.  delta(z) and
-delta_j(z) are read one arc and one point per call, by
+docstring, and every coefficient with each of the four arcs swept on its
+own: the oracles that `weights.coefficient_set`, which sweeps arc 1 and
+reads the other three arcs as its images, is checked against.  delta(z)
+and delta_j(z) are read one arc and one point per call, by
 cauchy_arc_integral, which refuses a point that is not finite or lies on
 its arc.  Also `assembled`, which calls `weights._assembled` on inputs
 changed so that one term of delta_j^0 is replaced, for the ablations that
@@ -21,7 +20,6 @@ import numpy as np
 from dmkdv import DomainError
 from dmkdv.weights import (
     DEFAULT_TOL,
-    _GL_NODES,
     ArcSpec,
     _arc_sums,
     _assembled,
@@ -36,24 +34,17 @@ from dmkdv.weights import (
 ABLATIONS = ("beta", "nu_power", "chi", "hat_delta")
 
 
-def arc_nodes(arc, panels: int) -> tuple:
-    """(half, tau): half the angle of each of `panels` equal panels of
-    `arc`, and the 16 Gauss nodes of every panel on the circle."""
-    half = 0.5 * arc.dtheta / panels
-    mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
-    return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
-
-
 def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
     """coefficient_set from r(S_j) in one call and one sweep per arc,
-    each sampling r on its own nodes only."""
+    each sampling r on its own nodes and subtracting g(S_j) at its own
+    endpoint: no arc is read as the image of another."""
     S = np.array(stationary.S)
     r_at_S, g_at_S = r_eval(S), log_density(r_eval, S)
     density = functools.partial(log_density, r_eval)
     arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
     points = (0.0,) + stationary.S
-    sums = [_arc_sums(density, [arc], points,
-                      np.where(np.arange(5) == j, g_at_S[j - 1], 0.0), tol)[0]
+    sums = [_arc_sums(density, arc, points,
+                      np.where(np.arange(5) == j, g_at_S[j - 1], 0.0), tol)
             for j, arc in enumerate(arcs, 1)]
     return _assembled(stationary, r_at_S, g_at_S, sums)
 
@@ -72,7 +63,7 @@ def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
     rel = cmath.phase(zc / arc.start) / arc.dtheta
     if abs(abs(zc) - 1.0) < 1e-13 and (zc == arc.start or 0 <= rel <= 1):
         raise DomainError("evaluation point lies on the integration arc")
-    return complex(_arc_sums(density, [arc], zc, 0.0, tol)[0, 0])
+    return complex(_arc_sums(density, arc, zc, 0.0, tol))
 
 
 def delta_arcs(stationary) -> tuple:
@@ -116,7 +107,7 @@ def chi_at_stationary(r_eval, stationary, j: int,
     arc = delta_j_arc(stationary, j)
     density = functools.partial(log_density, r_eval)
     Sj = stationary.S[j - 1]
-    return complex(_arc_sums(density, [arc], Sj, density(Sj), tol)[0, 0])
+    return complex(_arc_sums(density, arc, Sj, density(Sj), tol))
 
 
 def hat_delta_at_stationary(r_eval, stationary, j: int,
