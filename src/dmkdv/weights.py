@@ -26,14 +26,19 @@ and the per-cross constant assembled from them:
 with hat_delta_j = delta/delta_j and complex powers on the principal
 branch (cut on the negative real axis).
 
-Every integral is one rule: composite 16-point Gauss-Legendre in the
-angle on 2^m equal panels, m growing until no sum moves by more than the
-tolerance.  One call sweeps one arc at all its points: each level
-places the arc's nodes, samples the density once on them and forms
-every Cauchy sum in one pass, and the call returns at the first level
-where no sum moved by more than the tolerance.
+Every integral is one rule: the composite 16/33-point Gauss-Kronrod
+pair in the angle on 2^m equal panels, m = 0, 1, 2, ...  One call sweeps
+one arc at all its points: each level places the 33 Kronrod nodes of
+every panel, which contain the 16 Gauss nodes, samples the density once
+on them and forms every Cauchy sum twice in one pass, by the Kronrod
+weights (K) and by the Gauss weights (G).  The call returns the K sums
+at the first level where no point's |K - G| exceeds the tolerance, so a
+smooth arc settles at its first level, on one panel.  |K - G| is read
+from one sample set, so it cannot see the density's own evaluation
+noise, which a per-sample conditioning guard on the density would have
+to bound: data whose density is noisier than the tolerance can settle.
 chi_j(S_j) subtracts g(S_j) from the density, leaving an analytic
-integrand; no Gauss node sits on the endpoint S_j.
+integrand; no node sits on the endpoint S_j.
 
 For real lattice data the four arcs T_j -> S_j are images of one:
 |r| is even under z -> conj(z) and under z -> -z, and S_2 = conj(S_1),
@@ -65,8 +70,8 @@ DEFAULT_TOL = 1e-11
 _T_ANCHORS = (1.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, -1.0 + 0.0j)
 _MAX_LEVEL = 12  # panel budget: 4,096 panels per arc
 _EPS = float(np.finfo(float).eps)
-# Two levels' sums each round at about 16 eps sum|terms|: a handful of
-# roundings per term, plus pairwise summation over up to 65,536 terms.
+# A level's K and G sums each round at about 16 eps sum|terms|: a handful
+# of roundings per term, plus summation over up to 135,168 terms.
 _FLOOR_ULPS = 32.0
 
 
@@ -83,7 +88,35 @@ def _gauss_legendre(m: int) -> tuple:
     return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)  # descending nodes
+
+# The 33-point Kronrod extension of _GL_NODES (degree 49): the 17 zeros of
+# the Stieltjes polynomial E_17, orthogonal to P_16 x^k for k < 16, which
+# interlace the Gauss nodes, and the weights of all 33 nodes, descending.
+# Derived at 60 digits (E_17 exactly in rationals, its zeros, then the
+# weights from the Legendre moment system) and rounded to float64;
+# tests/test_weights.py recomputes them with mpmath.
+_KRONROD_NODES = np.array([
+    0.9982392741454446, 0.9715059509693926, 0.9091576670123429,
+    0.8142402870624444, 0.6897411066817623, 0.5404076763521397,
+    0.37148378087841627, 0.18916857901808373, 0.0,
+    -0.18916857901808373, -0.37148378087841627, -0.5404076763521397,
+    -0.6897411066817623, -0.8142402870624444, -0.9091576670123429,
+    -0.9715059509693926, -0.9982392741454446])
+_GK_WEIGHTS = np.array([
+    0.004742777049247318, 0.013257930688091158, 0.022498859440049444,
+    0.031260543647380526, 0.039512951202421966, 0.047506215976407015,
+    0.055205633095422174, 0.062358806011834855, 0.06886299519153125,
+    0.07476982388559955, 0.08005394126371929, 0.08459580379259064,
+    0.08833750257911273, 0.09129203282819166, 0.09343867406092123,
+    0.09472840124723005, 0.0951542160804983, 0.09472840124723005,
+    0.09343867406092123, 0.09129203282819166, 0.08833750257911273,
+    0.08459580379259064, 0.08005394126371929, 0.07476982388559955,
+    0.06886299519153125, 0.062358806011834855, 0.055205633095422174,
+    0.047506215976407015, 0.039512951202421966, 0.031260543647380526,
+    0.022498859440049444, 0.013257930688091158, 0.004742777049247318])
+_GK_NODES = np.empty(33)
+_GK_NODES[0::2], _GK_NODES[1::2] = _KRONROD_NODES, _GL_NODES
 
 
 @dataclass(frozen=True)
@@ -120,11 +153,11 @@ def _density(r_values):
 
 def _level_nodes(arc: ArcSpec, panels: int) -> tuple:
     """(half, tau) of one panel level of `arc`: half the angle of each of
-    its `panels` equal panels, and the 16 Gauss nodes of every panel on
-    the circle, panel by panel."""
+    its `panels` equal panels, and the 33 Gauss-Kronrod nodes of every
+    panel on the circle, panel by panel."""
     half = 0.5 * arc.dtheta / panels
     mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
-    return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
+    return half, np.exp(1j * (mids[:, None] + half * _GK_NODES).ravel())
 
 
 def _arc_sums(density, arc: ArcSpec, points, shifts,
@@ -132,37 +165,38 @@ def _arc_sums(density, arc: ArcSpec, points, shifts,
     """The sums (1/2pi i) int_arc (density(tau) - shift) dtau / (tau - z)
     at every point z of `points`, with `shifts` broadcast against them
     and the result shaped like both: dtau/(2pi i) = tau dtheta/(2pi) at
-    tau = e^(i theta).  The arc refines as the module docstring states.
+    tau = e^(i theta).  The density is sampled once per level, on the 33
+    nodes of every panel, and the K sums are returned at the first level
+    where the residual max_z |K - G| is at most `tol`.
 
     QuadratureError past the panel budget, or earlier, at the first level
     where the residual has stopped falling while `tol` lies below the
-    rounding floor _FLOOR_ULPS * eps * max_z sum |weighted terms|: no
+    rounding floor _FLOOR_ULPS * eps * max_z sum |K-weighted terms|: no
     finer level can then be trusted to meet `tol`."""
     z, c = (a[..., None, None] for a in np.broadcast_arrays(
         np.asarray(points, dtype=complex), shifts))
-    previous, residual = None, math.inf
+    residual = math.inf
     for level in range(_MAX_LEVEL + 1):
         panels = 2 ** level
         half, tau = _level_nodes(arc, panels)
-        values = density(tau).reshape(panels, _GL_NODES.size)
+        values = density(tau).reshape(panels, _GK_NODES.size)
         tau = tau.reshape(values.shape)
         terms = (values - c) * tau / (tau - z)
-        terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))
-        sums = terms.sum(axis=(-2, -1))
-        if previous is not None:
-            last, residual = residual, abs(sums - previous).max()
-            if residual <= tol:
-                return sums
-            if residual >= last:
-                floor = _FLOOR_ULPS * _EPS * abs(terms).sum(
-                    axis=(-2, -1)).max()
-                if tol < floor:
-                    raise QuadratureError(
-                        f"arc quadrature stalled at {panels} panels: "
-                        f"residual {residual:.3e} stopped falling and "
-                        f"tol {tol:.3e} is below the rounding floor "
-                        f"{floor:.3e}")
-        previous = sums
+        scale = half / (2.0 * math.pi)
+        kronrod = (terms @ _GK_WEIGHTS).sum(axis=-1) * scale
+        gauss = (terms[..., 1::2] @ _GL_WEIGHTS).sum(axis=-1) * scale
+        last, residual = residual, abs(kronrod - gauss).max()
+        if residual <= tol:
+            return kronrod
+        if residual >= last:
+            floor = _FLOOR_ULPS * _EPS * abs(scale) * (
+                abs(terms) @ _GK_WEIGHTS).sum(axis=-1).max()
+            if tol < floor:
+                raise QuadratureError(
+                    f"arc quadrature stalled at {panels} panels: "
+                    f"residual {residual:.3e} stopped falling and "
+                    f"tol {tol:.3e} is below the rounding floor "
+                    f"{floor:.3e}")
     raise QuadratureError(
         f"arc quadrature unsettled at {panels} panels "
         f"(residual {residual:.3e} > {tol:.3e})")
@@ -194,9 +228,11 @@ def coefficient_set(r_eval, stationary: StationarySet,
     r_eval must be the r of real lattice data: the other three arcs are
     read as images of arc 1 (see the module docstring), which holds only
     when |r| is even under z -> conj(z) and z -> -z.  r is sampled once
-    at the four S_j, and then once per panel level of arc 1.  The values
-    at the S_j give g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are
-    kept as r_at_S for the cross entries.  Arc 1 is swept at the points
+    at the four S_j, and then once per panel level of arc 1, on the 33
+    Kronrod nodes of each panel; a smooth arc settles at its first level,
+    so its row samples r twice.  The values at the S_j give
+    g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are kept as r_at_S for
+    the cross entries.  Arc 1 is swept at the points
     s = (0, S_1, S_2, S_3, S_4), with g(S_1) subtracted at S_1 only
     (chi_1); arc 2 is -conj(s[[0, 2, 1, 4, 3]]), arc 3 is
     s3 = s[[0, 3, 4, 1, 2]] and arc 4 is -conj(s3[[0, 2, 1, 4, 3]]).

@@ -2,11 +2,13 @@ import cmath
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dmkdv.weights as weights
 from dmkdv import (
     ArcSpec,
     DomainError,
@@ -22,12 +24,15 @@ from dmkdv import (
     stationary_points,
 )
 from dmkdv.weights import (
+    _GK_NODES,
+    _GK_WEIGHTS,
     _GL_NODES,
     _GL_WEIGHTS,
     _arc_sums,
     delta_j_arc,
 )
 from weights_oracles import (
+    arc_sums_by_doubling,
     cauchy_arc_integral,
     chi_at_stationary,
     coefficient_set_by_arc,
@@ -94,6 +99,70 @@ def test_gauss_legendre_rule_matches_numpy():
     order = np.argsort(_GL_NODES)
     assert np.max(np.abs(_GL_NODES[order] - nodes)) < 1e-15
     assert np.max(np.abs(_GL_WEIGHTS[order] - wts) / wts) < 2e-14
+
+
+def test_kronrod_rule_is_symmetric_inside_and_positive():
+    # the Gauss nodes sit between the Kronrod nodes, all in (-1, 1)
+    assert np.array_equal(_GK_NODES[1::2], _GL_NODES)
+    assert np.all(np.diff(_GK_NODES) < 0)
+    assert -1.0 < _GK_NODES[-1] and _GK_NODES[0] < 1.0
+    assert np.array_equal(_GK_NODES, -_GK_NODES[::-1])
+    assert np.all(_GK_WEIGHTS > 0)
+    assert np.array_equal(_GK_WEIGHTS, _GK_WEIGHTS[::-1])
+
+
+def test_kronrod_rule_integrates_every_power_to_49():
+    for p in range(50):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(_GK_WEIGHTS @ _GK_NODES ** p - exact) < 1e-15, p
+
+
+def _kronrod_rule_mpmath(mp):
+    """The 16/33 Gauss-Kronrod nodes and weights, descending, at the
+    working precision of `mp`: the Gauss nodes are the zeros of P_16, the
+    Kronrod ones those of the Stieltjes polynomial E_17 = x^17 + ...,
+    orthogonal to P_16 x^k for k < 16 (one linear system in the moments
+    int P_16 x^m, in closed form), and the weights solve
+    sum_i w_i P_k(x_i) = 2 delta_k0 for k <= 32."""
+    def moment(m):  # int_{-1}^{1} P_16(x) x^m dx
+        if m < 16 or (m - 16) % 2:
+            return mp.mpf(0)
+        return (2 ** 17 * mp.factorial(m) * mp.factorial((m + 16) // 2)
+                / (mp.factorial((m - 16) // 2) * mp.factorial(m + 17)))
+
+    def even_zeros(coeffs):  # zeros of sum_k coeffs[k] x^(2k), descending
+        ys = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        pos = sorted(mp.sqrt(mp.re(y)) for y in ys)
+        return pos[::-1] + [-x for x in pos]
+
+    gauss = even_zeros([(-1) ** k * mp.binomial(16, k)
+                        * mp.binomial(32 - 2 * k, 16)
+                        for k in range(8, -1, -1)])
+    odd = range(1, 17, 2)
+    c = mp.lu_solve(mp.matrix([[moment(j + k) for j in odd] for k in odd]),
+                    mp.matrix([-moment(17 + k) for k in odd]))
+    stieltjes = even_zeros([c[i] for i in range(8)] + [mp.mpf(1)])
+    kronrod = stieltjes[:8] + [mp.mpf(0)] + stieltjes[8:]
+    nodes = [None] * 33
+    nodes[0::2], nodes[1::2] = kronrod, gauss
+    legendre = mp.matrix(33, 33)
+    for i, x in enumerate(nodes):
+        p_prev, p = mp.mpf(1), x
+        legendre[0, i] = p_prev
+        for k in range(1, 33):
+            legendre[k, i] = p
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    w = mp.lu_solve(legendre, mp.matrix([2] + [0] * 32))
+    return nodes, [w[i] for i in range(33)]
+
+
+def test_kronrod_rule_matches_an_mpmath_recomputation():
+    with mpmath.workdps(40):
+        nodes, wts = _kronrod_rule_mpmath(mpmath.mp)
+        nodes = np.array([float(x) for x in nodes])
+        wts = np.array([float(w) for w in wts])
+    assert np.max(np.abs(_GK_NODES - nodes)) < 1e-15
+    assert np.max(np.abs(_GK_WEIGHTS - wts) / wts) < 1e-15
 
 
 def test_cauchy_arc_integral_examples():
@@ -201,9 +270,10 @@ def test_quadrature_error_on_unreachable_tolerance():
 @pytest.mark.parametrize("tol", [1e-14, 1e-16])
 def test_quadrature_stops_at_the_rounding_floor(tol):
     # gaussian(0.5, 3) on the ray of v = -1.8, t = 50: arc 1's residual
-    # falls to 5.8e-14 at 8 panels and rises to 1.1e-13 at 16, rounding
-    # noise above both tolerances; without the floor the sweep walks to
-    # 4,096 panels (65,536 nodes)
+    # |K - G| reads 1.2e-5, 1.4e-8 and 5.1e-14 at 1, 2 and 4 panels and
+    # rises to 1.1e-13 at 8, noise above both tolerances and above the
+    # 1.3e-14 floor; without the floor the sweep walks to 4,096 panels
+    # (135,168 nodes)
     profile = InitialProfile(kind="gaussian", amplitude=0.5, width=3.0)
     r_eval = reflection_evaluator(staggered(profile.support_state()))
     sampled = []
@@ -216,15 +286,15 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     with pytest.raises(QuadratureError, match="rounding floor"):
         coefficient_set(counting, stat, tol=tol)
     assert sampled[0] == 4  # the S_j
-    assert max(sampled) == 16 * 16  # arc 1 at 16 panels
+    assert max(sampled) == 8 * 33  # arc 1 at 8 panels
 
 
 @pytest.mark.parametrize("profile, n, t", [
     (InitialProfile(kind="single_site", amplitude=0.3), 51, 100.0),
     (InitialProfile(kind="gaussian", amplitude=0.2, width=2.0), 401, 800.0)])
-def test_coefficient_set_samples_r_once_per_level(profile, n, t):
-    # arc 1 settles at 2 panels: one sample of the four S_j, then one of
-    # its nodes at 1 panel and one at 2
+def test_coefficient_set_settles_the_arc_at_its_first_level(profile, n, t):
+    # arc 1 settles on one panel: one sample of the four S_j, then one of
+    # its 33 Kronrod nodes
     r_eval = reflection_evaluator(staggered(profile.support_state()))
     sampled = []
 
@@ -233,7 +303,7 @@ def test_coefficient_set_samples_r_once_per_level(profile, n, t):
         return r_eval(z)
 
     coefficient_set(counting, stationary_points(RayParams(n=n, t=t)))
-    assert sampled == [4, 16, 32]
+    assert sampled == [4, 33]
 
 
 def test_a_nan_r_fails_at_the_first_sample():
@@ -252,7 +322,7 @@ def test_a_nan_r_fails_at_the_first_sample():
     sampled.clear()
     with pytest.raises(ReflectionTooLargeError):
         delta_at(nan_r, stat, 0.0)
-    assert sampled == [16]
+    assert sampled == [33]
 
 
 def test_arcspec_validation():
@@ -450,6 +520,29 @@ def test_property_image_arcs_match_arc_by_arc(n_min, values, v, t):
     stat = stationary_points(RayParams(n=round(v * t), t=t))
     got = coefficient_set(r_eval, stat)
     ref = coefficient_set_by_arc(r_eval, stat)
+    assert got.r_at_S == ref.r_at_S and got.nu == ref.nu
+    for name in ("chi_at_S", "hat_delta_at_S", "delta_j0", "delta_at_zero"):
+        for a, b in zip(np.ravel(getattr(got, name)),
+                        np.ravel(getattr(ref, name))):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.integers(-10, 10),
+       st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
+       st.floats(-1.8, 1.8),
+       st.sampled_from((50.0, 100.0, 200.0)))
+def test_property_kronrod_pair_matches_panel_doubling(n_min, values, v, t):
+    # the Kronrod sums of the level where |K - G| <= tol against the
+    # 16-point rule refined until two levels agree: r(S_j) and nu_j are
+    # the same values, the rest lies within 1e-12 max(1, |ref|)
+    r_eval = reflection_evaluator(
+        LatticeState(n_min=n_min, values=np.array(values)))
+    stat = stationary_points(RayParams(n=round(v * t), t=t))
+    got = coefficient_set(r_eval, stat)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_arc_sums", arc_sums_by_doubling)
+        ref = coefficient_set(r_eval, stat)
     assert got.r_at_S == ref.r_at_S and got.nu == ref.nu
     for name in ("chi_at_S", "hat_delta_at_S", "delta_j0", "delta_at_zero"):
         for a, b in zip(np.ravel(getattr(got, name)),

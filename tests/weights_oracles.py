@@ -6,7 +6,10 @@ and delta_j(z) are read one arc and one point per call, by
 cauchy_arc_integral, which refuses a point that is not finite or lies on
 its arc.  Also `assembled`, which calls `weights._assembled` on inputs
 changed so that one term of delta_j^0 is replaced, for the ablations that
-show each term matters; no copy of the assembly is kept here.
+show each term matters; no copy of the assembly is kept here.  And
+arc_sums_by_doubling, composite 16-point Gauss-Legendre refined until two
+panel levels agree: the independent rule that weights._arc_sums, an
+embedded Gauss-Kronrod pair, is checked against.
 """
 
 import cmath
@@ -17,8 +20,13 @@ import math
 
 import numpy as np
 
-from dmkdv import DomainError
+from dmkdv import DomainError, QuadratureError
 from dmkdv.weights import (
+    _EPS,
+    _FLOOR_ULPS,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _MAX_LEVEL,
     DEFAULT_TOL,
     ArcSpec,
     _arc_sums,
@@ -32,6 +40,53 @@ from dmkdv.weights import (
 # beta_j t^(1/2) for beta_j inside the nu-power (no log t in the phase),
 # 1 for the whole nu-power, 0 for chi_j(S_j), 1 for hat_delta_j(S_j)
 ABLATIONS = ("beta", "nu_power", "chi", "hat_delta")
+
+
+def _gauss_level_nodes(arc: ArcSpec, panels: int) -> tuple:
+    """(half, tau) of one panel level of `arc`: half the angle of each of
+    its `panels` equal panels, and the 16 Gauss nodes of every panel on
+    the circle, panel by panel."""
+    half = 0.5 * arc.dtheta / panels
+    mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
+    return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
+
+
+def arc_sums_by_doubling(density, arc: ArcSpec, points, shifts,
+                         tol: float = DEFAULT_TOL) -> np.ndarray:
+    """weights._arc_sums by composite 16-point Gauss-Legendre on 2^m equal
+    panels, returning a level's sums once no sum moved by more than `tol`
+    from the level before: the density is sampled at 16, 32, 64, ...
+    nodes, and a smooth arc settles at its second level.  The same panel
+    budget, stall rule and QuadratureError messages, with the residual
+    read between two levels."""
+    z, c = (a[..., None, None] for a in np.broadcast_arrays(
+        np.asarray(points, dtype=complex), shifts))
+    previous, residual = None, math.inf
+    for level in range(_MAX_LEVEL + 1):
+        panels = 2 ** level
+        half, tau = _gauss_level_nodes(arc, panels)
+        values = density(tau).reshape(panels, _GL_NODES.size)
+        tau = tau.reshape(values.shape)
+        terms = (values - c) * tau / (tau - z)
+        terms *= _GL_WEIGHTS * (half / (2.0 * math.pi))
+        sums = terms.sum(axis=(-2, -1))
+        if previous is not None:
+            last, residual = residual, abs(sums - previous).max()
+            if residual <= tol:
+                return sums
+            if residual >= last:
+                floor = _FLOOR_ULPS * _EPS * abs(terms).sum(
+                    axis=(-2, -1)).max()
+                if tol < floor:
+                    raise QuadratureError(
+                        f"arc quadrature stalled at {panels} panels: "
+                        f"residual {residual:.3e} stopped falling and "
+                        f"tol {tol:.3e} is below the rounding floor "
+                        f"{floor:.3e}")
+        previous = sums
+    raise QuadratureError(
+        f"arc quadrature unsettled at {panels} panels "
+        f"(residual {residual:.3e} > {tol:.3e})")
 
 
 def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
