@@ -31,10 +31,12 @@ print(f"ray v = {ray.v}: theta0 = {-cmath.phase(stat.S[0]):.6f}")
 print(f"{'j':>2} {'S_j':>22} {'|phi_prime|':>12} {'phi_dd*beta^2':>22}")
 for j in (1, 2, 3, 4):
     k = j - 1
-    ident = stat.phi_dd[k] * stat.beta[k] ** 2
-    print(f"{j:2d} {stat.S[k]:22.6f} {abs(phase_derivative(stat.S[k], ray)):12.2e} "
+    s = stat.S[k]
+    phi_dd = ray.t * (1 - 3 * s ** -4) + ray.n * s ** -2
+    ident = phi_dd * stat.beta[k] ** 2
+    print(f"{j:2d} {s:22.6f} {abs(phase_derivative(s, ray)):12.2e} "
           f"{ident:22.6f}")
-print("(the last column alternates +-i/2 by construction)")
+print("(phi'' from the definition of phi: the column checks beta_j against phi)")
 
 coeffs = coefficient_set(r_eval, stat)
 print(f"\ndelta(0) = {coeffs.delta_at_zero:.9f}")

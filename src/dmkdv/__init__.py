@@ -24,7 +24,6 @@ from .errors import (
     DmkdvError,
     DomainError,
     MergingPointsError,
-    PoleError,
     QuadratureError,
     ReflectionTooLargeError,
     SpillError,

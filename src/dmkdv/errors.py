@@ -44,10 +44,6 @@ class QuadratureError(DmkdvError):
     budget."""
 
 
-class PoleError(DmkdvError):
-    """Gamma function evaluated at a nonpositive integer."""
-
-
 class ConventionError(DmkdvError):
     """The imaginary residual of the asymptotic sum is far above the
     expected error scale; signals a branch or sign inconsistency."""

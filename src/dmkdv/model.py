@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ConventionError, PoleError
+from .errors import ConventionError
 from .phase import StationarySet
 from .weights import CoefficientSet, _check_j
 
@@ -59,17 +59,12 @@ _LANCZOS_C = (
 
 
 def complex_gamma(w: complex) -> complex:
-    """Gamma(w) by the Lanczos approximation with reflection for Re w < 1/2.
-
-    Relative error is well below 1e-12 on the strip used by the model
-    (|Im w| <= 2, Re w in [-0.5, 2]).
-    """
+    """Gamma(w) by the Lanczos approximation for Re w >= 1/2, ValueError
+    below (NaN too).  Relative error is well below 1e-12 on Re w in
+    [1/2, 2], |Im w| <= 3; rows use Re w = 1, |Im w| = nu_j < 2.83."""
     wc = complex(w)
-    if wc.imag == 0.0 and wc.real <= 0.0 and wc.real == int(wc.real):
-        raise PoleError(f"Gamma has a pole at {wc.real:.0f}")
-    if wc.real < 0.5:
-        # Gamma(w) Gamma(1-w) = pi / sin(pi w)
-        return math.pi / (cmath.sin(math.pi * wc) * complex_gamma(1.0 - wc))
+    if not wc.real >= 0.5:  # refuses NaN too
+        raise ValueError("complex_gamma needs Re w >= 1/2")
     x = wc - 1.0
     acc = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
@@ -148,9 +143,10 @@ REALNESS_TOL = 1e-6  # of the row's amplitude_envelope
 
 def check_realness(result: AsymptoticResult) -> None:
     """The realness guard: ConventionError when the imaginary residual
-    exceeds REALNESS_TOL times the row's amplitude_envelope, far above
-    the rounding of a real sum and far below the residual of a rotated
-    cross: a sign or branch inconsistency.  A NaN in either fails too."""
+    exceeds REALNESS_TOL times the row's amplitude_envelope; a NaN in
+    either fails too.  For real data the residual is rounding-level, so
+    the guard catches a broken symmetry or convention in the code (a
+    rotated cross, a sign or branch slip), not anything about the data."""
     bound = REALNESS_TOL * amplitude_envelope(result)
     if not result.imag_residual <= bound:
         raise ConventionError(

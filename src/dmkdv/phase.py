@@ -52,12 +52,11 @@ class RayParams:
 
 @dataclass(frozen=True)
 class StationarySet:
-    """Stationary points S_1..S_4 with phi''(S_j) and beta_j (index j-1),
-    and the ray they belong to: the one carrier of (n, t) for everything
-    assembled from them."""
+    """Stationary points S_1..S_4 and beta_j (index j-1), and the ray they
+    belong to: the one carrier of (n, t) for everything assembled from
+    them."""
 
     S: tuple
-    phi_dd: tuple
     beta: tuple
     ray: RayParams
 
@@ -71,7 +70,7 @@ def phase_derivative(z: complex, ray: RayParams) -> complex:
 
 
 def stationary_points(ray: RayParams) -> StationarySet:
-    """Locate S_1..S_4 and precompute phi''(S_j) and beta_j.
+    """Locate S_1..S_4 and their scaling factors beta_j.
 
     Raises MergingPointsError when |v| >= 2 - MERGING_MARGIN: the points
     coalesce at z = +-1 at the light-cone edge |v| = 2 and leave the
@@ -86,8 +85,6 @@ def stationary_points(ray: RayParams) -> StationarySet:
     S = (A, A.conjugate(), -A, -A.conjugate())
 
     root = math.sqrt(4.0 * ray.t ** 2 - ray.n ** 2)
-    phi_dd = tuple((-1) ** j * 2j * root / (S[j - 1] * S[j - 1])
-                   for j in (1, 2, 3, 4))
     beta = tuple(0.5 * root ** -0.5 * 1j * S[j - 1] * (-1) ** j
                  for j in (1, 2, 3, 4))
 
@@ -95,5 +92,5 @@ def stationary_points(ray: RayParams) -> StationarySet:
     # residual of the algebraic zero scales with t * eps
     if worst > 1e-10 * max(1.0, ray.t):
         raise DomainError(f"stationary-point residual {worst:.3e} too large")
-    return StationarySet(S=S, phi_dd=phi_dd, beta=beta, ray=ray)
+    return StationarySet(S=S, beta=beta, ray=ray)
 

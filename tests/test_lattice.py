@@ -62,23 +62,6 @@ def test_integrate_zero_state_stays_zero():
     assert out.t == 7.0
 
 
-def test_integrate_order_four():
-    state = single_site(0.3, half=40)
-    ref = integrate(state, 5.0, 0.0125, spill_tol=1.0)
-    errs = []
-    for dt in (0.2, 0.1):
-        got = integrate(state, 5.0, dt, spill_tol=1.0)
-        errs.append(np.max(np.abs(got.values - ref.values)))
-    order = np.log2(errs[0] / errs[1])
-    assert 3.7 < order < 4.3
-
-
-def test_conserved_quantity_drift():
-    state = single_site(0.3, half=240)
-    final = integrate(state, 50.0, 0.01)
-    assert abs(conserved_c_inf(final) - conserved_c_inf(state)) < 1e-8
-
-
 def test_sup_norm_bound_holds():
     rng = np.random.default_rng(3)
     state = LatticeState(n_min=-60, values=rng.uniform(-0.4, 0.4, 121))
