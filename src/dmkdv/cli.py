@@ -41,7 +41,7 @@ from .lattice import conserved_c_inf, rho_zero
 # row subcommand -> (its columns, the side of run_compare it skips)
 _ROW_COMMANDS = {
     "simulate": (("n", "t", "v", "q_direct"), {"compute_asym": False}),
-    "asymptote": (("n", "t", "v", "q_asym", "imag_residual"),
+    "asymptote": (("n", "t", "v", "q_asym", "odd_pair_residual"),
                   {"compute_direct": False}),
     "compare": (COMPARE_COLUMNS, {}),
 }

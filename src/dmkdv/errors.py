@@ -45,8 +45,9 @@ class QuadratureError(DmkdvError):
 
 
 class ConventionError(DmkdvError):
-    """The imaginary residual of the asymptotic sum is far above the
-    expected error scale; signals a branch or sign inconsistency."""
+    """The two odd crosses of the asymptotic sum, equal for real data,
+    differ by more than rounding (model.check_realness); signals a branch
+    or sign inconsistency."""
 
 
 class ConfigError(DmkdvError):

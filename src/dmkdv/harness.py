@@ -12,8 +12,8 @@ derived.  Also hosts what the CLI writes and checks with:
 write_table, the one writer of every output table (emit is its form for
 comparison records), and the invariant checks, each written once at
 module level and shared by selftest and the acceptance suite.  The
-cross entries follow model.m1_entry alone; the realness audit rotates
-them to show that the rejected form fails.
+cross entries follow model.m1_entry alone; the realness audit forms the
+even crosses rows omit, to show that the rejected form fails.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 COMPARE_COLUMNS = ("n", "t", "v", "q_direct", "q_asym", "abs_err",
-                   "scaled_err", "imag_residual")
+                   "scaled_err", "odd_pair_residual")
 
 
 def _text(key: str, value) -> str:
@@ -122,8 +122,10 @@ class RunConfig:
             raise ConfigError("rays must be a nonempty list")
         if any(abs(v) > self.v_max for v in self.v_list):
             raise ConfigError(f"every |v| must be <= v_max = {self.v_max}")
-        if list(self.t_list) != sorted(self.t_list) or len(self.t_list) == 0:
-            raise ConfigError("times must be a nonempty increasing list")
+        if not self.t_list or any(
+                b <= a for a, b in zip(self.t_list, self.t_list[1:])):
+            raise ConfigError("times must be a nonempty increasing list "
+                              "without repeats")
         if any(t <= 0 for t in self.t_list):
             raise ConfigError("times must be positive")
         if self.output_format not in ("csv", "json"):
@@ -185,7 +187,7 @@ class ComparisonRecord:
     v: float
     q_direct: float
     q_asym: float
-    imag_residual: float
+    odd_pair_residual: float
     fail_reason: str | None = None
     wall_time: float = 0.0
     integrate_time: float = 0.0
@@ -232,7 +234,7 @@ def asymptotic_value(r_eval, n: int, t: float) -> model.AsymptoticResult:
     data (Bessel asymptotics fix both the site shift and the sign
     alternation; see tests).  The ray n+1 may lie 1/t past v_max;
     stationary_points refuses it only near the merging points.  The
-    imaginary residual is returned as measured; a sweep's rows apply
+    odd-pair residual is returned as measured; a sweep's rows apply
     model.check_realness to it.
     """
     stat = stationary_points(RayParams(n=n + 1, t=t))
@@ -246,8 +248,8 @@ _WINDOW_MARGIN = 150  # sites past 2.5 max(t) on either side, see _trajectory
 
 
 def _trajectory(config: RunConfig):
-    """Yield (t, state, fail_reason, seconds) at each distinct time, in
-    increasing order: the sweep's one integration of the profile.
+    """Yield (t, state, fail_reason, seconds) at each time, in increasing
+    order: the sweep's one integration of the profile.
 
     The window is the profile's support_state, L sites, widened by
     ceil(2.5 max(t) + _WINDOW_MARGIN) + L // 8 on either side.  The light
@@ -266,7 +268,7 @@ def _trajectory(config: RunConfig):
     state = lattice.LatticeState(n_min=support.n_min - half,
                                  values=np.pad(support.values, half))
     reason = None
-    for t in sorted(set(config.t_list)):
+    for t in config.t_list:
         if reason is None:
             try:
                 state = integrate(state, t, config.dt)
@@ -285,19 +287,20 @@ def _row_worker(config: RunConfig, v: float, t: float, stop,
     started = time.perf_counter()
     state, reason, integrate_time = stop
     n = probe_site(v, t, config.v_max)
-    q_direct = q_asym = imag_residual = math.nan
+    q_direct = q_asym = odd_pair_residual = math.nan
     if reason is None and r_eval is not None:
         try:
             result = asymptotic_value(r_eval, n, t)
             model.check_realness(result)
-            q_asym, imag_residual = result.q_asym, result.imag_residual
+            q_asym = result.q_asym
+            odd_pair_residual = result.odd_pair_residual
         except DmkdvError as exc:
             reason = exc.describe()
     if reason is None and state is not None:
         q_direct = state.value_at(n)
     return ComparisonRecord(
         n=n, t=t, v=v, q_direct=q_direct, q_asym=q_asym,
-        imag_residual=imag_residual, fail_reason=reason,
+        odd_pair_residual=odd_pair_residual, fail_reason=reason,
         wall_time=time.perf_counter() - started + integrate_time,
         integrate_time=integrate_time)
 
@@ -326,8 +329,7 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     stops = dict.fromkeys(config.t_list, (None, unbuilt, 0.0))
     if compute_direct and unbuilt is None:
         for t, state, reason, seconds in _trajectory(config):
-            share = seconds / (len(config.v_list) * config.t_list.count(t))
-            stops[t] = (state, reason, share)
+            stops[t] = (state, reason, seconds / len(config.v_list))
     return [_row_worker(config, v, t, stops[t], r_eval)
             for v in config.v_list for t in config.t_list]
 
@@ -444,24 +446,32 @@ def unitarity_checks(state: lattice.LatticeState) -> list:
 
 
 def realness_checks() -> list:
-    """The realness audit on single-site 0.3 data at n = 400, t = 800,
-    read from asymptotic_value, which applies no realness guard: the
-    imaginary residual over t^-1/2 must stay below 0.05 for the cross
-    entries of model.m1_entry, and reach 0.05 once the odd crosses are
-    rotated by -i (e^(-i pi/4) for every j, the form the model rejects).
-    Both residuals come from one asymptotic value.
+    """The realness audit on single-site 0.3 data at n = 400, t = 800
+    (asymptotic_value's ray 401), by the four-cross sum rows omit: the
+    odd crosses as rows build them, plus the conjugates of their factors
+    beta_j S_j^-2 (delta_j^0)^2 times model.m1_entry's even branch at
+    r(S_2) = conj r(S_1), r(S_4) = -conj r(S_1).  The sum's imaginary
+    residual over t^-1/2 must stay below 0.05, and reach 0.05 once the
+    odd crosses are rotated by -i (e^(-i pi/4) for every j, the form the
+    model rejects).  Both residuals come from one set of crosses.
     """
     profile = InitialProfile(kind="single_site", amplitude=0.3)
     t = 800.0
     scale = t ** -0.5
-    res = asymptotic_value(reflection_u(profile), 400, t)
-    rotated = sum(rot * c for rot, c in zip((-1j, 1, -1j, 1),
-                                            res.contributions))
-    rejected = abs((rotated / res.delta_at_zero).imag)
+    stat = stationary_points(RayParams(n=401, t=t))
+    coeffs = weights.coefficient_set(reflection_u(profile), stat)
+    # unit cross entries leave the factors beta_j S_j^-2 (delta_j^0)^2
+    factors = model.leading_term(stat, coeffs, (1.0, 1.0)).contributions
+    r2 = coeffs.r_at_S1.conjugate()
+    odd = sum(f * m for f, m in zip(factors, model.cross_solutions(coeffs)))
+    even = sum(f.conjugate() * model.m1_entry(coeffs.nu, r, j)
+               for f, r, j in zip(factors, (r2, -r2), (2, 4)))
+    pair, rejected = ((rotation * odd + even) / coeffs.delta_at_zero
+                      for rotation in (1.0, -1j))
     return [
-        _check("realness_conjugate_pair", res.imag_residual / scale, 0.05),
-        _check("realness_rejected_uniform_phase", rejected / scale, 0.05,
-               larger_is_fail=False),
+        _check("realness_conjugate_pair", abs(pair.imag) / scale, 0.05),
+        _check("realness_rejected_uniform_phase", abs(rejected.imag) / scale,
+               0.05, larger_is_fail=False),
     ]
 
 

@@ -10,17 +10,18 @@ first moment has the Gamma-function closed form
 
 This is the "conjugate_pair" form.  Writing e^(-i pi/4) for every j
 ("uniform_phase") would multiply the odd crosses by -i.  Only the form
-above makes (m1^2)_12 = conj((m1^1)_12) for real lattice data, which is
-what forces the assembled leading term
+above makes (m1^2)_12 = conj((m1^1)_12) for real lattice data, so that
+the contributions c_j = beta_j S_j^-2 (delta_j^0)^2 (m1^j)_12 pair as
+c_2 = conj(c_1), c_4 = conj(c_3) and the leading term is real:
 
-    q_n ~ Re[ delta(0)^-1 sum_j beta_j S_j^-2 (delta_j^0)^2 (m1^j)_12 ]
+    q_n ~ Re[ delta(0)^-1 sum_j c_j ] = 2 Re[ (c_1 + c_3) / delta(0) ].
 
-to be real up to the error scale; the self-test's realness audit applies
-that rotation to the contributions to show the rejected form fails.
-
-cross_solutions returns the four (m1^j)_12 as plain complex numbers,
-built from the r(S_j) and nu_j that a CoefficientSet already holds;
-leading_term assembles them with that set's delta_j^0 and delta(0).
+Rows build the odd crosses alone (cross_solutions, from the r(S_1) and
+nu a CoefficientSet holds) and take the second form (leading_term); the
+self-test's realness audit forms the even crosses to show the pairing.
+For real data c_3 = c_1 as well (S_3 = -S_1, beta_3 = -beta_1,
+r(S_3) = -r(S_1)), though each cross has its own anchor, phase and
+hat_delta_j(S_j): check_realness compares the two.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class AsymptoticResult:
     the stationary.ray it was assembled on, which the caller holds."""
 
     q_asym: float
-    contributions: tuple        # beta_j S_j^-2 (delta_j^0)^2 (m1^j)_12
-    imag_residual: float
+    contributions: tuple        # c_1, c_3 (see the module docstring)
+    odd_pair_residual: float    # |c_1 - c_3| / |delta(0)|
     delta_at_zero: complex
 
 
@@ -108,52 +109,50 @@ def m1_entry(nu: float, r_at_S: complex, j: int) -> complex:
 
 
 def cross_solutions(coeffs: CoefficientSet) -> tuple:
-    """The four (m1^j)_12, j = 1..4.
-
-    r(S_j) is read from coeffs.r_at_S, the values nu_j was taken from,
-    and no r is evaluated here.
-    """
-    return tuple(m1_entry(coeffs.nu[k], coeffs.r_at_S[k], k + 1)
-                 for k in range(4))
+    """(m1^1)_12 and (m1^3)_12 from coeffs.r_at_S1, the value nu was
+    taken from, and its image r(S_3) = -r(S_1); no r is evaluated here."""
+    return (m1_entry(coeffs.nu, coeffs.r_at_S1, 1),
+            m1_entry(coeffs.nu, -coeffs.r_at_S1, 3))
 
 
 def leading_term(stationary: StationarySet, coeffs: CoefficientSet,
                  m1) -> AsymptoticResult:
-    """Assemble the leading-order value on the ray stationary.ray from the
-    four (m1^j)_12 of cross_solutions.
+    """Assemble the leading-order value 2 Re[(c_1 + c_3) / delta(0)] on
+    the ray stationary.ray from the two (m1^j)_12 of cross_solutions.
 
-    imag_residual is |Im| of the assembled sum, as measured; no bound is
-    applied here (see check_realness).
+    odd_pair_residual is |c_1 - c_3| / |delta(0)|, as measured; no bound
+    is applied here (see check_realness).
     """
-    total = 0.0 + 0.0j
-    contributions = []
-    for k in range(4):  # fixed order j = 1..4 for bit-stable output
-        term = (stationary.beta[k] / (stationary.S[k] * stationary.S[k])
-                * coeffs.delta_j0[k] ** 2 * m1[k])
-        contributions.append(term)
-        total += term
-    total /= coeffs.delta_at_zero
+    c1, c3 = (stationary.beta[k] / (stationary.S[k] * stationary.S[k])
+              * delta_j0 ** 2 * entry
+              for k, delta_j0, entry in zip((0, 2), coeffs.delta_j0, m1))
+    delta0 = coeffs.delta_at_zero
     return AsymptoticResult(
-        q_asym=total.real, contributions=tuple(contributions),
-        imag_residual=abs(total.imag), delta_at_zero=coeffs.delta_at_zero)
+        q_asym=2.0 * ((c1 + c3) / delta0).real, contributions=(c1, c3),
+        odd_pair_residual=abs(c1 - c3) / abs(delta0), delta_at_zero=delta0)
 
 
-REALNESS_TOL = 1e-6  # of the row's amplitude_envelope
+# of the row's amplitude_envelope; rows read at most 1.3e-12 at t <= 3200,
+# growing like t eps (about 5e-12 at t = 12,800)
+ODD_PAIR_TOL = 1e-9
 
 
 def check_realness(result: AsymptoticResult) -> None:
-    """The realness guard: ConventionError when the imaginary residual
-    exceeds REALNESS_TOL times the row's amplitude_envelope; a NaN in
-    either fails too.  For real data the residual is rounding-level, so
-    the guard catches a broken symmetry or convention in the code (a
-    rotated cross, a sign or branch slip), not anything about the data."""
-    bound = REALNESS_TOL * amplitude_envelope(result)
-    if not result.imag_residual <= bound:
+    """The odd-pair guard: ConventionError when the odd-pair residual
+    exceeds ODD_PAIR_TOL times the row's amplitude_envelope; a NaN in
+    either fails too.  For real data c_3 = c_1 up to rounding, so the
+    guard catches a sign, branch or anchor slip at one cross (a 2 pi i
+    slip of the nu power's branch at S_3 scales c_3 by e^(-4 pi nu)),
+    not anything about the data."""
+    bound = ODD_PAIR_TOL * amplitude_envelope(result)
+    if not result.odd_pair_residual <= bound:
         raise ConventionError(
-            f"imaginary residual {result.imag_residual:.3e} exceeds "
+            f"odd-pair residual {result.odd_pair_residual:.3e} exceeds "
             f"{bound:.3e}; sign/branch inconsistency upstream")
 
 
 def amplitude_envelope(result: AsymptoticResult) -> float:
-    """Sum of contribution moduli over |delta(0)|: the O(t^-1/2) envelope."""
-    return sum(abs(c) for c in result.contributions) / abs(result.delta_at_zero)
+    """2 (|c_1| + |c_3|) / |delta(0)|, all four contribution moduli over
+    |delta(0)|: the O(t^-1/2) envelope."""
+    c1, c3 = result.contributions
+    return 2.0 * (abs(c1) + abs(c3)) / abs(result.delta_at_zero)

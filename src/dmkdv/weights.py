@@ -43,7 +43,8 @@ integrand; no node sits on the endpoint S_j.
 For real lattice data the four arcs T_j -> S_j are images of one:
 |r| is even under z -> conj(z) and under z -> -z, and S_2 = conj(S_1),
 S_3 = -S_1, S_4 = -conj(S_1).  coefficient_set therefore sweeps arc 1
-alone and reads the other three from its sums.
+alone and reads the other three from its sums, and keeps only what the
+odd crosses j = 1, 3 read (see dmkdv.model).
 """
 
 from __future__ import annotations
@@ -210,12 +211,13 @@ def delta_j_arc(stationary: StationarySet, j: int) -> ArcSpec:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """All per-point coefficients plus delta(0) for one ray; r_at_S holds
-    r(S_j), from which nu_j is taken and which the cross entries read."""
+    """What the odd crosses read on one ray: r(S_1), nu (every nu_j),
+    chi_1(S_1) (also chi_3(S_3)), hat_delta_j(S_j) and delta_j^0 for
+    j = 1, 3, and delta(0)."""
 
-    r_at_S: tuple
-    nu: tuple
-    chi_at_S: tuple
+    r_at_S1: complex
+    nu: float
+    chi_at_S1: complex
     hat_delta_at_S: tuple
     delta_j0: tuple
     delta_at_zero: complex
@@ -223,62 +225,61 @@ class CoefficientSet:
 
 def coefficient_set(r_eval, stationary: StationarySet,
                     tol: float = DEFAULT_TOL) -> CoefficientSet:
-    """Compute every coefficient the asymptotic formula needs.
+    """Compute every coefficient the odd crosses need.
 
     r_eval must be the r of real lattice data: the other three arcs are
-    read as images of arc 1 (see the module docstring), which holds only
-    when |r| is even under z -> conj(z) and z -> -z.  r is sampled once
-    at the four S_j, and then once per panel level of arc 1, on the 33
-    Kronrod nodes of each panel; a smooth arc settles at its first level,
-    so its row samples r twice.  The values at the S_j give
-    g(S_j) = log(1 - |r(S_j)|^2), hence nu_j, and are kept as r_at_S for
-    the cross entries.  Arc 1 is swept at the points
+    read as images of arc 1, and r(S_3) as -r(S_1) (see the module
+    docstring), which holds only when |r| is even under z -> conj(z)
+    and z -> -z.  r is sampled once at S_1, and then once per panel
+    level of arc 1, on the 33 Kronrod nodes of each panel; a smooth arc
+    settles at its first level, so its row samples r twice.  r(S_1)
+    gives g(S_1) = log(1 - |r(S_1)|^2), hence nu, and is kept as
+    r_at_S1 for the cross entries.  Arc 1 is swept at the points
     s = (0, S_1, S_2, S_3, S_4), with g(S_1) subtracted at S_1 only
     (chi_1); arc 2 is -conj(s[[0, 2, 1, 4, 3]]), arc 3 is
     s3 = s[[0, 3, 4, 1, 2]] and arc 4 is -conj(s3[[0, 2, 1, 4, 3]]).
     delta(0) is prod_j delta_j(0): arc S1 -> S2 through 1 is arc
     T1 -> S1 reversed followed by arc T2 -> S2, and likewise through -1.
-    delta_j^0 is then assembled from nu_j, chi_j(S_j) and
+    delta_1^0 and delta_3^0 are then assembled from nu, chi_1(S_1) and
     hat_delta_j(S_j) by the formula of the module docstring.
 
-    ReflectionTooLargeError when |r| reaches 1 - 1e-8, or r is NaN, at an
-    S_j (the first call) or at a node of arc 1 (a later one); only arc 1
+    ReflectionTooLargeError when |r| reaches 1 - 1e-8, or r is NaN, at
+    S_1 (the first call) or at a node of arc 1 (a later one); only arc 1
     can raise QuadratureError.  Either fails the row.
     """
-    S = np.array(stationary.S)
-    r_at_S = r_eval(S)
-    g = _density(r_at_S)
+    r_at_S1 = r_eval(stationary.S[0])
+    g = _density(r_at_S1)
     s = _arc_sums(functools.partial(log_density, r_eval),
-                  delta_j_arc(stationary, 1), np.concatenate(([0.0], S)),
-                  np.array([0.0, g[0], 0.0, 0.0, 0.0]), tol)
+                  delta_j_arc(stationary, 1),
+                  np.concatenate(([0.0], stationary.S)),
+                  np.array([0.0, g, 0.0, 0.0, 0.0]), tol)
     conj, s3 = [0, 2, 1, 4, 3], s[[0, 3, 4, 1, 2]]
-    return _assembled(stationary, r_at_S, g,
+    return _assembled(stationary, r_at_S1, g,
                       np.array([s, -s[conj].conj(), s3, -s3[conj].conj()]))
 
 
-def _assembled(stationary: StationarySet, r_at_S, g_at_S,
+def _assembled(stationary: StationarySet, r_at_S1, g_at_S1,
                arc_sums) -> CoefficientSet:
-    """The CoefficientSet from r(S_j), g(S_j) and the four arcs' sums."""
+    """The CoefficientSet from r(S_1), g(S_1) and the four arcs' sums;
+    arc j's sum at its own S_j is chi_j(S_j), which hat_delta_j omits."""
     exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
-    chis = []
+    chi = complex(arc_sums[0][1])
     for j, sums in enumerate(arc_sums, 1):
-        chis.append(complex(sums[j]))
         sums[j] = 0.0
         exponents += (-1) ** (j - 1) * sums
-    nu = tuple(float(-g / (2.0 * math.pi)) for g in g_at_S)
-    hat_delta_at_S = tuple(map(cmath.exp, exponents[1:]))
+    nu = float(-g_at_S1 / (2.0 * math.pi))
+    hat_delta_at_S = (cmath.exp(exponents[1]), cmath.exp(exponents[3]))
     ray = stationary.ray
     delta_j0 = []
-    for k in range(4):
-        Sj, sgn = stationary.S[k], (-1) ** k
+    for k, hat_delta in zip((0, 2), hat_delta_at_S):
+        Sj = stationary.S[k]
         kappa_j = (Sj * Sj).imag  # S_j^-2 = conj(S_j^2) on the circle
         osc = cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * kappa_j))
-        power = cmath.exp(sgn * 1j * nu[k] * cmath.log(
+        power = cmath.exp(1j * nu * cmath.log(
             stationary.beta[k] / (Sj - _T_ANCHORS[k])))
-        delta_j0.append(osc * power * cmath.exp(sgn * chis[k])
-                        * hat_delta_at_S[k])
+        delta_j0.append(osc * power * cmath.exp(chi) * hat_delta)
     return CoefficientSet(
-        r_at_S=tuple(r_at_S.tolist()), nu=nu, chi_at_S=tuple(chis),
+        r_at_S1=complex(r_at_S1), nu=nu, chi_at_S1=chi,
         hat_delta_at_S=hat_delta_at_S, delta_j0=tuple(delta_j0),
         delta_at_zero=cmath.exp(exponents[0]))
 

@@ -30,7 +30,8 @@ def test_compare_subcommand(tmp_path, capsys):
                  "--plot-data", str(tmp_path / "plot")])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "n,t,v,q_direct,q_asym,abs_err,scaled_err,imag_residual"
+    assert lines[0] == ("n,t,v,q_direct,q_asym,abs_err,scaled_err,"
+                        "odd_pair_residual")
     assert len(lines) == 2
     assert (tmp_path / "plot_ray0.4.dat").exists()
     summary = capsys.readouterr().out.splitlines()[-1]
@@ -150,6 +151,17 @@ def test_non_finite_numbers_are_refused(tmp_path):
                 ["--set", "profile.kind=gaussian",
                  "--set", "profile.width=NaN"]):
         assert main(["asymptote", *bad, "--output", out]) == 2
+
+
+def test_repeated_time_is_refused(tmp_path, capsys):
+    # a repeated time would write the same rows twice
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--set", "times=[4,4]",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: times must be a nonempty increasing list "
+        "without repeats\n")
+    assert not out.exists()
 
 
 def test_simulate_fits_a_long_profile(tmp_path):
@@ -278,7 +290,7 @@ def test_failed_rows_write_null_in_every_json_table(tmp_path, monkeypatch):
                  "--output", str(out), "--format", "json"]) == 1
     good, merging = strict_json(out)
     assert isinstance(good["q_asym"], float)
-    assert merging["q_asym"] is None and merging["imag_residual"] is None
+    assert merging["q_asym"] is None and merging["odd_pair_residual"] is None
 
 
 def test_selftest_subcommand(tmp_path, capsys):

@@ -39,9 +39,10 @@ from dmkdv.harness import (
     run_compare,
     selftest,
 )
+from weights_oracles import four_cross_value
 
 # the CSV header of a comparison table, as compare writes it
-CSV_HEADER = "n,t,v,q_direct,q_asym,abs_err,scaled_err,imag_residual"
+CSV_HEADER = "n,t,v,q_direct,q_asym,abs_err,scaled_err,odd_pair_residual"
 
 
 def oracle_direct(config, v, t):
@@ -68,22 +69,21 @@ def oracle_row(config, v, t):
 
 
 def oracle_asymptotic(config, v, t):
-    """(q_asym, imag_residual, fail_reason) by the per-row path: a fresh
-    r(z) for the row, and the cross entries from four scalar r(S_j)
-    calls."""
+    """(q_asym, odd_pair_residual, fail_reason) by the per-row path: a
+    fresh r(z) for the row, and the odd cross entries from scalar r(S_1)
+    and r(S_3) calls."""
     n = probe_site(v, t, config.v_max)
     try:
         ray = RayParams(n=n + 1, t=t)
         r_eval = reflection_evaluator(staggered(config.profile.support_state()))
         stat = stationary_points(ray)
         coeffs = coefficient_set(r_eval, stat)
-        m1 = [m1_entry(coeffs.nu[j - 1], r_eval(stat.S[j - 1]), j)
-              for j in (1, 2, 3, 4)]
+        m1 = [m1_entry(coeffs.nu, r_eval(stat.S[j - 1]), j) for j in (1, 3)]
         res = leading_term(stat, coeffs, m1)
         model.check_realness(res)
     except DmkdvError as exc:
         return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
-    return (-1) ** n * res.q_asym, res.imag_residual, None
+    return (-1) ** n * res.q_asym, res.odd_pair_residual, None
 
 
 def zero_config(**kw):
@@ -99,7 +99,7 @@ def make_records(count):
         err = 0.1 / (k + 1)
         recs.append(ComparisonRecord(
             n=k, t=10.0 * (k + 1), v=0.5, q_direct=0.01 * k,
-            q_asym=0.01 * k + err, imag_residual=1e-12))
+            q_asym=0.01 * k + err, odd_pair_residual=1e-12))
     return recs
 
 
@@ -110,6 +110,8 @@ def test_config_validation():
         zero_config(v_list=(1.9,))
     with pytest.raises(ConfigError):
         zero_config(t_list=(10.0, 5.0))
+    with pytest.raises(ConfigError, match="without repeats"):
+        zero_config(t_list=(5.0, 10.0, 10.0))
     with pytest.raises(ConfigError):
         zero_config(t_list=())
     with pytest.raises(ConfigError):
@@ -268,7 +270,7 @@ def test_emit_round_trip_and_determinism(tmp_path):
 
 def test_emit_nan_rows(tmp_path):
     rec = ComparisonRecord(n=1, t=2.0, v=0.5, q_direct=math.nan,
-                           q_asym=math.nan, imag_residual=math.nan,
+                           q_asym=math.nan, odd_pair_residual=math.nan,
                            fail_reason="QuadratureError: boom")
     csv_path = tmp_path / "nan.csv"
     emit([rec], str(csv_path), "csv")
@@ -376,21 +378,23 @@ def test_row_failure_isolation(monkeypatch):
 
 def row_bits(rec):
     return (rec.n, rec.t, rec.v, rec.q_direct.hex(), rec.q_asym.hex(),
-            rec.imag_residual.hex(), rec.fail_reason)
+            rec.odd_pair_residual.hex(), rec.fail_reason)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(stops=st.lists(st.sampled_from((2.0, 4.0, 6.0, 8.0)), min_size=1,
-                      max_size=4),
+                      max_size=4, unique=True),
        rays=st.lists(st.sampled_from((-1.0, -0.3, 0.2, 0.7)), min_size=1,
                      max_size=3, unique=True),
        failing=st.sampled_from((None, 0, 1, 2, 3)))
 def test_property_stops_repeats_and_a_failing_segment(stops, rays, failing):
+    # repeated times are refused (test_config_validation); the rays repeat
+    # every stop
+    stops = sorted(stops)
     config = zero_config(profile=InitialProfile(kind="single_site",
                                                 amplitude=0.2),
-                         v_list=tuple(rays), t_list=tuple(sorted(stops)))
-    distinct = sorted(set(stops))
-    fail_t = None if failing is None else distinct[failing % len(distinct)]
+                         v_list=tuple(rays), t_list=tuple(stops))
+    fail_t = None if failing is None else stops[failing % len(stops)]
     reason = f"SpillError: forced failure at t = {fail_t}"
     real, integrated = hn.integrate, []
 
@@ -404,8 +408,8 @@ def test_property_stops_repeats_and_a_failing_segment(stops, rays, failing):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hn, "integrate", failing_integrate)
         records = run_compare(config)
-    # one integrate per distinct stop, up to the failing one, none after
-    assert integrated == [t for t in distinct
+    # one integrate per stop, up to the failing one, none after
+    assert integrated == [t for t in stops
                           if fail_t is None or t <= fail_t]
     for rec, clean in zip(records, unfailed, strict=True):
         if fail_t is None or rec.t < fail_t:
@@ -413,8 +417,8 @@ def test_property_stops_repeats_and_a_failing_segment(stops, rays, failing):
         else:
             assert rec.fail_reason == reason
             assert all(map(math.isnan, (rec.q_direct, rec.q_asym,
-                                        rec.imag_residual)))
-    for t in distinct:  # the rows at one stop split its segment equally
+                                        rec.odd_pair_residual)))
+    for t in stops:  # the rows at one stop split its segment equally
         assert len({r.integrate_time for r in records if r.t == t}) == 1
 
 
@@ -454,17 +458,16 @@ def test_short_time_rows_leave_scaled_error_undefined():
 def test_row_times_share_the_trajectory():
     config = zero_config(profile=InitialProfile(kind="single_site",
                                                 amplitude=0.2),
-                         v_list=(0.2, 0.6), t_list=(4.0, 6.0, 6.0), dt=0.02)
+                         v_list=(0.2, 0.6, 1.0), t_list=(4.0, 6.0), dt=0.02)
     started = time.perf_counter()
     records = run_compare(config)
     elapsed = time.perf_counter() - started
     assert sum(r.wall_time for r in records) <= elapsed
     for rec in records:
         assert 0.0 < rec.integrate_time < rec.wall_time
-        # the rays and repeats at one stop split its segment equally
+        # the rays at one stop split its segment equally
         assert rec.integrate_time == records[0 if rec.t == 4.0 else 1
                                              ].integrate_time
-    assert records[1].q_direct == records[2].q_direct
     assert all(r.integrate_time == 0.0
                for r in run_compare(config, compute_direct=False))
 
@@ -508,7 +511,7 @@ LAYER_CALLS = ((hn, "_row_worker"), (hn, "integrate"),
                (model, "leading_term"), (hn, "probe_site"))
 ROW_LAYERS = {"stationary_points": 6, "coefficient_set": 6,
               "cross_solutions": 6, "leading_term": 6}
-# calls per sweep of 2 rays x 3 times (2 distinct), by row command
+# calls per sweep of 3 rays x 2 times, by row command
 LAYER_COUNTS = {
     "compare": {"_row_worker": 6, "integrate": 2, "reflection_evaluator": 1,
                 **ROW_LAYERS, "probe_site": 6},
@@ -529,26 +532,27 @@ def test_sweep_reaches_every_layer_through_its_module_attribute(
         monkeypatch.setattr(module, attr, counted)
     config = zero_config(profile=InitialProfile(kind="single_site",
                                                 amplitude=0.2),
-                         v_list=(0.1, 0.6), t_list=(4.0, 6.0, 6.0), dt=0.02)
+                         v_list=(0.1, 0.6, -0.4), t_list=(4.0, 6.0),
+                         dt=0.02)
     records = run_compare(config, **cli._ROW_COMMANDS[command][1])
     assert [r.fail_reason for r in records] == [None] * 6
     assert counts == LAYER_COUNTS[command]
 
 
-def rotate_odd_crosses(monkeypatch):
-    """Make the sweep use the rejected form of the crosses: odd crosses
-    rotated by -i."""
+def rotate_first_cross(monkeypatch):
+    """Make the sweep rotate (m1^1)_12 alone by -i: e^(-i pi/4) in place
+    of e^(+i pi/4) at S_1, a convention slip at one cross."""
     real = model.cross_solutions
 
     def rotated(coeffs):
-        return tuple(rot * m for rot, m in zip((-1j, 1, -1j, 1),
-                                               real(coeffs)))
+        m1, m3 = real(coeffs)
+        return -1j * m1, m3
 
     monkeypatch.setattr(model, "cross_solutions", rotated)
 
 
 def test_realness_guard_fails_every_asymptotic_row(monkeypatch):
-    rotate_odd_crosses(monkeypatch)
+    rotate_first_cross(monkeypatch)
     config = RunConfig(profile=InitialProfile(kind="single_site",
                                               amplitude=0.3),
                        v_list=(-1.0, 0.5), t_list=(200.0, 800.0))
@@ -556,14 +560,14 @@ def test_realness_guard_fails_every_asymptotic_row(monkeypatch):
     assert len(records) == 4
     for rec in records:
         assert rec.fail_reason.startswith(
-            "ConventionError: imaginary residual"), rec.fail_reason
-        assert math.isnan(rec.q_asym) and math.isnan(rec.imag_residual)
+            "ConventionError: odd-pair residual"), rec.fail_reason
+        assert math.isnan(rec.q_asym) and math.isnan(rec.odd_pair_residual)
 
 
 def test_realness_guard_scales_with_small_data(monkeypatch):
     # the rotated residual of gaussian(0.2, 2) is small because its
     # amplitude is: a bound set by t alone let 14 of these 15 rows pass
-    rotate_odd_crosses(monkeypatch)
+    rotate_first_cross(monkeypatch)
     config = RunConfig(profile=InitialProfile(kind="gaussian", amplitude=0.2,
                                               width=2.0),
                        v_list=(-1.0, 0.0, 0.5, 1.5),
@@ -573,21 +577,50 @@ def test_realness_guard_scales_with_small_data(monkeypatch):
     assert sorted(errors) == ["ConventionError"] * 15 + ["MergingPointsError"]
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(values=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
-       v=st.floats(-1.8, 1.8), t=st.sampled_from((50.0, 100.0, 200.0)))
-def test_property_realness_residual_is_rounding_level(values, v, t):
-    # arcs 2-4 are read as images of arc 1, so for real data the four
-    # contributions come in conjugate pairs up to rounding; a permutation
-    # slip in those image reads leaves some rows only a few times above
-    # check_realness's 1e-6 of the envelope, and all far above 1e-13
+# the inputs of the four-cross properties: 1-8 sites, |q| <= 0.6,
+# |v| <= 1.8, t in {50, 100, 200}; rows raising DmkdvError are skipped
+FOUR_CROSS_ROWS = given(values=st.lists(st.floats(-0.6, 0.6), min_size=1,
+                                        max_size=8),
+                        v=st.floats(-1.8, 1.8),
+                        t=st.sampled_from((50.0, 100.0, 200.0)))
+
+
+def four_cross_row(values, v, t):
+    """(row, four-cross oracle) at the probe site of v, t, or None when
+    the row raises DmkdvError."""
+    r_eval = reflection_u(InitialProfile(kind="custom_list",
+                                         custom=tuple(values)))
+    n = probe_site(v, t, 1.8)
     try:
-        res = asymptotic_value(reflection_u(InitialProfile(
-            kind="custom_list", custom=tuple(values))),
-            probe_site(v, t, 1.8), t)
+        return asymptotic_value(r_eval, n, t), four_cross_value(r_eval, n, t)
     except DmkdvError:
-        return
-    assert res.imag_residual <= 1e-13 * model.amplitude_envelope(res)
+        return None
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@FOUR_CROSS_ROWS
+def test_property_realness_residual_is_rounding_level(values, v, t):
+    # the four-cross sum of the arc sums a row reads (arcs 2-4 as images
+    # of arc 1): for real data its contributions come in conjugate pairs
+    # up to rounding; a permutation slip in those image reads leaves some
+    # rows far above 1e-13
+    rows = four_cross_row(values, v, t)
+    if rows is not None:
+        _, four = rows
+        assert four.imag_residual <= 1e-13 * four.envelope
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@FOUR_CROSS_ROWS
+def test_property_odd_crosses_give_the_four_cross_value(values, v, t):
+    # 2 Re[(c_1 + c_3) / delta(0)] and 2 (|c_1| + |c_3|) / |delta(0)| are
+    # the four-cross sum's value and envelope up to rounding
+    rows = four_cross_row(values, v, t)
+    if rows is not None:
+        res, four = rows
+        envelope = model.amplitude_envelope(res)
+        assert abs(envelope - four.envelope) <= 1e-13 * four.envelope
+        assert abs(res.q_asym - four.value) <= 1e-13 * four.envelope
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -596,19 +629,19 @@ def test_property_realness_residual_is_rounding_level(values, v, t):
        times=st.lists(st.floats(20.0, 60.0), min_size=1, max_size=2,
                       unique=True))
 def test_property_shared_r_matches_per_row_oracle(values, rays, times):
-    # the sweep's r(S_j) come from one array call, the oracle's from four
-    # scalar calls: the two differ in the last bits of m1_12 only
+    # the sweep reads r(S_3) as the image -r(S_1), the oracle evaluates
+    # it: the two differ in the last bits of m1_12 only
     config = RunConfig(
         profile=InitialProfile(kind="custom_list", custom=tuple(values)),
         v_list=tuple(rays), t_list=tuple(sorted(times)))
     records = run_compare(config, compute_direct=False)
     assert len(records) == len(rays) * len(times)
     for rec in records:
-        q_asym, imag_residual, reason = oracle_asymptotic(config, rec.v, rec.t)
+        q_asym, residual, reason = oracle_asymptotic(config, rec.v, rec.t)
         assert rec.fail_reason == reason
         if reason is None:
             assert abs(rec.q_asym - q_asym) <= 1e-14
-            assert abs(rec.imag_residual - imag_residual) <= 1e-14
+            assert abs(rec.odd_pair_residual - residual) <= 1e-14
 
 
 def test_asymptotics_match_linear_limit():
@@ -667,7 +700,8 @@ def test_asymptotics_match_integration_two_site():
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(values=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=8),
        rays=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
-       stops=st.lists(st.integers(5, 30), min_size=1, max_size=4),
+       stops=st.lists(st.integers(5, 30), min_size=1, max_size=4,
+                      unique=True),
        dt=st.sampled_from((0.02, 0.05, 0.25)))
 def test_property_trajectory_matches_per_row_oracle(values, rays, stops, dt):
     # every stop is a multiple of dt, so each segment takes the per-row

@@ -20,6 +20,11 @@ from dmkdv import (
     reflection_evaluator,
     stationary_points,
 )
+from weights_oracles import (
+    coefficient_set_by_arc,
+    four_cross_coefficients,
+    four_cross_sum,
+)
 
 # r = 0 everywhere, valued like r(z) itself: an array shaped like z
 ZERO_EVAL = lambda z: np.zeros(np.shape(z), dtype=complex)
@@ -134,7 +139,7 @@ def test_leading_term_zero_reflection():
     m1 = cross_solutions(coeffs)
     res = leading_term(stat, coeffs, m1)
     assert res.q_asym == 0.0
-    assert res.imag_residual == 0.0
+    assert res.odd_pair_residual == 0.0
     assert amplitude_envelope(res) == 0.0
 
 
@@ -145,18 +150,20 @@ def test_leading_term_modulus_bookkeeping():
     coeffs = coefficient_set(r_eval, stat)
     m1 = cross_solutions(coeffs)
     res = leading_term(stat, coeffs, m1)
-    for k in range(4):
-        expect = abs(stat.beta[k]) * math.sqrt(coeffs.nu[k]) \
-            * abs(coeffs.delta_j0[k]) ** 2
-        assert abs(abs(res.contributions[k]) - expect) < 1e-12
-    env = sum(abs(c) for c in res.contributions) / abs(res.delta_at_zero)
+    for i, k in enumerate((0, 2)):  # the odd crosses j = 1, 3
+        expect = abs(stat.beta[k]) * math.sqrt(coeffs.nu) \
+            * abs(coeffs.delta_j0[i]) ** 2
+        assert abs(abs(res.contributions[i]) - expect) < 1e-12
+    env = 2 * sum(abs(c) for c in res.contributions) / abs(res.delta_at_zero)
     assert amplitude_envelope(res) == pytest.approx(env)
     assert abs(res.q_asym) <= env + 1e-15
-    # real data: the cross contributions come in conjugate pairs
-    assert res.contributions[1] == pytest.approx(
+    # real data: the four-cross oracle's even contributions are the
+    # conjugates of the row's odd ones
+    four = four_cross_sum(stat, coefficient_set_by_arc(r_eval, stat))
+    assert four.contributions[1] == pytest.approx(
         res.contributions[0].conjugate(), abs=1e-12)
-    assert res.contributions[3] == pytest.approx(
-        res.contributions[2].conjugate(), abs=1e-12)
+    assert four.contributions[3] == pytest.approx(
+        res.contributions[1].conjugate(), abs=1e-12)
 
 
 def test_leading_term_realness_and_convention_guard():
@@ -166,36 +173,63 @@ def test_leading_term_realness_and_convention_guard():
     coeffs = coefficient_set(r_eval, stat)
 
     good = leading_term(stat, coeffs, cross_solutions(coeffs))
-    assert good.imag_residual < 1e-12
+    assert good.odd_pair_residual < 1e-12
     model.check_realness(good)
 
-    # leading_term reports the residual; check_realness is the guard
-    bad_m1 = tuple(rot * m for rot, m in zip(ROTATIONS["uniform_phase"],
-                                             cross_solutions(coeffs)))
-    bad = leading_term(stat, coeffs, bad_m1)
-    assert bad.imag_residual > 1e-3
-    with pytest.raises(ConventionError, match="^imaginary residual"):
+    # leading_term reports the residual; check_realness is the guard.
+    # (m1^1)_12 rotated by -i, e^(-i pi/4) in place of e^(+i pi/4) at S_1,
+    # is a convention slip at one cross
+    m1, m3 = cross_solutions(coeffs)
+    bad = leading_term(stat, coeffs, (-1j * m1, m3))
+    assert bad.odd_pair_residual > 1e-3
+    with pytest.raises(ConventionError, match="^odd-pair residual"):
         model.check_realness(bad)
     # a NaN residual or envelope passes no comparison, so it fails too
     nan = complex(math.nan, 0.0)
-    for broken in (dataclasses.replace(good, imag_residual=math.nan),
-                   dataclasses.replace(good, contributions=(nan,) * 4)):
-        with pytest.raises(ConventionError, match="^imaginary residual"):
+    for broken in (dataclasses.replace(good, odd_pair_residual=math.nan),
+                   dataclasses.replace(good, contributions=(nan,) * 2)):
+        with pytest.raises(ConventionError, match="^odd-pair residual"):
             model.check_realness(broken)
 
 
+def test_odd_pair_guard_sees_a_branch_slip_at_S3():
+    # a 2 pi i slip in the branch of the nu power at S_3 multiplies
+    # delta_3^0 by e^(-2 pi nu), and the slip at S_4 that keeps the
+    # conjugate pairing does the same to delta_4^0: the four-cross sum
+    # stays real, and only the odd pair sees the slip
+    stat = stationary_points(RayParams(n=51, t=100.0))
+    r_eval = single_site_eval(0.3)
+    coeffs = coefficient_set(r_eval, stat)
+    slip = math.exp(-2.0 * math.pi * coeffs.nu)
+    assert slip < 0.95
+    slipped = dataclasses.replace(
+        coeffs, delta_j0=(coeffs.delta_j0[0], slip * coeffs.delta_j0[1]))
+    model.check_realness(leading_term(stat, coeffs, cross_solutions(coeffs)))
+    with pytest.raises(ConventionError, match="^odd-pair residual"):
+        model.check_realness(
+            leading_term(stat, slipped, cross_solutions(slipped)))
+
+    four = four_cross_coefficients(r_eval, stat)
+    d1, d2, d3, d4 = four.delta_j0
+    slipped_four = four_cross_sum(stat, dataclasses.replace(
+        four, delta_j0=(d1, d2, slip * d3, slip * d4)))
+    assert slipped_four.imag_residual <= 1e-13 * slipped_four.envelope
+    moved = slipped_four.value / four_cross_sum(stat, four).value - 1.0
+    assert abs(moved) > 0.05
+
+
 def test_contribution_modulus_symmetric_ray():
-    # |contribution_j| = |beta_j| nu_j^(1/2) |delta_j^0|^2: |S_j| = 1 and
-    # |(m1^j)_12| = nu_j^(1/2); on this ray theta_1 = -pi/4, Im S_1^2 = -1
+    # |contribution_j| = |beta_j| nu^(1/2) |delta_j^0|^2: |S_j| = 1 and
+    # |(m1^j)_12| = nu^(1/2); on this ray theta_1 = -pi/4, Im S_1^2 = -1
     stat = stationary_points(RayParams(n=0, t=64.0))
     coeffs = coefficient_set(single_site_eval(0.3), stat)
     res = leading_term(stat, coeffs, cross_solutions(coeffs))
     assert cmath.phase(stat.S[0]) == pytest.approx(-math.pi / 4)
     assert (stat.S[0] * stat.S[0]).imag == pytest.approx(-1.0)
-    for k in range(4):
-        assert abs(res.contributions[k]) == pytest.approx(
-            abs(stat.beta[k]) * math.sqrt(coeffs.nu[k])
-            * abs(coeffs.delta_j0[k]) ** 2, rel=1e-12)
+    for i, k in enumerate((0, 2)):  # the odd crosses j = 1, 3
+        assert abs(res.contributions[i]) == pytest.approx(
+            abs(stat.beta[k]) * math.sqrt(coeffs.nu)
+            * abs(coeffs.delta_j0[i]) ** 2, rel=1e-12)
 
 
 def test_oscillation_phase_slope_finite_difference():

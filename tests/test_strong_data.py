@@ -6,7 +6,7 @@ there.  One sweep integrates the profile to t = 100 and 200 and samples
 every site of four ray bands at t = 100 (every other one at t = 200).
 The full formula is set against ablations that replace one term by
 calling the production assembly on changed inputs
-(weights_oracles.assembled), and against the odd crosses rotated by -i;
+(weights_oracles.assembled), and against the S_1 cross rotated by -i;
 production code has no switch for either.  The bounds below were fixed
 before the first run.
 """
@@ -18,7 +18,7 @@ import pytest
 import dmkdv.harness as harness
 import dmkdv.weights as weights
 from dmkdv import InitialProfile, RunConfig
-from test_harness import rotate_odd_crosses
+from test_harness import rotate_first_cross
 from weights_oracles import ABLATIONS, assembled
 
 PROFILE = InitialProfile(kind="gaussian", amplitude=0.5, width=3.0)
@@ -35,7 +35,7 @@ def _values(records, r_eval, formula):
     is production, an ablation replaces one term of delta_j^0."""
     with pytest.MonkeyPatch.context() as mp:
         if formula == "rotated":
-            rotate_odd_crosses(mp)
+            rotate_first_cross(mp)
         elif formula != "full":
             mp.setattr(weights, "_assembled",
                        functools.partial(assembled, replaced=formula))

@@ -32,6 +32,7 @@ from dmkdv.weights import (
     delta_j_arc,
 )
 from weights_oracles import (
+    FourCrossSet,
     arc_sums_by_doubling,
     cauchy_arc_integral,
     chi_at_stationary,
@@ -285,7 +286,7 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     stat = stationary_points(RayParams(n=-89, t=50.0))
     with pytest.raises(QuadratureError, match="rounding floor"):
         coefficient_set(counting, stat, tol=tol)
-    assert sampled[0] == 4  # the S_j
+    assert sampled[0] == 1  # S_1
     assert max(sampled) == 8 * 33  # arc 1 at 8 panels
 
 
@@ -293,8 +294,8 @@ def test_quadrature_stops_at_the_rounding_floor(tol):
     (InitialProfile(kind="single_site", amplitude=0.3), 51, 100.0),
     (InitialProfile(kind="gaussian", amplitude=0.2, width=2.0), 401, 800.0)])
 def test_coefficient_set_settles_the_arc_at_its_first_level(profile, n, t):
-    # arc 1 settles on one panel: one sample of the four S_j, then one of
-    # its 33 Kronrod nodes
+    # arc 1 settles on one panel: one sample at S_1, then one of its 33
+    # Kronrod nodes
     r_eval = reflection_evaluator(staggered(profile.support_state()))
     sampled = []
 
@@ -303,12 +304,12 @@ def test_coefficient_set_settles_the_arc_at_its_first_level(profile, n, t):
         return r_eval(z)
 
     coefficient_set(counting, stationary_points(RayParams(n=n, t=t)))
-    assert sampled == [4, 33]
+    assert sampled == [1, 33]
 
 
 def test_a_nan_r_fails_at_the_first_sample():
     # the |r| < 1 guard refuses NaN as it refuses |r| >= 1 - 1e-8, at the
-    # S_j, before a single panel level is sampled
+    # S_1, before a single panel level is sampled
     sampled = []
 
     def nan_r(z):
@@ -318,7 +319,7 @@ def test_a_nan_r_fails_at_the_first_sample():
     stat = stationary_points(RayParams(n=51, t=100.0))
     with pytest.raises(ReflectionTooLargeError, match=r"^max \|r\| = nan "):
         coefficient_set(nan_r, stat)
-    assert sampled == [4]
+    assert sampled == [1]
     sampled.clear()
     with pytest.raises(ReflectionTooLargeError):
         delta_at(nan_r, stat, 0.0)
@@ -461,8 +462,7 @@ def test_delta_j0_reflectionless_is_unimodular():
     ray = RayParams(n=21, t=60.0)
     stat = stationary_points(ray)
     coeffs = coefficient_set(ZERO_EVAL, stat)
-    for j in (1, 2, 3, 4):
-        val = coeffs.delta_j0[j - 1]
+    for val, j in zip(coeffs.delta_j0, (1, 3)):
         assert abs(abs(val) - 1.0) < 1e-12
         S = stat.S[j - 1]
         expect = cmath.exp(1j * (ray.n * cmath.phase(S) - ray.t * (S * S).imag))
@@ -475,35 +475,55 @@ def test_delta_j0_modulus_decomposition():
     r_eval = two_site_eval()
     coeffs = coefficient_set(r_eval, stat)
     anchors = (1.0, 1.0, -1.0, -1.0)
-    for j in (1, 2, 3, 4):
+    for i, j in enumerate((1, 3)):  # sgn = (-1)^(j-1) = 1
         k = j - 1
-        sgn = (-1) ** (j - 1)
         ratio = stat.beta[k] / (stat.S[k] - anchors[k])
-        expect = math.exp(-coeffs.nu[k] * sgn * cmath.phase(ratio)
-                          + sgn * coeffs.chi_at_S[k].real) \
-            * abs(coeffs.hat_delta_at_S[k])
-        assert abs(abs(coeffs.delta_j0[k]) - expect) < 1e-10
+        expect = math.exp(-coeffs.nu * cmath.phase(ratio)
+                          + coeffs.chi_at_S1.real) \
+            * abs(coeffs.hat_delta_at_S[i])
+        assert abs(abs(coeffs.delta_j0[i]) - expect) < 1e-10
 
 
 def test_delta_j0_conjugate_pairing():
+    # the even delta_j^0, swept arc by arc, are the conjugates of the odd
+    # ones that rows keep
     stat = stationary_points(RayParams(n=21, t=60.0))
-    coeffs = coefficient_set(two_site_eval(), stat)
-    assert abs(coeffs.delta_j0[1] - coeffs.delta_j0[0].conjugate()) < 1e-9
-    assert abs(coeffs.delta_j0[3] - coeffs.delta_j0[2].conjugate()) < 1e-9
+    r_eval = two_site_eval()
+    coeffs = coefficient_set(r_eval, stat)
+    ref = coefficient_set_by_arc(r_eval, stat)
+    assert abs(ref.delta_j0[1] - coeffs.delta_j0[0].conjugate()) < 1e-9
+    assert abs(ref.delta_j0[3] - coeffs.delta_j0[1].conjugate()) < 1e-9
 
 
 @COEFFICIENT_CASES
 def test_coefficient_set_matches_individual_operations(make_eval, n):
+    # the one nu is every nu_j; chi_1(S_1) and hat_delta_j(S_j) are the
+    # values at j = 1 and at j = 3, whose chi_3(S_3) is chi_1(S_1)
     stat = stationary_points(RayParams(n=n, t=80.0))
     r_eval = make_eval()
     coeffs = coefficient_set(r_eval, stat)
     assert coeffs.delta_at_zero == pytest.approx(delta_at(r_eval, stat, 0.0))
     for j in (1, 2, 3, 4):
-        assert coeffs.nu[j - 1] == pytest.approx(nu_at(r_eval, stat, j))
-        assert coeffs.chi_at_S[j - 1] == pytest.approx(
+        assert coeffs.nu == pytest.approx(nu_at(r_eval, stat, j))
+    for i, j in enumerate((1, 3)):
+        assert coeffs.chi_at_S1 == pytest.approx(
             chi_at_stationary(r_eval, stat, j), abs=1e-12)
-        assert coeffs.hat_delta_at_S[j - 1] == pytest.approx(
+        assert coeffs.hat_delta_at_S[i] == pytest.approx(
             hat_delta_at_stationary(r_eval, stat, j), abs=1e-11)
+
+
+# a CoefficientSet's fields and the entries j = 1, 3 of a FourCrossSet
+ODD_FIELDS = ("chi_at_S1", "hat_delta_at_S", "delta_j0", "delta_at_zero")
+
+
+def odd_values(coeffs):
+    """The values of ODD_FIELDS, flattened, of a CoefficientSet or, at
+    j = 1, 3, of a FourCrossSet."""
+    if isinstance(coeffs, FourCrossSet):
+        return (coeffs.chi_at_S[0], *coeffs.hat_delta_at_S[0::2],
+                *coeffs.delta_j0[0::2], coeffs.delta_at_zero)
+    return (coeffs.chi_at_S1, *coeffs.hat_delta_at_S, *coeffs.delta_j0,
+            coeffs.delta_at_zero)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -513,18 +533,18 @@ def test_coefficient_set_matches_individual_operations(make_eval, n):
        st.sampled_from((20.0, 100.0, 400.0)))
 def test_property_image_arcs_match_arc_by_arc(n_min, values, v, t):
     # arcs 2-4 read as images of arc 1 give the coefficients of four
-    # sweeps, one per arc, within the sums' rounding: r(S_j) and nu_j
-    # are the same values, the rest lies within 1e-12 max(1, |ref|)
+    # sweeps, one per arc, within the sums' rounding: r(S_1) and nu are
+    # the same values, r(S_3) = -r(S_1) and nu_3 = nu, and the odd
+    # crosses' coefficients lie within 1e-12 max(1, |ref|)
     r_eval = reflection_evaluator(
         LatticeState(n_min=n_min, values=np.array(values)))
     stat = stationary_points(RayParams(n=round(v * t), t=t))
     got = coefficient_set(r_eval, stat)
     ref = coefficient_set_by_arc(r_eval, stat)
-    assert got.r_at_S == ref.r_at_S and got.nu == ref.nu
-    for name in ("chi_at_S", "hat_delta_at_S", "delta_j0", "delta_at_zero"):
-        for a, b in zip(np.ravel(getattr(got, name)),
-                        np.ravel(getattr(ref, name))):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
+    assert got.r_at_S1 == ref.r_at_S[0] and got.nu == ref.nu[0]
+    assert ref.r_at_S[2] == -got.r_at_S1 and ref.nu[2] == got.nu
+    for name, a, b in zip(ODD_FIELDS * 2, odd_values(got), odd_values(ref)):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -534,7 +554,7 @@ def test_property_image_arcs_match_arc_by_arc(n_min, values, v, t):
        st.sampled_from((50.0, 100.0, 200.0)))
 def test_property_kronrod_pair_matches_panel_doubling(n_min, values, v, t):
     # the Kronrod sums of the level where |K - G| <= tol against the
-    # 16-point rule refined until two levels agree: r(S_j) and nu_j are
+    # 16-point rule refined until two levels agree: r(S_1) and nu are
     # the same values, the rest lies within 1e-12 max(1, |ref|)
     r_eval = reflection_evaluator(
         LatticeState(n_min=n_min, values=np.array(values)))
@@ -543,11 +563,9 @@ def test_property_kronrod_pair_matches_panel_doubling(n_min, values, v, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_arc_sums", arc_sums_by_doubling)
         ref = coefficient_set(r_eval, stat)
-    assert got.r_at_S == ref.r_at_S and got.nu == ref.nu
-    for name in ("chi_at_S", "hat_delta_at_S", "delta_j0", "delta_at_zero"):
-        for a, b in zip(np.ravel(getattr(got, name)),
-                        np.ravel(getattr(ref, name))):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
+    assert got.r_at_S1 == ref.r_at_S1 and got.nu == ref.nu
+    for name, a, b in zip(ODD_FIELDS * 2, odd_values(got), odd_values(ref)):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
 
 
 @pytest.mark.parametrize("profile", [
@@ -582,7 +600,7 @@ def test_quadrature_self_convergence_of_coefficients(make_eval, n):
     loose = coefficient_set(r_eval, stat, tol=1e-9)
     tight = coefficient_set(r_eval, stat, tol=1e-12)
     assert abs(loose.delta_at_zero - tight.delta_at_zero) < 1e-9
-    for k in range(4):
+    for k in range(2):  # j = 1, 3
         assert abs(loose.hat_delta_at_S[k] - tight.hat_delta_at_S[k]) < 1e-9
         assert abs(loose.delta_j0[k] - tight.delta_j0[k]) < 1e-8
 

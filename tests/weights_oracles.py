@@ -1,7 +1,12 @@
 """One coefficient at a time, by its definition in the weights module
-docstring, and every coefficient with each of the four arcs swept on its
-own: the oracles that `weights.coefficient_set`, which sweeps arc 1 and
-reads the other three arcs as its images, is checked against.  delta(z)
+docstring, and every coefficient at all four S_j with each of the four
+arcs swept on its own: the oracles that `weights.coefficient_set`, which
+sweeps arc 1, reads the other three arcs as its images and keeps what
+the odd crosses read, is checked against.  With them the four-cross sum
+that rows no longer form: `four_cross_sum` assembles the leading term
+from all four crosses, both branches of `model.m1_entry`, and measures
+its imaginary residual, and `four_cross_value` is that sum in the gauge
+of `harness.asymptotic_value`.  delta(z)
 and delta_j(z) are read one arc and one point per call, by
 cauchy_arc_integral, which refuses a point that is not finite or lies on
 its arc.  Also `assembled`, which calls `weights._assembled` on inputs
@@ -17,16 +22,21 @@ import dataclasses
 import functools
 import itertools
 import math
+import unittest.mock
+from typing import NamedTuple
 
 import numpy as np
 
-from dmkdv import DomainError, QuadratureError
+from dmkdv import DomainError, QuadratureError, RayParams, stationary_points
+from dmkdv import weights
+from dmkdv.model import m1_entry
 from dmkdv.weights import (
     _EPS,
     _FLOOR_ULPS,
     _GL_NODES,
     _GL_WEIGHTS,
     _MAX_LEVEL,
+    _T_ANCHORS,
     DEFAULT_TOL,
     ArcSpec,
     _arc_sums,
@@ -89,19 +99,111 @@ def arc_sums_by_doubling(density, arc: ArcSpec, points, shifts,
         f"(residual {residual:.3e} > {tol:.3e})")
 
 
-def coefficient_set_by_arc(r_eval, stationary, tol: float = DEFAULT_TOL):
-    """coefficient_set from r(S_j) in one call and one sweep per arc,
-    each sampling r on its own nodes and subtracting g(S_j) at its own
-    endpoint: no arc is read as the image of another."""
-    S = np.array(stationary.S)
-    r_at_S, g_at_S = r_eval(S), log_density(r_eval, S)
+@dataclasses.dataclass(frozen=True)
+class FourCrossSet:
+    """Every per-point coefficient at all four S_j (index j - 1), and
+    delta(0): what the four crosses read."""
+
+    r_at_S: tuple
+    nu: tuple
+    chi_at_S: tuple
+    hat_delta_at_S: tuple
+    delta_j0: tuple
+    delta_at_zero: complex
+
+
+def four_cross_set(r_eval, stationary, arc_sums) -> FourCrossSet:
+    """The coefficients at all four S_j from the four arcs' sums at the
+    points (0, S_1, .., S_4), arc j's sum at S_j taken with g(S_j)
+    subtracted (chi_j), and from r(S_j), one scalar call per point:
+    delta_j^0 for every j by the formula of the weights module
+    docstring, each with its own nu_j and chi_j."""
+    r_at_S = tuple(complex(r_eval(s)) for s in stationary.S)
+    exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
+    chis = []
+    for j, sums in enumerate(np.array(arc_sums), 1):
+        chis.append(complex(sums[j]))
+        sums[j] = 0.0
+        exponents += (-1) ** (j - 1) * sums
+    nu = tuple(float(-log_density(r_eval, s) / (2.0 * math.pi))
+               for s in stationary.S)
+    hat_delta_at_S = tuple(map(cmath.exp, exponents[1:]))
+    ray = stationary.ray
+    delta_j0 = []
+    for k in range(4):
+        Sj, sgn = stationary.S[k], (-1) ** k
+        kappa_j = (Sj * Sj).imag
+        osc = cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * kappa_j))
+        power = cmath.exp(sgn * 1j * nu[k] * cmath.log(
+            stationary.beta[k] / (Sj - _T_ANCHORS[k])))
+        delta_j0.append(osc * power * cmath.exp(sgn * chis[k])
+                        * hat_delta_at_S[k])
+    return FourCrossSet(
+        r_at_S=r_at_S, nu=nu, chi_at_S=tuple(chis),
+        hat_delta_at_S=hat_delta_at_S, delta_j0=tuple(delta_j0),
+        delta_at_zero=cmath.exp(exponents[0]))
+
+
+def coefficient_set_by_arc(r_eval, stationary,
+                           tol: float = DEFAULT_TOL) -> FourCrossSet:
+    """four_cross_set with one sweep per arc, each sampling r on its own
+    nodes and subtracting g(S_j) at its own endpoint: no arc is read as
+    the image of another."""
+    g_at_S = [log_density(r_eval, s) for s in stationary.S]
     density = functools.partial(log_density, r_eval)
-    arcs = [delta_j_arc(stationary, j) for j in (1, 2, 3, 4)]
-    points = (0.0,) + stationary.S
-    sums = [_arc_sums(density, arc, points,
+    sums = [_arc_sums(density, delta_j_arc(stationary, j),
+                      (0.0,) + stationary.S,
                       np.where(np.arange(5) == j, g_at_S[j - 1], 0.0), tol)
-            for j, arc in enumerate(arcs, 1)]
-    return _assembled(stationary, r_at_S, g_at_S, sums)
+            for j in (1, 2, 3, 4)]
+    return four_cross_set(r_eval, stationary, sums)
+
+
+def four_cross_coefficients(r_eval, stationary,
+                            tol: float = DEFAULT_TOL) -> FourCrossSet:
+    """four_cross_set of the very arc sums that weights.coefficient_set
+    reads as images of arc 1 and hands to weights._assembled."""
+    captured = []
+    with unittest.mock.patch.object(
+            weights, "_assembled",
+            lambda stationary, r_at_S1, g_at_S1, arc_sums:
+            captured.append(arc_sums)):
+        weights.coefficient_set(r_eval, stationary, tol)
+    return four_cross_set(r_eval, stationary, captured[0])
+
+
+class FourCrossSum(NamedTuple):
+    value: float          # Re of the sum over delta(0)
+    contributions: tuple  # c_j = beta_j S_j^-2 (delta_j^0)^2 (m1^j)_12
+    imag_residual: float  # |Im| of the sum over delta(0)
+    envelope: float       # sum_j |c_j| / |delta(0)|
+
+
+def four_cross_sum(stationary, coeffs: FourCrossSet) -> FourCrossSum:
+    """Re[delta(0)^-1 sum_j c_j] over all four crosses, c_j =
+    beta_j S_j^-2 (delta_j^0)^2 (m1^j)_12 with (m1^j)_12 =
+    m1_entry(nu_j, r(S_j), j), summed in the order j = 1..4."""
+    total = 0.0 + 0.0j
+    contributions = []
+    for k in range(4):
+        term = (stationary.beta[k] / (stationary.S[k] * stationary.S[k])
+                * coeffs.delta_j0[k] ** 2
+                * m1_entry(coeffs.nu[k], coeffs.r_at_S[k], k + 1))
+        contributions.append(term)
+        total += term
+    total /= coeffs.delta_at_zero
+    return FourCrossSum(
+        value=total.real, contributions=tuple(contributions),
+        imag_residual=abs(total.imag),
+        envelope=sum(map(abs, contributions)) / abs(coeffs.delta_at_zero))
+
+
+def four_cross_value(r_eval, n: int, t: float) -> FourCrossSum:
+    """four_cross_sum of four_cross_coefficients in the gauge of
+    harness.asymptotic_value: on the ray n + 1, its value times (-1)^n.
+    It is the sum rows formed before they kept the odd crosses alone."""
+    stat = stationary_points(RayParams(n=n + 1, t=t))
+    res = four_cross_sum(stat, four_cross_coefficients(r_eval, stat))
+    return res._replace(value=(-1) ** n * res.value)
 
 
 def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
@@ -177,7 +279,7 @@ def hat_delta_at_stationary(r_eval, stationary, j: int,
                      for k in (1, 2, 3, 4) if k != j)
 
 
-def assembled(stationary, r_at_S, g_at_S, arc_sums, replaced):
+def assembled(stationary, r_at_S1, g_at_S1, arc_sums, replaced):
     """weights._assembled on inputs changed so that the term of delta_j^0
     named by `replaced`, one of ABLATIONS, is replaced; the other
     coefficients stay those of the full formula."""
@@ -191,9 +293,8 @@ def assembled(stationary, r_at_S, g_at_S, arc_sums, replaced):
     elif replaced == "hat_delta":  # each arc's sums at the other S_k
         for j, k in itertools.permutations((1, 2, 3, 4), 2):
             arc_sums[j - 1][k] = 0.0
-    elif replaced == "nu_power":  # nu_j = 0 in delta_j^0, not in the crosses
-        nu = _assembled(stationary, r_at_S, g_at_S, np.array(arc_sums)).nu
+    elif replaced == "nu_power":  # nu = 0 in delta_j^0, not in the crosses
+        nu = _assembled(stationary, r_at_S1, g_at_S1, np.array(arc_sums)).nu
         return dataclasses.replace(
-            _assembled(stationary, r_at_S, np.zeros_like(g_at_S), arc_sums),
-            nu=nu)
-    return _assembled(stationary, r_at_S, g_at_S, arc_sums)
+            _assembled(stationary, r_at_S1, 0.0, arc_sums), nu=nu)
+    return _assembled(stationary, r_at_S1, g_at_S1, arc_sums)
