@@ -51,7 +51,7 @@ b_top = poly.b_low + 2 * (len(poly.b_coeffs) - 1)
 print(f"\na(z): exponents {poly.a_low}..{a_top} step 2, "
       f"b(z): exponents {poly.b_low}..{b_top} step 2")
 
-theta, r = reflection_grid(random_state, 256)
+theta, r = reflection_grid(poly, 256)
 print(f"reflection grid (256 angles): max |r| = {np.abs(r).max():.6f} < 1")
 gap = max(abs(value - scattering_coefficients(
               random_state, UnitCirclePoint.from_theta(angle)).r)

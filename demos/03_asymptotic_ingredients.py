@@ -26,7 +26,7 @@ from dmkdv import (
 from dmkdv.harness import asymptotic_value, delta_product_checks, reflection_u
 
 profile = InitialProfile(kind="single_site", amplitude=0.3)
-r_eval = reflection_u(profile)
+pair = reflection_u(profile)  # r and the spectrum of its density
 
 ray = RayParams(n=50, t=100.0)
 stat = stationary_points(ray)
@@ -41,7 +41,7 @@ for j in (1, 2, 3, 4):
           f"{ident:22.6f}")
 print("(phi'' from the definition of phi: the column checks beta_j against phi)")
 
-coeffs = coefficient_set(r_eval, stat)
+coeffs = coefficient_set(*pair, stat)
 print(f"\ndelta(0) = {coeffs.delta_at_zero:.9f}")
 print(f"nu = {coeffs.nu:.6f} at every S_j, |chi_1(S_1)| = "
       f"{abs(coeffs.chi_at_S1):.2e} (chi_3(S_3) is the same value)")
@@ -73,7 +73,7 @@ print(f"  odd-pair residual |c_1 - c_3|/|delta(0)| = "
 
 # site n reads the ray n + 1 (the gauge of asymptotic_value)
 n = ray.n - 1
-site = asymptotic_value(r_eval, n, ray.t)
+site = asymptotic_value(*pair, n, ray.t)
 mode = 2 * (-1) ** n * sum(site.contributions) / site.delta_at_zero
 print(f"\nmode m(n) = 2 (-1)^n (c_1 + c_3)/delta(0) at site n = {n}: "
       f"{mode:.6e}")

@@ -23,11 +23,11 @@ config = RunConfig(
 )
 
 records = run_compare(config)
-r_eval = reflection_u(config.profile)
+pair = reflection_u(config.profile)
 print(f"{'v':>5} {'t':>5} {'n':>4} {'q_direct':>13} {'q_asym':>13} "
       f"{'abs_err':>10} {'err*t/log t':>11} {'err/envelope':>12}")
 for rec in records:
-    env = amplitude_envelope(asymptotic_value(r_eval, rec.n, rec.t))
+    env = amplitude_envelope(asymptotic_value(*pair, rec.n, rec.t))
     print(f"{rec.v:5.2f} {rec.t:5.0f} {rec.n:4d} {rec.q_direct:13.6e} "
           f"{rec.q_asym:13.6e} {rec.abs_err:10.2e} {rec.scaled_err:11.5f} "
           f"{rec.abs_err / env:12.4f}")

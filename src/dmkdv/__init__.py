@@ -24,7 +24,6 @@ from .errors import (
     DmkdvError,
     DomainError,
     MergingPointsError,
-    QuadratureError,
     ReflectionTooLargeError,
     SpillError,
 )
@@ -52,10 +51,6 @@ from .scattering import (
     scattering_coefficients,
     scattering_polynomials,
 )
-from .weights import (
-    ArcSpec,
-    coefficient_set,
-    log_density,
-)
+from .weights import coefficient_set, density_spectrum
 
 __version__ = "0.1.0"

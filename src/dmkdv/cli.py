@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import scattering
+from . import scattering, weights
 from .errors import ConfigError, DmkdvError
 from .harness import (
     COMPARE_COLUMNS,
@@ -98,13 +98,20 @@ def _cmd_rows(command: str, config: RunConfig, plot_stem: str | None) -> int:
 
 
 def _cmd_scatter(config: RunConfig) -> int:
+    """r on the grid and the density's spectrum, from one build; the
+    summary gives the spectrum's M, P and conditioning ratio."""
     state = config.profile.support_state()
-    theta, r = scattering.reflection_grid(state, config.grid_size)
+    poly = scattering.scattering_polynomials(state)
+    theta, r = scattering.reflection_grid(poly, config.grid_size)
+    spectrum = weights.density_spectrum(poly)
     rows = [(th, v.real, v.imag, abs(v)) for th, v in zip(theta, r)]
     write_table(config.output_path, config.output_format,
                 ("theta", "re_r", "im_r", "abs_r"), rows)
     print(f"c_inf = {conserved_c_inf(state)!r}  rho0 = {rho_zero(state)!r}  "
-          f"max|r| = {float(np.abs(r).max())!r}")
+          f"max|r| = {float(np.abs(r).max())!r}  "
+          f"spectrum M = {spectrum.coeffs.size - 1}  P = {spectrum.grid}  "
+          f"conditioning = {spectrum.conditioning:.2e} "
+          f"(bound {weights.CONDITIONING_BOUND:g})")
     print(f"wrote {len(rows)} rows to {config.output_path}")
     return 0
 

@@ -39,11 +39,6 @@ class MergingPointsError(DmkdvError):
     the four-point asymptotics does not apply."""
 
 
-class QuadratureError(DmkdvError):
-    """Arc quadrature failed to meet its tolerance within the panel
-    budget."""
-
-
 class ConventionError(DmkdvError):
     """The two odd crosses of the asymptotic sum, equal for real data,
     differ by more than rounding (model.check_realness); signals a branch
@@ -56,4 +51,7 @@ class ConfigError(DmkdvError):
 
 class ConditioningError(DmkdvError):
     """The scattering data cannot be computed to working precision: the
-    coefficients of a(z) and b(z) overflow while they are built."""
+    coefficients of a(z) and b(z) overflow while they are built, a(z)
+    rounds to more than 1e-8 of its modulus somewhere on the circle, or
+    the density's spectrum has not decayed on 2^19 circle points
+    (weights.density_spectrum)."""

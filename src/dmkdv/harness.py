@@ -2,11 +2,12 @@
 
 Runs the full chain for a sweep of rays and times: integrate the lattice
 directly, once per profile through the sorted times (_trajectory, whose
-states every row reads its q_n from), build the
-reflection coefficient r_u of the initial profile once per sweep
-(reflection_u), evaluate the leading-order asymptotic value per row from
-it (asymptotic_value(r_eval, n, t), the one route to the formula; how a
-row samples r is stated in weights.coefficient_set), and record the
+states every row reads its q_n from), build the reflection coefficient
+r_u of the initial profile and the spectrum of its density once per
+sweep, from one build of its polynomials (reflection_u), evaluate the
+leading-order asymptotic value per row from them
+(asymptotic_value(r_eval, spectrum, n, t), the one route to the formula;
+how a row samples r is stated in weights.coefficient_set), and record the
 comparison: the measured values, from which the error columns are
 derived.  Also hosts what the CLI writes and checks with:
 write_table, the one writer of every output table (emit is its form for
@@ -18,7 +19,6 @@ even crosses rows omit, to show that the rejected form fails.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -213,15 +213,20 @@ def probe_site(v: float, t: float, v_max: float) -> int:
     return n
 
 
-def reflection_u(profile: InitialProfile):
-    """r_u(z), u_k = (-1)^k q_k(0): the reflection coefficient that every
-    asymptotic value of the profile is built from (see asymptotic_value)."""
-    return reflection_evaluator(staggered(profile.support_state()))
+def reflection_u(profile: InitialProfile) -> tuple:
+    """(r_eval, spectrum) of u_k = (-1)^k q_k(0), from one build of its
+    polynomials: every asymptotic value of the profile is built from the
+    pair (see asymptotic_value).  The spectrum's guards fail the build."""
+    poly = scattering.scattering_polynomials(
+        staggered(profile.support_state()))
+    return reflection_evaluator(poly), weights.density_spectrum(poly)
 
 
-def asymptotic_value(r_eval, n: int, t: float) -> model.AsymptoticResult:
-    """Leading-order asymptotic value of q_n(t) from r_eval, the profile's
-    reflection_u, built once and shared by every value of the profile.
+def asymptotic_value(r_eval, spectrum, n: int,
+                     t: float) -> model.AsymptoticResult:
+    """Leading-order asymptotic value of q_n(t) from r_eval and spectrum,
+    the profile's reflection_u, built once and shared by every value of
+    the profile.  r is sampled at one point; the arcs read the spectrum.
 
     The cross-sum functional R (leading_term) reconstructs the lattice
     field in a staggered, site-shifted gauge relative to the transfer
@@ -238,7 +243,7 @@ def asymptotic_value(r_eval, n: int, t: float) -> model.AsymptoticResult:
     model.check_realness to it.
     """
     stat = stationary_points(RayParams(n=n + 1, t=t))
-    coeffs = weights.coefficient_set(r_eval, stat)
+    coeffs = weights.coefficient_set(r_eval, spectrum, stat)
     m1 = model.cross_solutions(coeffs)
     res = model.leading_term(stat, coeffs, m1)
     return replace(res, q_asym=(-1) ** n * res.q_asym)
@@ -279,18 +284,18 @@ def _trajectory(config: RunConfig):
 
 
 def _row_worker(config: RunConfig, v: float, t: float, stop,
-                r_eval) -> ComparisonRecord:
+                reflection) -> ComparisonRecord:
     """One row: `stop` is (state, fail_reason, seconds) of its t (state
-    None: not integrated) and r_eval the sweep's r_u (None: no
-    asymptotic value).  A failed row reads no value; the realness guard,
-    model.check_realness, fails the row on its own."""
+    None: not integrated) and reflection the sweep's reflection_u pair
+    (None: no asymptotic value).  A failed row reads no value; the
+    realness guard, model.check_realness, fails the row on its own."""
     started = time.perf_counter()
     state, reason, integrate_time = stop
     n = probe_site(v, t, config.v_max)
     q_direct = q_asym = odd_pair_residual = math.nan
-    if reason is None and r_eval is not None:
+    if reason is None and reflection is not None:
         try:
-            result = asymptotic_value(r_eval, n, t)
+            result = asymptotic_value(*reflection, n, t)
             model.check_realness(result)
             q_asym = result.q_asym
             odd_pair_residual = result.odd_pair_residual
@@ -314,23 +319,22 @@ def run_compare(config: RunConfig, compute_direct: bool = True,
     dt, each segment takes the per-row step, so q_direct is bitwise what
     a fresh integration from 0 gives.  A guard tripping in the segment
     ending at t_k fails every row at t >= t_k; earlier rows keep their
-    values.  r(z) is built once per sweep and shared by its rows, which
-    sample it as weights.coefficient_set states; a failed build fails
-    every row, and then nothing is integrated.  The rows run one after
-    another in this process, and an asymptotic failure fails its own row
-    only.
+    values.  r(z) and the density's spectrum are built once per sweep
+    (reflection_u) and shared by its rows; a failed build fails every
+    row, and then nothing is integrated.  The rows run one after another
+    in this process, and an asymptotic failure fails its own row only.
     """
-    r_eval = unbuilt = None
+    reflection = unbuilt = None
     if compute_asym:
         try:
-            r_eval = reflection_u(config.profile)
+            reflection = reflection_u(config.profile)
         except DmkdvError as exc:
             unbuilt = exc.describe()
     stops = dict.fromkeys(config.t_list, (None, unbuilt, 0.0))
     if compute_direct and unbuilt is None:
         for t, state, reason, seconds in _trajectory(config):
             stops[t] = (state, reason, seconds / len(config.v_list))
-    return [_row_worker(config, v, t, stops[t], r_eval)
+    return [_row_worker(config, v, t, stops[t], reflection)
             for v in config.v_list for t in config.t_list]
 
 
@@ -459,7 +463,7 @@ def realness_checks() -> list:
     t = 800.0
     scale = t ** -0.5
     stat = stationary_points(RayParams(n=401, t=t))
-    coeffs = weights.coefficient_set(reflection_u(profile), stat)
+    coeffs = weights.coefficient_set(*reflection_u(profile), stat)
     # unit cross entries leave the factors beta_j S_j^-2 (delta_j^0)^2
     factors = model.leading_term(stat, coeffs, (1.0, 1.0)).contributions
     r2 = coeffs.r_at_S1.conjugate()
@@ -528,23 +532,22 @@ PRODUCT_POINTS = tuple(
                                + [1.15 + 0.85 * (i / 9.0) for i in range(10)]))
 
 
-def delta_product_checks(points=PRODUCT_POINTS,
-                         tol: float = weights.DEFAULT_TOL) -> list:
+def delta_product_checks(points=PRODUCT_POINTS) -> list:
     """delta(z) = prod_j delta_j(z) within 1e-9 at every z of `points`, on
-    single-site 0.3 data and the ray n = 50, t = 100, with the arc
-    quadrature at `tol`.  Each of the six arcs is swept at all the points
-    by its own weights._arc_sums call: delta's two arcs S1 -> S2 and
-    S3 -> S4, and the four arcs T_j -> S_j, signed (-1)^(j-1)."""
+    single-site 0.3 data and the ray n = 50, t = 100, with the closed-form
+    arc sums the rows use.  Each of the six arcs is summed at all the
+    points by its own weights._cauchy_sums call: delta's two arcs
+    S1 -> S2 and S3 -> S4, and the four arcs T_j -> S_j, signed
+    (-1)^(j-1)."""
     profile = InitialProfile(kind="single_site", amplitude=0.3)
-    density = functools.partial(
-        weights.log_density, reflection_evaluator(profile.support_state()))
+    spectrum = weights.density_spectrum(
+        scattering.scattering_polynomials(profile.support_state()))
     stat = stationary_points(RayParams(n=50, t=100.0))
-    S = stat.S
-    delta = sum(weights._arc_sums(density, weights.ArcSpec.between(
-        S[k], S[k + 1]), points, 0.0, tol) for k in (0, 2))
-    factors = sum((-1) ** (j - 1) * weights._arc_sums(
-        density, weights.delta_j_arc(stat, j), points, 0.0, tol)
-        for j in (1, 2, 3, 4))
+    S, T = stat.S, weights._T_ANCHORS
+    delta = sum(weights._cauchy_sums(spectrum, S[k], S[k + 1], points)
+                for k in (0, 2))
+    factors = sum((-1) ** (j - 1) * weights._cauchy_sums(
+        spectrum, T[j - 1], S[j - 1], points) for j in (1, 2, 3, 4))
     worst = np.abs(np.exp(-delta) - np.exp(factors)).max()
     return [_check("delta_product_identity", worst, 1e-9)]
 

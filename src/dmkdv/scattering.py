@@ -50,7 +50,7 @@ __all__ = [
     "reflection_evaluator",
 ]
 
-_CIRCLE_TOL = 1e-14  # the S_j and the Gauss nodes come within 2.2e-16
+_CIRCLE_TOL = 1e-14  # the S_j come within 2.2e-16
 _BLOCK = 16  # row width of the blocked polynomial evaluation
 _PASS_BYTES = 1 << 16  # largest temporary array of one pass over the points
 
@@ -265,8 +265,8 @@ def scattering_polynomials(q: LatticeState) -> ScatteringPolynomials:
 def circle_modulus(z):
     """|z| of a scalar or numpy-array z, after the one check of |z| = 1:
     DomainError unless every |z| lies within 1e-14 of 1.  A scalar takes
-    plain float arithmetic and no division: the ArcSpec check of a row's
-    one arc costs what an inline test did."""
+    plain float arithmetic and no division: the check of a row's arc
+    ends costs what an inline test did."""
     modulus = abs(z)
     off = abs(modulus - 1.0)
     if isinstance(off, np.ndarray):
@@ -297,9 +297,10 @@ def scattering_coefficients(q: LatticeState, z) -> ScatteringData:
     return ScatteringData(a=a, b=b, r=b / a, at=at, c_inf=poly.c_inf)
 
 
-def reflection_evaluator(q: LatticeState):
-    """Callable z -> r(z) for scalar or array z on |z| = 1."""
-    return functools.partial(_reflection_at, scattering_polynomials(q))
+def reflection_evaluator(poly: ScatteringPolynomials):
+    """Callable z -> r(z) for scalar or array z on |z| = 1, from the
+    polynomials of scattering_polynomials."""
+    return functools.partial(_reflection_at, poly)
 
 
 def _reflection_at(poly: ScatteringPolynomials, z):
@@ -308,22 +309,27 @@ def _reflection_at(poly: ScatteringPolynomials, z):
     return b / a
 
 
-def reflection_grid(q: LatticeState, size: int = 256) -> tuple:
+def reflection_grid(poly: ScatteringPolynomials, size: int = 256) -> tuple:
     """(theta, r): r at `size` (a power of two >= 64) uniform angles
     theta in (-pi, pi], for diagnostics and plots."""
     check_grid_size(size)
     theta = wrapped_angle(2.0 * np.pi * np.arange(size) / size)
-    r = reflection_evaluator(q)(np.exp(1j * theta))
+    r = reflection_evaluator(poly)(np.exp(1j * theta))
     checked_abs2(r)
     return theta, r
 
 
 def checked_abs2(r_values):
-    """|r|^2 of values of r; ReflectionTooLargeError when some |r| reaches
-    1 - 1e-8 or is NaN, the one bound on |r| that every check applies."""
-    m2 = np.abs(r_values) ** 2
-    peak = m2.max()
+    """|r|^2 of values of r, past check_abs2."""
+    return check_abs2(np.abs(r_values) ** 2)
+
+
+def check_abs2(abs2):
+    """abs2, values of |r|^2, after the one bound on |r| that every check
+    applies: ReflectionTooLargeError when some |r| reaches 1 - 1e-8 or
+    is NaN."""
+    peak = abs2.max()
     if not peak < (1.0 - 1e-8) ** 2:  # NaN fails too
         raise ReflectionTooLargeError(
             f"max |r| = {np.sqrt(peak):.9f} at the sampled points")
-    return m2
+    return abs2

@@ -26,23 +26,26 @@ and the per-cross constant assembled from them:
 with hat_delta_j = delta/delta_j and complex powers on the principal
 branch (cut on the negative real axis).
 
-Every integral is one rule: the composite 16/33-point Gauss-Kronrod
-pair in the angle on 2^m equal panels, m = 0, 1, 2, ...  One call sweeps
-one arc at all its points: each level places the 33 Kronrod nodes of
-every panel, which contain the 16 Gauss nodes, samples the density once
-on them and forms every Cauchy sum twice in one pass, by the Kronrod
-weights (K) and by the Gauss weights (G).  The call returns the K sums
-at the first level where no point's |K - G| exceeds the tolerance, so a
-smooth arc settles at its first level, on one panel.  |K - G| is read
-from one sample set, so it cannot see the density's own evaluation
-noise, which a per-sample conditioning guard on the density would have
-to bound: data whose density is noisier than the tolerance can settle.
-chi_j(S_j) subtracts g(S_j) from the density, leaving an analytic
-integrand; no node sits on the endpoint S_j.
+Every integral is taken in closed form from one Fourier series per
+profile (density_spectrum): on |tau| = 1, |a|^2 - |b|^2 = c_inf, so
+
+      log(1-|r|^2) = log c_inf - log|a|^2 = F(tau) = sum_{|m|<=M} d_m tau^m,
+
+d_-m = d_m real for real data, falling geometrically as a has no zero
+on the circle.  Over an arc A -> B of angle theta (_cauchy_sums),
+
+      int tau^m dtau/tau = (B^m - A^m)/m  (i theta at m = 0),
+      int (tau^m - z^m)/(tau - z) dtau = z^m sum_{k<=m} (B^k - A^k)/(k z^k),
+      int (tau^-p - z^-p)/(tau - z) dtau = -z^(-p-1) sum_{k<=p} z^k E_k,
+
+with E_1 = i theta, E_k = (B^(1-k) - A^(1-k))/(1 - k); at z != 0 the
+integral of F is these analytic parts plus F(z) log((B - z)/(A - z)).
+chi_j(S_j) subtracts the series' own F(S_j), leaving the analytic part;
+nu_j is read from r(S_j) itself.
 
 For real lattice data the four arcs T_j -> S_j are images of one:
 |r| is even under z -> conj(z) and under z -> -z, and S_2 = conj(S_1),
-S_3 = -S_1, S_4 = -conj(S_1).  coefficient_set therefore sweeps arc 1
+S_3 = -S_1, S_4 = -conj(S_1).  coefficient_set therefore sums arc 1
 alone and reads the other three from its sums, and keeps only what the
 odd crosses j = 1, 3 read (see dmkdv.model).
 """
@@ -50,163 +53,122 @@ odd crosses j = 1, 3 read (see dmkdv.model).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ConditioningError
 from .phase import StationarySet
-from .scattering import checked_abs2, circle_modulus
+from .scattering import (
+    ScatteringPolynomials,
+    check_abs2,
+    checked_abs2,
+    circle_modulus,
+)
 
 __all__ = [
-    "ArcSpec",
     "CoefficientSet",
-    "log_density",
+    "DensitySpectrum",
     "coefficient_set",
+    "density_spectrum",
 ]
 
-DEFAULT_TOL = 1e-11
 _T_ANCHORS = (1.0 + 0.0j, 1.0 + 0.0j, -1.0 + 0.0j, -1.0 + 0.0j)
-_MAX_LEVEL = 12  # panel budget: 4,096 panels per arc
 _EPS = float(np.finfo(float).eps)
-# A level's K and G sums each round at about 16 eps sum|terms|: a handful
-# of roundings per term, plus summation over up to 135,168 terms.
-_FLOOR_ULPS = 32.0
+_SPECTRUM_CUT = 1e-13  # tail of the density's spectrum, of its largest term
+_MAX_GRID = 1 << 19  # largest number of circle points the spectrum takes
+CONDITIONING_BOUND = 1e-8  # rounding of a(z) relative to |a(z)|
 
 
-def _gauss_legendre(m: int) -> tuple:
-    """m-point Gauss-Legendre rule on [-1, 1] by Newton's method on the
-    Legendre recurrence; loads neither numpy.polynomial nor LAPACK."""
-    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
-    for _ in range(6):
-        p, p_prev = x, np.ones(m)
-        for k in range(2, m + 1):
-            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-        dp = m * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+@dataclass(frozen=True, eq=False)
+class DensitySpectrum:
+    """The density as F(tau) = d_0 + sum_{m=1..M} d_m (tau^m + tau^-m):
+    coeffs holds d_0 .. d_M, grid the number P of circle points it was
+    sampled on, and conditioning the worst rounding ratio of a there."""
+
+    coeffs: np.ndarray
+    grid: int
+    conditioning: float
 
 
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)  # descending nodes
+def density_spectrum(poly: ScatteringPolynomials) -> DensitySpectrum:
+    """The Fourier series of log c_inf - log|a|^2, once per profile.
 
-# The 33-point Kronrod extension of _GL_NODES (degree 49): the 17 zeros of
-# the Stieltjes polynomial E_17, orthogonal to P_16 x^k for k < 16, which
-# interlace the Gauss nodes, and the weights of all 33 nodes, descending.
-# Derived at 60 digits (E_17 exactly in rationals, its zeros, then the
-# weights from the Legendre moment system) and rounded to float64;
-# tests/test_weights.py recomputes them with mpmath.
-_KRONROD_NODES = np.array([
-    0.9982392741454446, 0.9715059509693926, 0.9091576670123429,
-    0.8142402870624444, 0.6897411066817623, 0.5404076763521397,
-    0.37148378087841627, 0.18916857901808373, 0.0,
-    -0.18916857901808373, -0.37148378087841627, -0.5404076763521397,
-    -0.6897411066817623, -0.8142402870624444, -0.9091576670123429,
-    -0.9715059509693926, -0.9982392741454446])
-_GK_WEIGHTS = np.array([
-    0.004742777049247318, 0.013257930688091158, 0.022498859440049444,
-    0.031260543647380526, 0.039512951202421966, 0.047506215976407015,
-    0.055205633095422174, 0.062358806011834855, 0.06886299519153125,
-    0.07476982388559955, 0.08005394126371929, 0.08459580379259064,
-    0.08833750257911273, 0.09129203282819166, 0.09343867406092123,
-    0.09472840124723005, 0.0951542160804983, 0.09472840124723005,
-    0.09343867406092123, 0.09129203282819166, 0.08833750257911273,
-    0.08459580379259064, 0.08005394126371929, 0.07476982388559955,
-    0.06886299519153125, 0.062358806011834855, 0.055205633095422174,
-    0.047506215976407015, 0.039512951202421966, 0.031260543647380526,
-    0.022498859440049444, 0.013257930688091158, 0.004742777049247318])
-_GK_NODES = np.empty(33)
-_GK_NODES[0::2], _GK_NODES[1::2] = _KRONROD_NODES, _GL_NODES
-
-
-@dataclass(frozen=True)
-class ArcSpec:
-    """Short arc (central angle < pi) from `start` to `end` on |z| = 1."""
-
-    start: complex
-    end: complex
-    theta_start: float
-    dtheta: float
-
-    @classmethod
-    def between(cls, start: complex, end: complex) -> "ArcSpec":
-        circle_modulus(start)
-        circle_modulus(end)
-        theta_start = cmath.phase(start)
-        dtheta = cmath.phase(end / start)  # wrapped to (-pi, pi]
-        if not 0.0 < abs(dtheta) < math.pi:
-            raise ValueError("central angle must lie strictly in (0, pi)")
-        return cls(start=start, end=end, theta_start=theta_start, dtheta=dtheta)
+    a at the P-th roots of unity is one inverse FFT of its coefficients,
+    each at its exponent mod P, and d = FFT(density) / P.  P starts at the
+    smallest power of two above the span of a's exponents and doubles
+    until every |d_m|, P/4 <= |m| <= P/2, is at most 1e-13 of the
+    largest; M is the last index above that cut.  ConditioningError when
+    (2N + 32) eps sum|a_i| / |a|, the rounding bound of the blocked
+    evaluation, exceeds 1e-8 at some point, or P would pass 2^19;
+    ReflectionTooLargeError by scattering.check_abs2 on 1 - c_inf/|a|^2.
+    """
+    coeffs = np.array(poly.a_coeffs)
+    exponents = poly.a_low + 2 * np.arange(coeffs.size)
+    rounding = (2 * coeffs.size + 32) * _EPS * np.abs(coeffs).sum()
+    grid = 1 << int(exponents[-1] - exponents[0]).bit_length()
+    while True:
+        if grid > _MAX_GRID:
+            raise ConditioningError(
+                f"the density's spectrum has not decayed on {_MAX_GRID} "
+                f"circle points")
+        placed = np.zeros(grid, dtype=complex)
+        placed[exponents % grid] = coeffs
+        modulus = np.abs(np.fft.ifft(placed, norm="forward"))
+        conditioning = rounding / modulus.min()
+        if not conditioning <= CONDITIONING_BOUND:  # NaN fails too
+            raise ConditioningError(
+                f"a(z) rounds to {conditioning:.3e} of its modulus on the "
+                f"circle, above {CONDITIONING_BOUND:g}")
+        ratio = poly.c_inf / (modulus * modulus)  # 1 - |r|^2
+        check_abs2(1.0 - ratio)
+        d = np.fft.rfft(np.log(ratio), norm="forward").real
+        cut = _SPECTRUM_CUT * np.abs(d).max()
+        if np.abs(d[-(-grid // 4):]).max(initial=0.0) <= cut:
+            break
+        grid *= 2
+    kept = np.flatnonzero(np.abs(d) > cut)
+    return DensitySpectrum(coeffs=d[:kept[-1] + 1 if kept.size else 1],
+                           grid=grid, conditioning=float(conditioning))
 
 
-def log_density(r_eval, z):
-    """log(1 - |r(z)|^2) <= 0 at scalar or array z, shaped like z, by
-    _density: the density of every arc integral."""
-    return _density(r_eval(z))
-
-
-def _density(r_values):
-    """log(1 - |r|^2) of values of r, past scattering.checked_abs2's
-    |r| < 1 guard: the one formula of the density."""
-    return np.log1p(-checked_abs2(r_values))
-
-
-def _level_nodes(arc: ArcSpec, panels: int) -> tuple:
-    """(half, tau) of one panel level of `arc`: half the angle of each of
-    its `panels` equal panels, and the 33 Gauss-Kronrod nodes of every
-    panel on the circle, panel by panel."""
-    half = 0.5 * arc.dtheta / panels
-    mids = arc.theta_start + half * (2.0 * np.arange(panels) + 1.0)
-    return half, np.exp(1j * (mids[:, None] + half * _GK_NODES).ravel())
-
-
-def _arc_sums(density, arc: ArcSpec, points, shifts,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The sums (1/2pi i) int_arc (density(tau) - shift) dtau / (tau - z)
-    at every point z of `points`, with `shifts` broadcast against them
-    and the result shaped like both: dtau/(2pi i) = tau dtheta/(2pi) at
-    tau = e^(i theta).  The density is sampled once per level, on the 33
-    nodes of every panel, and the K sums are returned at the first level
-    where the residual max_z |K - G| is at most `tol`.
-
-    QuadratureError past the panel budget, or earlier, at the first level
-    where the residual has stopped falling while `tol` lies below the
-    rounding floor _FLOOR_ULPS * eps * max_z sum |K-weighted terms|: no
-    finer level can then be trusted to meet `tol`."""
-    z, c = (a[..., None, None] for a in np.broadcast_arrays(
-        np.asarray(points, dtype=complex), shifts))
-    residual = math.inf
-    for level in range(_MAX_LEVEL + 1):
-        panels = 2 ** level
-        half, tau = _level_nodes(arc, panels)
-        values = density(tau).reshape(panels, _GK_NODES.size)
-        tau = tau.reshape(values.shape)
-        terms = (values - c) * tau / (tau - z)
-        scale = half / (2.0 * math.pi)
-        kronrod = (terms @ _GK_WEIGHTS).sum(axis=-1) * scale
-        gauss = (terms[..., 1::2] @ _GL_WEIGHTS).sum(axis=-1) * scale
-        last, residual = residual, abs(kronrod - gauss).max()
-        if residual <= tol:
-            return kronrod
-        if residual >= last:
-            floor = _FLOOR_ULPS * _EPS * abs(scale) * (
-                abs(terms) @ _GK_WEIGHTS).sum(axis=-1).max()
-            if tol < floor:
-                raise QuadratureError(
-                    f"arc quadrature stalled at {panels} panels: "
-                    f"residual {residual:.3e} stopped falling and "
-                    f"tol {tol:.3e} is below the rounding floor "
-                    f"{floor:.3e}")
-    raise QuadratureError(
-        f"arc quadrature unsettled at {panels} panels "
-        f"(residual {residual:.3e} > {tol:.3e})")
-
-
-def delta_j_arc(stationary: StationarySet, j: int) -> ArcSpec:
-    """Per-point arc T_j -> S_j (short arc)."""
-    _check_j(j)
-    return ArcSpec.between(_T_ANCHORS[j - 1], stationary.S[j - 1])
+def _cauchy_sums(spectrum: DensitySpectrum, start: complex, end: complex,
+                 points) -> np.ndarray:
+    """(1/2pi i) int (F(tau) - c) dtau / (tau - z) along the short arc
+    from `start` to `end` on |z| = 1, at every z of the 1-d `points`, by
+    the closed forms of the module docstring, with powers by cumulative
+    products; c = F(end) at z = end (chi's sum), else 0.  The log is
+    principal on and outside the circle; inside it the arc can sweep more
+    than pi, always turning with theta, so the branch follows theta."""
+    circle_modulus(start)
+    circle_modulus(end)
+    d0, d = spectrum.coeffs[0], spectrum.coeffs[1:]
+    theta = cmath.phase(end / start)
+    z = np.asarray(points, dtype=complex)
+    sums = np.empty(z.shape, dtype=complex)
+    origin = z == 0.0
+    z = z[~origin]
+    # rows B^k, A^k, then z^k and z^-k of each point, k = 1..M
+    powers = np.cumprod(np.concatenate(([end, start], z, 1.0 / z))[
+        :, None].repeat(d.size, axis=1), axis=1)
+    up, down = powers[2:2 + z.size], powers[2 + z.size:]
+    k = np.arange(1.0, d.size + 1.0)
+    rise = (powers[0] - powers[1]) / k  # (B^k - A^k)/k
+    fall = rise.conj()  # (B^-k - A^-k)/k on the circle
+    sums[origin] = 1j * theta * d0 + d @ (rise - fall)
+    steps = np.empty(d.size, dtype=complex)  # E_k
+    steps[:1] = 1j * theta
+    steps[1:] = -fall[:-1]
+    analytic = (up * np.cumsum(rise * down, axis=1)
+                - down / z[:, None] * np.cumsum(up * steps, axis=1)) @ d
+    with np.errstate(divide="ignore"):
+        log = np.log((end - z) / (start - z))
+    log[z == end] = 0.0  # F(end) is subtracted there
+    log[(abs(z) < 1.0) & (log.imag * theta < 0.0)] += (
+        2j * math.pi * math.copysign(1.0, theta))
+    sums[~origin] = analytic + (d0 + (up + down) @ d) * log
+    return sums / (2j * math.pi)
 
 
 @dataclass(frozen=True)
@@ -223,36 +185,32 @@ class CoefficientSet:
     delta_at_zero: complex
 
 
-def coefficient_set(r_eval, stationary: StationarySet,
-                    tol: float = DEFAULT_TOL) -> CoefficientSet:
+def coefficient_set(r_eval, spectrum: DensitySpectrum,
+                    stationary: StationarySet) -> CoefficientSet:
     """Compute every coefficient the odd crosses need.
 
-    r_eval must be the r of real lattice data: the other three arcs are
-    read as images of arc 1, and r(S_3) as -r(S_1) (see the module
-    docstring), which holds only when |r| is even under z -> conj(z)
-    and z -> -z.  r is sampled once at S_1, and then once per panel
-    level of arc 1, on the 33 Kronrod nodes of each panel; a smooth arc
-    settles at its first level, so its row samples r twice.  r(S_1)
-    gives g(S_1) = log(1 - |r(S_1)|^2), hence nu, and is kept as
-    r_at_S1 for the cross entries.  Arc 1 is swept at the points
-    s = (0, S_1, S_2, S_3, S_4), with g(S_1) subtracted at S_1 only
-    (chi_1); arc 2 is -conj(s[[0, 2, 1, 4, 3]]), arc 3 is
-    s3 = s[[0, 3, 4, 1, 2]] and arc 4 is -conj(s3[[0, 2, 1, 4, 3]]).
-    delta(0) is prod_j delta_j(0): arc S1 -> S2 through 1 is arc
-    T1 -> S1 reversed followed by arc T2 -> S2, and likewise through -1.
-    delta_1^0 and delta_3^0 are then assembled from nu, chi_1(S_1) and
-    hat_delta_j(S_j) by the formula of the module docstring.
+    r_eval and spectrum must be the r and the density_spectrum of the
+    same real lattice data: the other three arcs are read as images of
+    arc 1, and r(S_3) as -r(S_1) (see the module docstring), which holds
+    only when |r| is even under z -> conj(z) and z -> -z.  r is sampled
+    once, at S_1: r(S_1) gives g(S_1) = log(1 - |r(S_1)|^2), hence nu,
+    and is kept as r_at_S1 for the cross entries.  Arc 1 is summed in
+    closed form at the points s = (0, S_1, S_2, S_3, S_4), with F(S_1)
+    subtracted at S_1 only (chi_1); arc 2 is -conj(s[[0, 2, 1, 4, 3]]),
+    arc 3 is s3 = s[[0, 3, 4, 1, 2]] and arc 4 is
+    -conj(s3[[0, 2, 1, 4, 3]]).  delta(0) is prod_j delta_j(0): arc
+    S1 -> S2 through 1 is arc T1 -> S1 reversed followed by arc T2 -> S2,
+    and likewise through -1.  delta_1^0 and delta_3^0 are then assembled
+    from nu, chi_1(S_1) and hat_delta_j(S_j) by the formula of the module
+    docstring.
 
-    ReflectionTooLargeError when |r| reaches 1 - 1e-8, or r is NaN, at
-    S_1 (the first call) or at a node of arc 1 (a later one); only arc 1
-    can raise QuadratureError.  Either fails the row.
+    ReflectionTooLargeError when |r(S_1)| reaches 1 - 1e-8, or is NaN;
+    it fails the row.
     """
     r_at_S1 = r_eval(stationary.S[0])
-    g = _density(r_at_S1)
-    s = _arc_sums(functools.partial(log_density, r_eval),
-                  delta_j_arc(stationary, 1),
-                  np.concatenate(([0.0], stationary.S)),
-                  np.array([0.0, g, 0.0, 0.0, 0.0]), tol)
+    g = np.log1p(-checked_abs2(r_at_S1))
+    s = _cauchy_sums(spectrum, _T_ANCHORS[0], stationary.S[0],
+                     np.concatenate(([0.0], stationary.S)))
     conj, s3 = [0, 2, 1, 4, 3], s[[0, 3, 4, 1, 2]]
     return _assembled(stationary, r_at_S1, g,
                       np.array([s, -s[conj].conj(), s3, -s3[conj].conj()]))

@@ -18,7 +18,6 @@ from dmkdv import (
     UnitCirclePoint,
     amplitude_envelope,
     coefficient_set,
-    reflection_evaluator,
     scattering_coefficients,
     stationary_points,
 )
@@ -35,6 +34,7 @@ from dmkdv.harness import (
     unitarity_checks,
 )
 from dmkdv.phase import RayParams
+from weights_oracles import reflection
 
 REFERENCE = InitialProfile(kind="single_site", amplitude=0.3)
 
@@ -51,8 +51,8 @@ def sweep():
     started = time.perf_counter()
     records = run_compare(config)
     elapsed = time.perf_counter() - started
-    r_eval = reflection_u(REFERENCE)
-    envelopes = [amplitude_envelope(asymptotic_value(r_eval, r.n, r.t))
+    reflection = reflection_u(REFERENCE)
+    envelopes = [amplitude_envelope(asymptotic_value(*reflection, r.n, r.t))
                  for r in records]
     return config, records, envelopes, elapsed
 
@@ -109,9 +109,9 @@ def test_acceptance_4_delta_product_identity():
 
 def test_acceptance_5_constant_modulus_closed_form():
     c = 0.3
-    r_eval = reflection_evaluator(REFERENCE.support_state())
     stat = stationary_points(RayParams(n=0, t=100.0))
-    coeffs = coefficient_set(r_eval, stat)  # the numbers the rows use
+    # the numbers the rows use
+    coeffs = coefficient_set(*reflection(REFERENCE.support_state()), stat)
     gap = abs(coeffs.delta_at_zero - (1 - c * c) ** -0.5)
     chi = abs(coeffs.chi_at_S1)  # chi_j(S_j) is chi_1(S_1) or its conjugate
     report(5, "constant-|r| closed forms",

@@ -62,6 +62,10 @@ def test_scatter_subcommand(tmp_path, capsys):
     assert len(lines) == 65
     printed = capsys.readouterr().out
     assert "max|r|" in printed
+    # the spectrum of the density and how close a(z)'s rounding came to
+    # its guard: one term (a = 1) on one point, 34 eps of |a| = 1
+    assert printed.splitlines()[0].endswith(
+        "  spectrum M = 0  P = 1  conditioning = 7.55e-15 (bound 1e-08)")
 
 
 def test_set_overrides(tmp_path):
@@ -235,8 +239,8 @@ def test_overflowing_data_fails_each_asymptotic_row_at_its_first_sample(
         tmp_path, capsys, monkeypatch):
     sampled = []
 
-    def counting_evaluator(state):
-        r_eval = reflection_evaluator(state)
+    def counting_evaluator(poly):
+        r_eval = reflection_evaluator(poly)
 
         def counting(z):
             sampled.append(np.size(z))

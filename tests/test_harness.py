@@ -25,7 +25,6 @@ from dmkdv import (
     integrate,
     leading_term,
     m1_entry,
-    reflection_evaluator,
     staggered,
     stationary_points,
 )
@@ -39,7 +38,7 @@ from dmkdv.harness import (
     run_compare,
     selftest,
 )
-from weights_oracles import four_cross_value
+from weights_oracles import four_cross_value, reflection
 
 # the CSV header of a comparison table, as compare writes it
 CSV_HEADER = "n,t,v,q_direct,q_asym,abs_err,scaled_err,odd_pair_residual"
@@ -75,9 +74,10 @@ def oracle_asymptotic(config, v, t):
     n = probe_site(v, t, config.v_max)
     try:
         ray = RayParams(n=n + 1, t=t)
-        r_eval = reflection_evaluator(staggered(config.profile.support_state()))
+        r_eval, spectrum = reflection(
+            staggered(config.profile.support_state()))
         stat = stationary_points(ray)
-        coeffs = coefficient_set(r_eval, stat)
+        coeffs = coefficient_set(r_eval, spectrum, stat)
         m1 = [m1_entry(coeffs.nu, r_eval(stat.S[j - 1]), j) for j in (1, 3)]
         res = leading_term(stat, coeffs, m1)
         model.check_realness(res)
@@ -317,10 +317,12 @@ def test_zero_profile_rows_are_zero():
 
 def test_wide_profile_fits_the_window():
     # the window follows the profile's support: a gaussian wider than the
-    # 150-site margin integrates before the wave has moved, not spills
+    # 150-site margin integrates before the wave has moved, not spills.
+    # Its r reaches 1 - 2e-22 at z = 1, so the asymptotic side refuses it
+    # (test_weights.py) and only the direct side runs
     config = RunConfig(profile=InitialProfile(kind="gaussian", amplitude=0.2,
                                               width=50.0), t_list=(4.0,))
-    [rec] = run_compare(config)
+    [rec] = run_compare(config, compute_asym=False)
     assert rec.fail_reason is None
     assert rec.q_direct == oracle_direct(config, rec.v, rec.t)[1]
 
@@ -476,9 +478,9 @@ def test_sweep_builds_r_once_and_crosses_evaluate_none(monkeypatch):
     builds, calls, calls_in_crosses = [], [], []
     real_build, real_crosses = hn.reflection_evaluator, model.cross_solutions
 
-    def counting_build(state):
-        r_eval = real_build(state)
-        builds.append(state)
+    def counting_build(poly):
+        r_eval = real_build(poly)
+        builds.append(poly)
 
         def counted(z):
             calls.append(z)
@@ -588,11 +590,11 @@ FOUR_CROSS_ROWS = given(values=st.lists(st.floats(-0.6, 0.6), min_size=1,
 def four_cross_row(values, v, t):
     """(row, four-cross oracle) at the probe site of v, t, or None when
     the row raises DmkdvError."""
-    r_eval = reflection_u(InitialProfile(kind="custom_list",
-                                         custom=tuple(values)))
     n = probe_site(v, t, 1.8)
     try:
-        return asymptotic_value(r_eval, n, t), four_cross_value(r_eval, n, t)
+        pair = reflection_u(InitialProfile(kind="custom_list",
+                                           custom=tuple(values)))
+        return asymptotic_value(*pair, n, t), four_cross_value(*pair, n, t)
     except DmkdvError:
         return None
 
@@ -600,10 +602,9 @@ def four_cross_row(values, v, t):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @FOUR_CROSS_ROWS
 def test_property_realness_residual_is_rounding_level(values, v, t):
-    # the four-cross sum of the arc sums a row reads (arcs 2-4 as images
-    # of arc 1): for real data its contributions come in conjugate pairs
-    # up to rounding; a permutation slip in those image reads leaves some
-    # rows far above 1e-13
+    # the four-cross sum, each arc summed by its own closed-form call: for
+    # real data its contributions come in conjugate pairs up to rounding,
+    # which holds only if the closed forms keep the arcs' mirror symmetry
     rows = four_cross_row(values, v, t)
     if rows is not None:
         _, four = rows
@@ -650,12 +651,12 @@ def test_asymptotics_match_linear_limit():
     # whole asymptotics chain (stationary points, coefficients, cross
     # entries, gauge) with an oracle that never touches the integrator.
     c = 0.02
-    r_eval = reflection_u(InitialProfile(kind="single_site", amplitude=c))
+    pair = reflection_u(InitialProfile(kind="single_site", amplitude=c))
     for v in (0.0, 0.5, -0.8, 1.2):
         for t in (60.0, 75.0):
             n = probe_site(v, t, 1.8)
             truth = c * (-1) ** n * scipy.special.jv(n, 2 * t)
-            res = asymptotic_value(r_eval, n, t)
+            res = asymptotic_value(*pair, n, t)
             assert abs(res.q_asym - truth) < 3e-5  # O(t^-1) correction scale
 
 
@@ -675,12 +676,12 @@ def test_property_asymptotics_match_linear_limit(values, center, rays, t):
     # a wrong sign alternation or site shift of the gauge shows at once
     profile = InitialProfile(kind="custom_list", center=center,
                              custom=tuple(values))
-    r_eval = reflection_u(profile)
+    pair = reflection_u(profile)
     sites = np.arange(center, center + len(values))
     for v in rays:
         n = probe_site(v, t, 1.8)
         truth = np.dot(values, scipy.special.jv(sites - n, 2 * t))
-        res = asymptotic_value(r_eval, n, t)
+        res = asymptotic_value(*pair, n, t)
         assert abs(res.q_asym - truth) <= 0.05 * np.abs(values).sum()
 
 
@@ -761,10 +762,20 @@ def test_selftest_green_and_audit():
     assert rejected[0]["measured"] > 0.05
 
 
-def test_selftest_tolerance_sensitivity():
-    # at the self-test's points, hn.PRODUCT_POINTS
-    [tight] = hn.delta_product_checks()
-    [loose] = hn.delta_product_checks(tol=1e-3)
-    assert loose["measured"] > 100 * max(tight["measured"], 1e-15)
-    # coarse quadrature breaks the 1e-9 identity
-    assert loose["measured"] > 1e-8
+def test_selftest_tolerance_sensitivity(monkeypatch):
+    # the product check at the self-test's points, hn.PRODUCT_POINTS, can
+    # fail: with the sums of one arc, T_1 -> S_1, sign-flipped, it reads
+    # far above its 1e-9 bound
+    [good] = hn.delta_product_checks()
+    S1 = stationary_points(RayParams(n=50, t=100.0)).S[0]
+    real = weights._cauchy_sums
+
+    def flipped(spectrum, start, end, points):
+        sums = real(spectrum, start, end, points)
+        return -sums if (start, end) == (1.0, S1) else sums
+
+    monkeypatch.setattr(weights, "_cauchy_sums", flipped)
+    [broken] = hn.delta_product_checks()
+    assert good["pass"] and not broken["pass"]
+    assert broken["measured"] > 100 * max(good["measured"], 1e-15)
+    assert broken["measured"] > 1e-8

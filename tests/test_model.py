@@ -17,23 +17,19 @@ from dmkdv import (
     cross_solutions,
     leading_term,
     m1_entry,
-    reflection_evaluator,
     stationary_points,
 )
-from weights_oracles import (
-    coefficient_set_by_arc,
-    four_cross_coefficients,
-    four_cross_sum,
-)
+from weights_oracles import coefficient_set_by_arc, four_cross_sum, reflection
 
-# r = 0 everywhere, valued like r(z) itself: an array shaped like z
-ZERO_EVAL = lambda z: np.zeros(np.shape(z), dtype=complex)
+# r = 0 everywhere and its spectrum: the zero state's
+ZERO = reflection(LatticeState(n_min=0, values=[0.0]))
 
 
-def single_site_eval(c):
+def single_site(c):
+    """(r_eval, spectrum) of the value c at site 0 of sites -2..2."""
     q = np.zeros(5)
     q[2] = c
-    return reflection_evaluator(LatticeState(n_min=-2, values=q))
+    return reflection(LatticeState(n_min=-2, values=q))
 
 
 # The rejected "uniform_phase" form of (m1^j)_12 takes e^(-i pi/4) for
@@ -135,7 +131,7 @@ def test_m1_conjugate_pairing_selects_convention():
 def test_leading_term_zero_reflection():
     ray = RayParams(n=20, t=50.0)
     stat = stationary_points(ray)
-    coeffs = coefficient_set(ZERO_EVAL, stat)
+    coeffs = coefficient_set(*ZERO, stat)
     m1 = cross_solutions(coeffs)
     res = leading_term(stat, coeffs, m1)
     assert res.q_asym == 0.0
@@ -146,8 +142,8 @@ def test_leading_term_zero_reflection():
 def test_leading_term_modulus_bookkeeping():
     ray = RayParams(n=20, t=50.0)
     stat = stationary_points(ray)
-    r_eval = single_site_eval(0.3)
-    coeffs = coefficient_set(r_eval, stat)
+    data = single_site(0.3)
+    coeffs = coefficient_set(*data, stat)
     m1 = cross_solutions(coeffs)
     res = leading_term(stat, coeffs, m1)
     for i, k in enumerate((0, 2)):  # the odd crosses j = 1, 3
@@ -159,7 +155,7 @@ def test_leading_term_modulus_bookkeeping():
     assert abs(res.q_asym) <= env + 1e-15
     # real data: the four-cross oracle's even contributions are the
     # conjugates of the row's odd ones
-    four = four_cross_sum(stat, coefficient_set_by_arc(r_eval, stat))
+    four = four_cross_sum(stat, coefficient_set_by_arc(*data, stat))
     assert four.contributions[1] == pytest.approx(
         res.contributions[0].conjugate(), abs=1e-12)
     assert four.contributions[3] == pytest.approx(
@@ -169,8 +165,7 @@ def test_leading_term_modulus_bookkeeping():
 def test_leading_term_realness_and_convention_guard():
     ray = RayParams(n=400, t=800.0)
     stat = stationary_points(ray)
-    r_eval = single_site_eval(0.3)
-    coeffs = coefficient_set(r_eval, stat)
+    coeffs = coefficient_set(*single_site(0.3), stat)
 
     good = leading_term(stat, coeffs, cross_solutions(coeffs))
     assert good.odd_pair_residual < 1e-12
@@ -198,8 +193,8 @@ def test_odd_pair_guard_sees_a_branch_slip_at_S3():
     # conjugate pairing does the same to delta_4^0: the four-cross sum
     # stays real, and only the odd pair sees the slip
     stat = stationary_points(RayParams(n=51, t=100.0))
-    r_eval = single_site_eval(0.3)
-    coeffs = coefficient_set(r_eval, stat)
+    data = single_site(0.3)
+    coeffs = coefficient_set(*data, stat)
     slip = math.exp(-2.0 * math.pi * coeffs.nu)
     assert slip < 0.95
     slipped = dataclasses.replace(
@@ -209,7 +204,7 @@ def test_odd_pair_guard_sees_a_branch_slip_at_S3():
         model.check_realness(
             leading_term(stat, slipped, cross_solutions(slipped)))
 
-    four = four_cross_coefficients(r_eval, stat)
+    four = coefficient_set_by_arc(*data, stat)
     d1, d2, d3, d4 = four.delta_j0
     slipped_four = four_cross_sum(stat, dataclasses.replace(
         four, delta_j0=(d1, d2, slip * d3, slip * d4)))
@@ -222,7 +217,7 @@ def test_contribution_modulus_symmetric_ray():
     # |contribution_j| = |beta_j| nu^(1/2) |delta_j^0|^2: |S_j| = 1 and
     # |(m1^j)_12| = nu^(1/2); on this ray theta_1 = -pi/4, Im S_1^2 = -1
     stat = stationary_points(RayParams(n=0, t=64.0))
-    coeffs = coefficient_set(single_site_eval(0.3), stat)
+    coeffs = coefficient_set(*single_site(0.3), stat)
     res = leading_term(stat, coeffs, cross_solutions(coeffs))
     assert cmath.phase(stat.S[0]) == pytest.approx(-math.pi / 4)
     assert (stat.S[0] * stat.S[0]).imag == pytest.approx(-1.0)
@@ -240,7 +235,7 @@ def test_oscillation_phase_slope_finite_difference():
     for tt in (t - h, t + h):
         ray = RayParams(n=n, t=tt)
         stat = stationary_points(ray)
-        coeffs = coefficient_set(ZERO_EVAL, stat)
+        coeffs = coefficient_set(*ZERO, stat)
         vals.append(coeffs.delta_j0[0])
     fd = cmath.phase(vals[1] / vals[0]) / (2 * h)
     S1 = stationary_points(RayParams(n=n, t=t)).S[0]
@@ -249,11 +244,11 @@ def test_oscillation_phase_slope_finite_difference():
 
 def test_amplitude_times_sqrt_t_constant_on_ray():
     # |contribution_1| t^(1/2) along the ray v = 1/2
-    r_eval = single_site_eval(0.3)
+    data = single_site(0.3)
     scaled = []
     for t in (100.0, 200.0, 400.0):
         stat = stationary_points(RayParams(n=round(0.5 * t), t=t))
-        coeffs = coefficient_set(r_eval, stat)
+        coeffs = coefficient_set(*data, stat)
         res = leading_term(stat, coeffs, cross_solutions(coeffs))
         scaled.append(abs(res.contributions[0]) * math.sqrt(t))
     assert max(scaled) / min(scaled) < 1.0 + 1e-9

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmkdv import (
-    ArcSpec,
     DomainError,
     InitialProfile,
     LatticeState,
@@ -15,14 +14,16 @@ from dmkdv import (
     RunConfig,
     UnitCirclePoint,
     conserved_c_inf,
+    density_spectrum,
     reflection_evaluator,
     reflection_grid,
     scattering_coefficients,
     scattering_polynomials,
     staggered,
 )
-from dmkdv import harness
+from dmkdv import harness, weights
 from dmkdv.scattering import ScatteringPolynomials, _trimmed, wrapped_angle
+from weights_oracles import r_of
 
 
 def single_site(c, site=0):
@@ -84,7 +85,7 @@ def oracle_coefficients(q, z, n_eval=None):
 def assert_matches_oracle(state, thetas, tol=1e-13):
     zs = np.exp(1j * np.asarray(thetas))
     a, b = scattering_polynomials(state)(zs)
-    r = reflection_evaluator(state)(zs)
+    r = r_of(state)(zs)
     for k, z in enumerate(zs):
         a_o, b_o = oracle_coefficients(state, complex(z))
         assert abs(a[k] - a_o) <= tol and abs(b[k] - b_o) <= tol
@@ -118,13 +119,13 @@ def test_reduced_potential_matches_brute_form_at_random_points():
 def test_off_circle_rejected():
     state = single_site(0.3)
     with pytest.raises(DomainError):
-        reflection_evaluator(state)(1.2 + 0j)
+        r_of(state)(1.2 + 0j)
     with pytest.raises(DomainError):
-        reflection_evaluator(state)(np.array([1.0, 1.2j]))
+        r_of(state)(np.array([1.0, 1.2j]))
     # |z| - 1 > tol is false for NaN: the check refuses it all the same
     for z in (complex(np.nan, 0.0), np.array([1.0, np.nan, 1j])):
         with pytest.raises(DomainError):
-            reflection_evaluator(state)(z)
+            r_of(state)(z)
     with pytest.raises(DomainError):
         scattering_coefficients(state, 1.2 + 0j)
 
@@ -248,7 +249,7 @@ def test_a_tends_to_one_radially():
 
 def test_reflection_grid_single_site():
     c = 0.3
-    theta, r = reflection_grid(single_site(c), 64)
+    theta, r = reflection_grid(scattering_polynomials(single_site(c)), 64)
     assert theta.shape == r.shape == (64,)
     assert theta[0] == 0.0 and theta[32] == np.pi and theta[33] < 0.0
     assert np.all(np.abs(r - c * np.exp(1j * theta)) < 1e-13)
@@ -256,12 +257,12 @@ def test_reflection_grid_single_site():
 
 def test_reflection_grid_zero_and_validation():
     zero = LatticeState(n_min=-2, values=np.zeros(5))
-    _, r = reflection_grid(zero, 64)
+    _, r = reflection_grid(scattering_polynomials(zero), 64)
     assert np.all(r == 0.0)
     with pytest.raises(ValueError):
-        reflection_grid(zero, 63)
+        reflection_grid(scattering_polynomials(zero), 63)
     with pytest.raises(ValueError):
-        reflection_grid(zero, 32)
+        reflection_grid(scattering_polynomials(zero), 32)
 
 
 def test_reflection_too_large():
@@ -269,7 +270,7 @@ def test_reflection_too_large():
     state = single_site(1.0 - 1e-9)
     with pytest.raises(ReflectionTooLargeError,
                        match=r"^max \|r\| = 0\.999999999 at the sampled points$"):
-        reflection_grid(state, 64)
+        reflection_grid(scattering_polynomials(state), 64)
 
 
 # The isospectral law as an oracle of the integrator: a state integrated
@@ -289,14 +290,14 @@ UNIFORM_NODES = np.exp(2j * np.pi * np.arange(1024) / 1024)
     InitialProfile(kind="gaussian", amplitude=0.2, width=2.0)],
     ids=["single_site", "gaussian"])
 def test_isospectral_law_on_integrated_states(profile):
-    r0 = reflection_evaluator(profile.support_state())(UNIFORM_NODES)
+    r0 = r_of(profile.support_state())(UNIFORM_NODES)
     undo = np.exp((UNIFORM_NODES ** 2 - UNIFORM_NODES ** -2) * ISOSPECTRAL_T)
     residuals = []
     for dt in (0.04, 0.02, 0.01, 0.005):
         [(_, later, reason, _)] = harness._trajectory(
             RunConfig(profile=profile, t_list=(ISOSPECTRAL_T,), dt=dt))
         assert reason is None and later.t == ISOSPECTRAL_T
-        r_t = reflection_evaluator(later)(UNIFORM_NODES)
+        r_t = r_of(later)(UNIFORM_NODES)
         residuals.append(np.abs(r_t * undo - r0).max())
     assert residuals[0] >= 12 * residuals[1] and \
         residuals[1] >= 12 * residuals[2]
@@ -308,8 +309,8 @@ def test_staggered_rotates_spectral_parameter():
     # r_staggered(z) = r(iz)/i, exactly, for any real data
     rng = np.random.default_rng(21)
     state = LatticeState(n_min=-5, values=rng.uniform(-0.5, 0.5, 11))
-    r_plain = reflection_evaluator(state)
-    r_stag = reflection_evaluator(staggered(state))
+    r_plain = r_of(state)
+    r_stag = r_of(staggered(state))
     for theta in rng.uniform(-np.pi, np.pi, 10):
         z = cmath.exp(1j * theta)
         assert abs(r_stag(z) - r_plain(1j * z) / 1j) < 1e-12
@@ -330,15 +331,18 @@ def test_unit_circle_point_validation():
 # Every entry point that takes a point of the unit circle goes through the
 # one check of |z| = 1 (scattering.circle_modulus, bound 1e-14).
 def _circle_entry_points():
-    r_eval = reflection_evaluator(single_site(0.3))
+    poly = scattering_polynomials(single_site(0.3))
+    r_eval, spectrum = reflection_evaluator(poly), density_spectrum(poly)
     # a second endpoint half a radian on, valid whatever z is
     other = lambda z: (cmath.exp(1j * (cmath.phase(z) + 0.5))
                        if cmath.isfinite(z) else 1j)
     return {
         "UnitCirclePoint": lambda z: UnitCirclePoint(0.0, z),
         "UnitCirclePoint.from_z": UnitCirclePoint.from_z,
-        "ArcSpec.between start": lambda z: ArcSpec.between(z, other(z)),
-        "ArcSpec.between end": lambda z: ArcSpec.between(other(z), z),
+        "arc sums start": lambda z: weights._cauchy_sums(
+            spectrum, z, other(z), [0.0]),
+        "arc sums end": lambda z: weights._cauchy_sums(
+            spectrum, other(z), z, [0.0]),
         "r_eval scalar": r_eval,
         "r_eval array": lambda z: r_eval(np.array([1.0, z, 1j])),
     }
@@ -354,7 +358,7 @@ def test_circle_entry_points_share_one_check(entry):
     for z in (complex(ULP_UP), complex(ULP_DOWN), 1j * ULP_UP,
               -ULP_DOWN + 0j, cmath.exp(2.0j), cmath.exp(-0.7j)):
         check(z)
-    # 1 + 1e-13 passed the old 1e-12 bound of the evaluator and ArcSpec
+    # 1 + 1e-13 passed the old 1e-12 bound of the evaluator and the arcs
     for z in (1.2 + 0j, 1.0 + 1e-13 + 0j, 0.5j, complex(math.nan, 0.0),
               complex(0.0, math.nan), complex(math.inf, 0.0), 0j):
         # DomainError is a ValueError: both kinds of caller catch it
@@ -394,7 +398,7 @@ def test_property_one_wrap(theta, size):
     if abs(theta) in (0.0, math.pi):
         assert _old_wrap(theta) == abs(theta)
     raw = 2.0 * np.pi * np.arange(size) / size
-    grid, _ = reflection_grid(single_site(0.0), size)
+    grid, _ = reflection_grid(scattering_polynomials(single_site(0.0)), size)
     assert grid.tobytes() == wrapped_angle(raw).tobytes()
     assert [float.hex(x) for x in grid] == [
         float.hex(_old_wrap(x)) for x in raw.tolist()]
@@ -442,7 +446,7 @@ def test_property_reflection_below_one(state):
     poly = scattering_polynomials(state)
     err = rounding_bound(state, poly)
     a, _ = poly(CIRCLE)
-    r = reflection_evaluator(state)(CIRCLE)
+    r = r_of(state)(CIRCLE)
     assert np.all(np.abs(r) < 1.0 + 2 * err / np.abs(a))
 
 
@@ -453,8 +457,8 @@ def test_property_staggering_rotates_z(state):
     err = rounding_bound(state, poly)
     a_rot, _ = poly(1j * CIRCLE)
     a_stag, _ = scattering_polynomials(staggered(state))(CIRCLE)
-    gap = np.abs(reflection_evaluator(staggered(state))(CIRCLE)
-                 - reflection_evaluator(state)(1j * CIRCLE) / 1j)
+    gap = np.abs(r_of(staggered(state))(CIRCLE)
+                 - r_of(state)(1j * CIRCLE) / 1j)
     assert np.all(gap <= 2 * err * (1 / np.abs(a_stag) + 1 / np.abs(a_rot)))
 
 
@@ -471,8 +475,8 @@ def test_property_zero_padding_invariance(state, left, right):
         (poly.a_coeffs, poly.a_low)
     assert (poly_padded.b_coeffs, poly_padded.b_low) == \
         (poly.b_coeffs, poly.b_low)
-    assert np.array_equal(reflection_evaluator(padded)(CIRCLE),
-                          reflection_evaluator(state)(CIRCLE))
+    assert np.array_equal(r_of(padded)(CIRCLE),
+                          r_of(state)(CIRCLE))
 
 
 # The transfer recursion with two new arrays per site, the test-only

@@ -30,7 +30,7 @@ BEATEN_BY = 2.0  # each altered formula's worst band sup over the full one's
 REMAINDER_BAND = (0.3, 0.5)  # band sup |err| t at v = -1.5, both stops
 
 
-def _values(records, r_eval, formula):
+def _values(records, pair, formula):
     """q_asym of every record by `formula`, with no realness guard: "full"
     is production, an ablation replaces one term of delta_j^0."""
     with pytest.MonkeyPatch.context() as mp:
@@ -39,7 +39,7 @@ def _values(records, r_eval, formula):
         elif formula != "full":
             mp.setattr(weights, "_assembled",
                        functools.partial(assembled, replaced=formula))
-        return [harness.asymptotic_value(r_eval, rec.n, rec.t).q_asym
+        return [harness.asymptotic_value(*pair, rec.n, rec.t).q_asym
                 for rec in records]
 
 
@@ -51,8 +51,8 @@ def strong():
                                 round(100 * c) + HALF_BAND + 1))
     records = harness.run_compare(RunConfig(profile=PROFILE, v_list=rays,
                                             t_list=TIMES, dt=0.005))
-    r_eval = harness.reflection_u(PROFILE)
-    values = {formula: _values(records, r_eval, formula)
+    pair = harness.reflection_u(PROFILE)
+    values = {formula: _values(records, pair, formula)
               for formula in FORMULAS}
     sups = {}
     for formula, q_asym in values.items():

@@ -1,20 +1,20 @@
 """One coefficient at a time, by its definition in the weights module
 docstring, and every coefficient at all four S_j with each of the four
-arcs swept on its own: the oracles that `weights.coefficient_set`, which
-sweeps arc 1, reads the other three arcs as its images and keeps what
-the odd crosses read, is checked against.  With them the four-cross sum
+arcs summed on its own: the oracles that `weights.coefficient_set`, which
+sums arc 1, reads the other three arcs as its images and keeps what the
+odd crosses read, is checked against.  With them the four-cross sum
 that rows no longer form: `four_cross_sum` assembles the leading term
 from all four crosses, both branches of `model.m1_entry`, and measures
 its imaginary residual, and `four_cross_value` is that sum in the gauge
-of `harness.asymptotic_value`.  delta(z)
-and delta_j(z) are read one arc and one point per call, by
-cauchy_arc_integral, which refuses a point that is not finite or lies on
-its arc.  Also `assembled`, which calls `weights._assembled` on inputs
-changed so that one term of delta_j^0 is replaced, for the ablations that
-show each term matters; no copy of the assembly is kept here.  And
-arc_sums_by_doubling, composite 16-point Gauss-Legendre refined until two
-panel levels agree: the independent rule that weights._arc_sums, an
-embedded Gauss-Kronrod pair, is checked against.
+of `harness.asymptotic_value`.  delta(z) and delta_j(z) are read one arc
+and one point per call, by cauchy_arc_integral, which refuses a point
+that is not finite or lies on its arc.  Also `assembled`, which calls
+`weights._assembled` on inputs changed so that one term of delta_j^0 is
+replaced, for the ablations that show each term matters; no copy of the
+assembly is kept here.  And arc_sums_by_doubling, composite 16-point
+Gauss-Legendre refined until two panel levels agree, on the r-form
+density log_density: the one quadrature, sharing neither density nor
+rule with the closed-form sums of the rows.
 """
 
 import cmath
@@ -22,37 +22,81 @@ import dataclasses
 import functools
 import itertools
 import math
-import unittest.mock
 from typing import NamedTuple
 
 import numpy as np
 
-from dmkdv import DomainError, QuadratureError, RayParams, stationary_points
+from dmkdv import (
+    DmkdvError,
+    DomainError,
+    RayParams,
+    density_spectrum,
+    reflection_evaluator,
+    scattering_polynomials,
+    stationary_points,
+)
 from dmkdv import weights
 from dmkdv.model import m1_entry
-from dmkdv.weights import (
-    _EPS,
-    _FLOOR_ULPS,
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _MAX_LEVEL,
-    _T_ANCHORS,
-    DEFAULT_TOL,
-    ArcSpec,
-    _arc_sums,
-    _assembled,
-    _check_j,
-    delta_j_arc,
-    log_density,
-)
+from dmkdv.scattering import checked_abs2
+from dmkdv.weights import _T_ANCHORS, _assembled, _check_j
 
 # the terms of delta_j^0 that `assembled` can replace, and by what:
 # beta_j t^(1/2) for beta_j inside the nu-power (no log t in the phase),
 # 1 for the whole nu-power, 0 for chi_j(S_j), 1 for hat_delta_j(S_j)
 ABLATIONS = ("beta", "nu_power", "chi", "hat_delta")
 
+# the quadrature's own constants: its tolerance, a panel budget of 4,096
+# panels per arc, and a level's rounding of about 16 eps sum|terms|
+DEFAULT_TOL = 1e-11
+_MAX_LEVEL = 12
+_FLOOR_ULPS = 32.0
+_EPS = float(np.finfo(float).eps)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-def _gauss_level_nodes(arc: ArcSpec, panels: int) -> tuple:
+
+class QuadratureError(DmkdvError):
+    """arc_sums_by_doubling failed to meet its tolerance."""
+
+
+class Arc(NamedTuple):
+    """The short arc from `start` to `end` on |z| = 1."""
+
+    start: complex
+    end: complex
+
+    @property
+    def theta_start(self) -> float:
+        return cmath.phase(self.start)
+
+    @property
+    def dtheta(self) -> float:
+        return cmath.phase(self.end / self.start)  # wrapped to (-pi, pi]
+
+
+def delta_j_arc(stationary, j: int) -> Arc:
+    """Per-point arc T_j -> S_j (short arc)."""
+    _check_j(j)
+    return Arc(_T_ANCHORS[j - 1], stationary.S[j - 1])
+
+
+def r_of(state):
+    """r(z) of a state, from one build of its polynomials."""
+    return reflection_evaluator(scattering_polynomials(state))
+
+
+def reflection(state) -> tuple:
+    """(r_eval, spectrum) of a state, from one build of its polynomials,
+    as harness.reflection_u gives them for a profile."""
+    poly = scattering_polynomials(state)
+    return reflection_evaluator(poly), density_spectrum(poly)
+
+
+def log_density(r_eval, z):
+    """log(1 - |r(z)|^2) <= 0 past the |r| < 1 guard: the r-form density."""
+    return np.log1p(-checked_abs2(r_eval(z)))
+
+
+def _gauss_level_nodes(arc: Arc, panels: int) -> tuple:
     """(half, tau) of one panel level of `arc`: half the angle of each of
     its `panels` equal panels, and the 16 Gauss nodes of every panel on
     the circle, panel by panel."""
@@ -61,14 +105,16 @@ def _gauss_level_nodes(arc: ArcSpec, panels: int) -> tuple:
     return half, np.exp(1j * (mids[:, None] + half * _GL_NODES).ravel())
 
 
-def arc_sums_by_doubling(density, arc: ArcSpec, points, shifts,
+def arc_sums_by_doubling(density, arc: Arc, points, shifts,
                          tol: float = DEFAULT_TOL) -> np.ndarray:
-    """weights._arc_sums by composite 16-point Gauss-Legendre on 2^m equal
-    panels, returning a level's sums once no sum moved by more than `tol`
-    from the level before: the density is sampled at 16, 32, 64, ...
-    nodes, and a smooth arc settles at its second level.  The same panel
-    budget, stall rule and QuadratureError messages, with the residual
-    read between two levels."""
+    """The sums (1/2pi i) int_arc (density(tau) - shift) dtau / (tau - z)
+    at every point z of `points`, with `shifts` broadcast against them,
+    by composite 16-point Gauss-Legendre on 2^m equal panels, returning a
+    level's sums once no sum moved by more than `tol` from the level
+    before: the density is sampled at 16, 32, 64, ... nodes, and a
+    smooth arc settles at its second level.  QuadratureError past the
+    panel budget, or once the residual has stopped falling while `tol`
+    lies below the rounding floor of a level's sums."""
     z, c = (a[..., None, None] for a in np.broadcast_arrays(
         np.asarray(points, dtype=complex), shifts))
     previous, residual = None, math.inf
@@ -114,8 +160,8 @@ class FourCrossSet:
 
 def four_cross_set(r_eval, stationary, arc_sums) -> FourCrossSet:
     """The coefficients at all four S_j from the four arcs' sums at the
-    points (0, S_1, .., S_4), arc j's sum at S_j taken with g(S_j)
-    subtracted (chi_j), and from r(S_j), one scalar call per point:
+    points (0, S_1, .., S_4), arc j's sum at S_j taken with the density
+    at S_j subtracted (chi_j), and from r(S_j), one scalar call per point:
     delta_j^0 for every j by the formula of the weights module
     docstring, each with its own nu_j and chi_j."""
     r_at_S = tuple(complex(r_eval(s)) for s in stationary.S)
@@ -144,31 +190,13 @@ def four_cross_set(r_eval, stationary, arc_sums) -> FourCrossSet:
         delta_at_zero=cmath.exp(exponents[0]))
 
 
-def coefficient_set_by_arc(r_eval, stationary,
-                           tol: float = DEFAULT_TOL) -> FourCrossSet:
-    """four_cross_set with one sweep per arc, each sampling r on its own
-    nodes and subtracting g(S_j) at its own endpoint: no arc is read as
-    the image of another."""
-    g_at_S = [log_density(r_eval, s) for s in stationary.S]
-    density = functools.partial(log_density, r_eval)
-    sums = [_arc_sums(density, delta_j_arc(stationary, j),
-                      (0.0,) + stationary.S,
-                      np.where(np.arange(5) == j, g_at_S[j - 1], 0.0), tol)
-            for j in (1, 2, 3, 4)]
+def coefficient_set_by_arc(r_eval, spectrum, stationary) -> FourCrossSet:
+    """four_cross_set with one closed-form call per arc, each subtracting
+    F(S_j) at its own endpoint: no arc is read as the image of another."""
+    points = np.array((0.0,) + stationary.S)
+    sums = [weights._cauchy_sums(spectrum, *delta_j_arc(stationary, j),
+                                 points) for j in (1, 2, 3, 4)]
     return four_cross_set(r_eval, stationary, sums)
-
-
-def four_cross_coefficients(r_eval, stationary,
-                            tol: float = DEFAULT_TOL) -> FourCrossSet:
-    """four_cross_set of the very arc sums that weights.coefficient_set
-    reads as images of arc 1 and hands to weights._assembled."""
-    captured = []
-    with unittest.mock.patch.object(
-            weights, "_assembled",
-            lambda stationary, r_at_S1, g_at_S1, arc_sums:
-            captured.append(arc_sums)):
-        weights.coefficient_set(r_eval, stationary, tol)
-    return four_cross_set(r_eval, stationary, captured[0])
 
 
 class FourCrossSum(NamedTuple):
@@ -197,16 +225,17 @@ def four_cross_sum(stationary, coeffs: FourCrossSet) -> FourCrossSum:
         envelope=sum(map(abs, contributions)) / abs(coeffs.delta_at_zero))
 
 
-def four_cross_value(r_eval, n: int, t: float) -> FourCrossSum:
-    """four_cross_sum of four_cross_coefficients in the gauge of
+def four_cross_value(r_eval, spectrum, n: int, t: float) -> FourCrossSum:
+    """four_cross_sum of coefficient_set_by_arc in the gauge of
     harness.asymptotic_value: on the ray n + 1, its value times (-1)^n.
     It is the sum rows formed before they kept the odd crosses alone."""
     stat = stationary_points(RayParams(n=n + 1, t=t))
-    res = four_cross_sum(stat, four_cross_coefficients(r_eval, stat))
+    res = four_cross_sum(stat, coefficient_set_by_arc(r_eval, spectrum,
+                                                      stat))
     return res._replace(value=(-1) ** n * res.value)
 
 
-def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
+def cauchy_arc_integral(density, arc: Arc, z: complex,
                         tol: float = DEFAULT_TOL) -> complex:
     """(1/2pi i) int_arc density(tau) dtau / (tau - z).
 
@@ -220,14 +249,14 @@ def cauchy_arc_integral(density, arc: ArcSpec, z: complex,
     rel = cmath.phase(zc / arc.start) / arc.dtheta
     if abs(abs(zc) - 1.0) < 1e-13 and (zc == arc.start or 0 <= rel <= 1):
         raise DomainError("evaluation point lies on the integration arc")
-    return complex(_arc_sums(density, arc, zc, 0.0, tol))
+    return complex(arc_sums_by_doubling(density, arc, zc, 0.0, tol))
 
 
 def delta_arcs(stationary) -> tuple:
     """The two arcs of the scalar problem: S1->S2 through 1, S3->S4
     through -1."""
     S = stationary.S
-    return (ArcSpec.between(S[0], S[1]), ArcSpec.between(S[2], S[3]))
+    return (Arc(S[0], S[1]), Arc(S[2], S[3]))
 
 
 def delta_at(r_eval, stationary, z: complex,
@@ -261,10 +290,10 @@ def chi_at_stationary(r_eval, stationary, j: int,
     The integrand (g(tau) - g(S_j)) / (tau - S_j) is analytic there, and
     the Gauss nodes never touch the endpoint.
     """
-    arc = delta_j_arc(stationary, j)
-    density = functools.partial(log_density, r_eval)
     Sj = stationary.S[j - 1]
-    return complex(_arc_sums(density, arc, Sj, density(Sj), tol))
+    return complex(arc_sums_by_doubling(
+        functools.partial(log_density, r_eval), delta_j_arc(stationary, j),
+        Sj, log_density(r_eval, Sj), tol))
 
 
 def hat_delta_at_stationary(r_eval, stationary, j: int,
