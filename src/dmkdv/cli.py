@@ -99,11 +99,13 @@ def _cmd_rows(command: str, config: RunConfig, plot_stem: str | None) -> int:
 
 def _cmd_scatter(config: RunConfig) -> int:
     """r on the grid and the density's spectrum, from one build; the
-    summary gives the spectrum's M, P and conditioning ratio."""
+    summary gives the spectrum's M, P and conditioning ratio.  The
+    spectrum comes first: its conditioning guard tells rounding noise of
+    a(z) from |r| near 1 before the grid's |r| < 1 guard reads either."""
     state = config.profile.support_state()
     poly = scattering.scattering_polynomials(state)
-    theta, r = scattering.reflection_grid(poly, config.grid_size)
     spectrum = weights.density_spectrum(poly)
+    theta, r = scattering.reflection_grid(poly, config.grid_size)
     rows = [(th, v.real, v.imag, abs(v)) for th, v in zip(theta, r)]
     write_table(config.output_path, config.output_format,
                 ("theta", "re_r", "im_r", "abs_r"), rows)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ConventionError
 from .phase import StationarySet
-from .weights import CoefficientSet, _check_j
+from .weights import CoefficientSet
 
 __all__ = [
     "AsymptoticResult",
@@ -83,6 +83,11 @@ class AsymptoticResult:
     contributions: tuple        # c_1, c_3 (see the module docstring)
     odd_pair_residual: float    # |c_1 - c_3| / |delta(0)|
     delta_at_zero: complex
+
+
+def _check_j(j: int) -> None:
+    if j not in (1, 2, 3, 4):
+        raise ValueError("j must be one of 1, 2, 3, 4")
 
 
 def m1_entry(nu: float, r_at_S: complex, j: int) -> complex:

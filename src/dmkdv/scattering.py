@@ -20,13 +20,17 @@ those polynomials.  On |z| = 1 they satisfy |a|^2 - |b|^2 = c_inf, so
 with t is stated in scattering_polynomials.
 
 An evaluation at scalar or array z takes a fixed number of array
-operations, whatever the number N of coefficients: from the exponent
-nearest 0 outward, one table of the first 16 powers of z^2 (and of
-z^-2), one matrix product with the coefficients cut into rows of 16
-(laid out once, when the polynomials are built), and Horner in z^32
-(z^-32) over the ~N/16 rows.  Each term c_j z^e_j carries a relative
-rounding error of at most (2 N + 32) eps, so a value is off by at most
-that times sum_j |c_j| |z|^e_j.
+operations per 64 kB of powers, whatever the number N of coefficients.
+Each polynomial is split at the exponent nearest 0, its shift; one
+cumulative product down a column of zeta = z^2 gives a point's powers
+zeta^0, zeta^1, .., one down a column of 1/zeta gives zeta^-1, .., one
+matrix product with the coefficients (laid out once, when the
+polynomials are built) sums a and b, outermost terms first, and z^shift
+multiplies each.  Counted from zeta as rounded, a k-th power carries
+k - 1 complex products of at most (sqrt5/2) eps each and the sum of N
+terms about N/2 eps, so each term c_j z^e_j carries a relative rounding
+error of at most (2 N + 32) eps, and a value is off by at most that
+times sum_j |c_j| |z|^e_j.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ __all__ = [
 ]
 
 _CIRCLE_TOL = 1e-14  # the S_j come within 2.2e-16
-_BLOCK = 16  # row width of the blocked polynomial evaluation
-_PASS_BYTES = 1 << 16  # largest temporary array of one pass over the points
+_PASS_BYTES = 1 << 16  # largest power table of one pass over the points
 
 
 @dataclass(frozen=True)
@@ -94,12 +97,11 @@ class ScatteringPolynomials:
 
     Coefficients are real; exact zeros at either end are trimmed, so the
     zero state has a_coeffs = (1.0,) and no b coefficients.  Calling it
-    evaluates a and b together by the blocked sum of the module
-    docstring, from a layout of the coefficients in rows of 16 that is
-    built with the polynomials.  On |z| = 1 the rounding error of a and b
-    is O(N eps) times prod(1 + |q_k|), the coefficient sum of the same
-    recursion run on |q|: tight for small data, loose relative to |a| for
-    strongly reflecting data.
+    evaluates a and b together by the cumulative powers of the module
+    docstring.  On |z| = 1 the rounding error of a and b is O(N eps)
+    times prod(1 + |q_k|), the coefficient sum of the same recursion run
+    on |q|: tight for small data, loose relative to |a| for strongly
+    reflecting data.
     """
 
     a_coeffs: tuple
@@ -110,101 +112,52 @@ class ScatteringPolynomials:
     _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_layout", _blocked_layout(
-            ((self.a_coeffs, self.a_low), (self.b_coeffs, self.b_low))))
+        # split at the exponent nearest 0 (the shift): the upper half in
+        # powers zeta^0 .. of zeta = z^2, the lower in zeta^-1 .., so the
+        # terms there (a's constant 1 among them) take the fewest
+        # roundings.  A row holds the upper half, zero-padded to `split`,
+        # then the lower, reversed: the sum adds the outer, smaller terms
+        # first, as Horner's does
+        upper, lower, shifts = [], [], []
+        for coeffs, low in ((self.a_coeffs, self.a_low),
+                            (self.b_coeffs, self.b_low)):
+            p = min(max((1 - low) // 2, 0), len(coeffs))
+            upper.append(coeffs[p:])
+            lower.append(coeffs[p - 1::-1] if p else ())
+            shifts.append(low + 2 * p)
+        split = max(max(map(len, upper)), 1)
+        matrix = np.zeros((2, split + max(map(len, lower))))
+        for row, up, down in zip(matrix, upper, lower):
+            row[:len(up)] = up
+            row[split:split + len(down)] = down
+        object.__setattr__(self, "_layout",
+                           (matrix[:, ::-1].copy(), split, tuple(shifts)))
 
     def __call__(self, z):
-        """(a(z), b(z)) at a nonzero scalar or array z."""
-        return _laurent(self._layout, z)
-
-
-def _blocked_layout(polys) -> tuple:
-    """The polynomials sum_i c[i] z^(low + 2i), given as (c, low) pairs,
-    laid out for _laurent: (upper, lower, shifts).
-
-    Each polynomial is split at the exponent nearest 0 into an upper half
-    in powers of zeta = z^2 and a lower half in powers of 1/zeta, both
-    running from there outward: the terms there (a's constant 1 among
-    them) pick up the fewest roundings, and for data near the origin no
-    large power of z multiplies the sum.  Each half is cut into rows of
-    w = min(16, longest half) coefficients, zero-padded; upper and lower
-    are arrays shaped (rows, len(polys), w), lower is None when no
-    polynomial has one, and shifts are the exponents nearest 0.
-    """
-    upper, lower, shifts = [], [], []
-    for coeffs, low in polys:
-        p = min(max((1 - low) // 2, 0), len(coeffs))
-        upper.append(coeffs[p:])
-        lower.append(coeffs[p - 1::-1] if p else ())
-        shifts.append(low + 2 * p)
-    return (_coefficient_rows(upper),
-            _coefficient_rows(lower) if any(lower) else None, tuple(shifts))
-
-
-def _coefficient_rows(series) -> np.ndarray:
-    longest = max(map(len, series))
-    width = max(min(_BLOCK, longest), 1)
-    rows = max(-(-longest // width), 1)
-    padded = np.zeros((len(series), rows * width))
-    for row, coeffs in zip(padded, series):
-        row[:len(coeffs)] = coeffs
-    # row blocks outermost: each Horner step reads one contiguous block
-    return padded.reshape(len(series), rows, width).swapaxes(0, 1).copy()
-
-
-def _laurent(layout: tuple, z) -> tuple:
-    """Values at z of the polynomials laid out by _blocked_layout."""
-    upper, lower, shifts = layout
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    zeta = flat * flat
-    values = _power_sums(upper, zeta)
-    if lower is not None:
-        inv = 1.0 / zeta
-        lower_values = _power_sums(lower, inv)
-        lower_values *= inv
-        values += lower_values
-    return tuple((value * z ** shift if shift else value)[()]
-                 for value, shift in zip(
-                     values.reshape((len(shifts),) + z.shape), shifts))
-
-
-def _power_sums(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j c[j] x^j for every sequence c of _coefficient_rows, laid out
-    in `blocks` (rows, sequences, w), at the points x (1-d); shaped
-    (sequences, len(x)).
-
-    Each pass over the points takes a fixed number of array operations:
-    one table holds x^0 .. x^w; one matrix product with the coefficient
-    rows gives every row's sum; Horner in x^w runs over the rows, all
-    sequences at once.  A pass takes as many points as keep its table and
-    its row sums within 64 kB each, so large evaluations reuse memory
-    instead of faulting in fresh pages.
-    """
-    rows, count, width = blocks.shape
-    flat_blocks = blocks.reshape(-1, width)
-    size = max(_PASS_BYTES // (16 * max(width + 1, rows * count)), 1)
-    total = np.empty((count, x.size), dtype=complex)
-    for start in range(0, x.size, size):
-        part = x[start:start + size]
-        table = np.empty((width + 1, part.size), dtype=complex)
-        table[0] = 1.0
-        table[1] = part
-        done = 1  # table[:done + 1] is filled; double it until it is full
-        while done < width:
-            top = min(2 * done, width)
-            np.multiply(table[1:top - done + 1], table[done],
-                        out=table[done + 1:top + 1])
-            done = top
-        # real coefficients times the real view of the table
-        sums = (flat_blocks @ table[:width].view(float)).view(
-            complex).reshape(rows, count, part.size)
-        acc, step = sums[-1], table[width]
-        for row in sums[-2::-1]:
-            acc *= step
-            acc += row
-        total[:, start:start + size] = acc
-    return total
+        """(a(z), b(z)) at a nonzero scalar or array z, in passes whose
+        powers stay within 64 kB, so large evaluations reuse memory."""
+        matrix, split, shifts = self._layout
+        z = np.asarray(z, dtype=complex)
+        zeta = z.reshape(-1) ** 2
+        width = matrix.shape[1]
+        size = max(_PASS_BYTES // (16 * width), 1)
+        values = np.empty((2, zeta.size), dtype=complex)
+        for start in range(0, zeta.size, size):
+            part = zeta[start:start + size]
+            powers = np.empty((width, part.size), dtype=complex)
+            rising = powers[::-1]  # in the layout's order, reversed
+            rising[0] = 1.0
+            rising[1:split] = part
+            np.multiply.accumulate(rising[:split], out=rising[:split])
+            if split < width:
+                rising[split:] = 1.0 / part
+                np.multiply.accumulate(rising[split:], out=rising[split:])
+            # real coefficients times the real view of the powers
+            values[:, start:start + size] = (
+                matrix @ powers.view(float)).view(complex)
+        return tuple((value * z ** shift if shift else value)[()]
+                     for value, shift in zip(
+                         values.reshape((2,) + z.shape), shifts))
 
 
 def _trimmed(coeffs: np.ndarray, low: int) -> tuple:

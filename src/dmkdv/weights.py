@@ -100,9 +100,10 @@ def density_spectrum(poly: ScatteringPolynomials) -> DensitySpectrum:
     smallest power of two above the span of a's exponents and doubles
     until every |d_m|, P/4 <= |m| <= P/2, is at most 1e-13 of the
     largest; M is the last index above that cut.  ConditioningError when
-    (2N + 32) eps sum|a_i| / |a|, the rounding bound of the blocked
-    evaluation, exceeds 1e-8 at some point, or P would pass 2^19;
-    ReflectionTooLargeError by scattering.check_abs2 on 1 - c_inf/|a|^2.
+    (2N + 32) eps sum|a_i| / |a|, the rounding bound of a's evaluation by
+    cumulative powers (dmkdv.scattering), exceeds 1e-8 at some point, or
+    P would pass 2^19; ReflectionTooLargeError by scattering.check_abs2
+    on 1 - c_inf/|a|^2.
     """
     coeffs = np.array(poly.a_coeffs)
     exponents = poly.a_low + 2 * np.arange(coeffs.size)
@@ -240,8 +241,3 @@ def _assembled(stationary: StationarySet, r_at_S1, g_at_S1,
         r_at_S1=complex(r_at_S1), nu=nu, chi_at_S1=chi,
         hat_delta_at_S=hat_delta_at_S, delta_j0=tuple(delta_j0),
         delta_at_zero=cmath.exp(exponents[0]))
-
-
-def _check_j(j: int) -> None:
-    if j not in (1, 2, 3, 4):
-        raise ValueError("j must be one of 1, 2, 3, 4")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,16 +194,24 @@ def test_later_key_wins(tmp_path):
 
 
 def test_scatter_reports_a_failed_check_on_one_line(tmp_path, capsys):
-    # 30 sites of +-0.9: the computed r(z) leaves the unit disk
+    # 30 sites of +-0.9: a(z) rounds to more than its modulus, which the
+    # spectrum's conditioning guard reports before the grid reads |r| off
+    # that noise; gaussian(0.6, 6) is well conditioned, and its |r| comes
+    # within 1e-8 of 1
     out = tmp_path / "r.csv"
     custom = json.dumps([0.9, -0.9] * 15)
-    assert main(["scatter", "--set", "profile.kind=custom_list",
-                 "--set", f"profile.custom={custom}",
-                 "--output", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ReflectionTooLargeError: max |r| = 16.2")
-    assert err.count("\n") == 1
-    assert not out.exists()
+    for profile, reason in (
+            (["profile.kind=custom_list", f"profile.custom={custom}"],
+             r"ConditioningError: a\(z\) rounds to "),
+            (["profile.kind=gaussian", "profile.amplitude=0.6",
+              "profile.width=6"],
+             r"ReflectionTooLargeError: max \|r\| = 0\.99999999\d")):
+        sets = [flag for spec in profile for flag in ("--set", spec)]
+        assert main(["scatter", *sets, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(reason, err)
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_simulate_fits_a_long_support(tmp_path):

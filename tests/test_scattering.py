@@ -407,8 +407,9 @@ def test_property_one_wrap(theta, size):
 
 # Property tests over admissible finite-support data.  Each identity is
 # checked to within the a-priori rounding bound of the polynomials on
-# |z| = 1: the recursion adds O(eps) per site and the blocked evaluation
-# O(eps) per coefficient (see test_property_blocked_matches_horner),
+# |z| = 1: the recursion adds O(eps) per site and the evaluation by
+# cumulative powers O(eps) per coefficient (see
+# test_property_evaluation_matches_horner),
 # relative to the coefficients of the same recursion run on |q|, whose
 # sum is prod(1 + |q_k|).  That bound is sharp for small data and grows
 # with prod(1 + |q_k|) for strongly reflecting data.
@@ -529,16 +530,19 @@ def test_recursion_matches_oracle_on_4301_sites():
     assert_recursion_matches_oracle(LatticeState(n_min=-2150, values=values))
 
 
-# The blocked evaluation against a plain two-sided Horner sum, the
-# test-only oracle.  Both are sums of the terms c_j z^e_j with
-# relative errors in the terms only: Horner's at most 2 N eps, the
-# blocked sum's at most (2 N + 32) eps (a table power x^k, k <= 16,
-# carries k - 1 complex products of at most 1.5 eps each, a row sum of
-# w <= 16 terms w/2 eps, and each of the N/w Horner steps in x^w about
-# (3w + 1)/2 eps), for the N coefficients of the polynomial's longer
-# half.  So the two differ by at most 4 (N + 16) eps sum_j |c_j| |z|^e_j,
-# plus an underflow allowance of N times the smallest normal number in
-# that sum; fixed before the first run.
+# The evaluation by cumulative powers against a plain two-sided Horner
+# sum, the test-only oracle.  Both round zeta = z^2 and z^shift alike and
+# differ in how they sum the terms c_j z^e_j, with relative errors in the
+# terms only; N counts the coefficients of the polynomial's longer half.
+# Horner's N steps each take one complex product, at most (sqrt5/2) eps,
+# and one addition: at most 1.62 N eps.  Here a power zeta^k (zeta^-k,
+# whose first factor is one division) carries k - 1 complex products,
+# at most 1.12 N eps; the real coefficient eps/2, the matrix product's
+# sum of at most 2 N terms N eps, and the division and z^shift's product
+# a few eps.  So the two differ by at most (3.74 N + 4) eps
+# sum_j |c_j| |z|^e_j, within 4 (N + 16) eps of that sum, plus an
+# underflow allowance of N times the smallest normal number in it; fixed
+# before the first run.
 
 def horner_oracle(coeffs, low, z):
     p = min(max((1 - low) // 2, 0), len(coeffs))
@@ -595,8 +599,10 @@ LONG = tuple(np.random.default_rng(5).uniform(-1.0, 1.0, 300).tolist())
 @example((1.0,), 0, (), 17, 2, ())
 @example((), -320, (0.25,), 1, 3, (7,))
 @example((0.5,), -1, LONG, -100, 4, (7,))
-def test_property_blocked_matches_horner(a_coeffs, a_low, b_coeffs, b_low,
-                                         seed, shape):
+# 300 points of 300 coefficients: one evaluation spans many passes
+@example(LONG, -598, LONG, -299, 5, (300,))
+def test_property_evaluation_matches_horner(a_coeffs, a_low, b_coeffs,
+                                            b_low, seed, shape):
     poly = ScatteringPolynomials(a_coeffs=a_coeffs, a_low=a_low,
                                  b_coeffs=b_coeffs, b_low=b_low, c_inf=1.0)
     z = np.asarray(points(seed, shape))
@@ -608,8 +614,8 @@ def test_property_blocked_matches_horner(a_coeffs, a_low, b_coeffs, b_low,
 @PROPERTY
 @given(coefficient_lists, st.sampled_from([10.0, 100.0]),
        st.integers(0, 2 ** 32), point_shapes)
-def test_property_blocked_matches_horner_off_circle(coeffs, radius, seed,
-                                                   shape):
+def test_property_evaluation_matches_horner_off_circle(coeffs, radius,
+                                                      seed, shape):
     # a's shape: exponents -2(N - 1) .. 0, so its terms shrink off the
     # circle, while b's would overflow
     low = -2 * max(len(coeffs) - 1, 0)

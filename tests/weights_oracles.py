@@ -36,9 +36,9 @@ from dmkdv import (
     stationary_points,
 )
 from dmkdv import weights
-from dmkdv.model import m1_entry
+from dmkdv.model import _check_j, m1_entry
 from dmkdv.scattering import checked_abs2
-from dmkdv.weights import _T_ANCHORS, _assembled, _check_j
+from dmkdv.weights import _T_ANCHORS, _assembled
 
 # the terms of delta_j^0 that `assembled` can replace, and by what:
 # beta_j t^(1/2) for beta_j inside the nu-power (no log t in the phase),
