@@ -539,10 +539,10 @@ def test_recursion_matches_oracle_on_4301_sites():
 # whose first factor is one division) carries k - 1 complex products,
 # at most 1.12 N eps; the real coefficient eps/2, the matrix product's
 # sum of at most 2 N terms N eps, and the division and z^shift's product
-# a few eps.  So the two differ by at most (3.74 N + 4) eps
-# sum_j |c_j| |z|^e_j, within 4 (N + 16) eps of that sum, plus an
-# underflow allowance of N times the smallest normal number in it; fixed
-# before the first run.
+# a few eps.  So the two differ by at most (3.74 N + 4) eps times
+# sum_j |c_j| |z|^e_j; the bound, fixed before the first run, is
+# 4 (N + 16) eps times that sum, plus an underflow allowance of N times
+# the smallest normal number.
 
 def horner_oracle(coeffs, low, z):
     p = min(max((1 - low) // 2, 0), len(coeffs))
