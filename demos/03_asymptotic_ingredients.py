@@ -45,10 +45,10 @@ coeffs = coefficient_set(*pair, stat)
 print(f"\ndelta(0) = {coeffs.delta_at_zero:.9f}")
 print(f"nu = {coeffs.nu:.6f} at every S_j, |chi_1(S_1)| = "
       f"{abs(coeffs.chi_at_S1):.2e} (chi_3(S_3) is the same value)")
-print(f"{'j':>2} {'hat_delta_j(S_j)':>26} {'|delta_j^0|':>12}")
-for j, hat_delta, delta_j0 in zip((1, 3), coeffs.hat_delta_at_S,
-                                  coeffs.delta_j0):
-    print(f"{j:2d} {hat_delta:26.9f} {abs(delta_j0):12.9f}")
+print(f"hat_delta_1(S_1) = hat_delta_3(S_3) = {coeffs.hat_delta:.9f}")
+print(f"{'j':>2} {'|delta_j^0|':>12}")
+for j, delta_j0 in zip((1, 3), coeffs.delta_j0):
+    print(f"{j:2d} {abs(delta_j0):12.9f}")
 print("(real data: the even j are the conjugates of these)")
 
 z = 1.7 * cmath.exp(0.8j)

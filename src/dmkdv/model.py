@@ -20,8 +20,12 @@ Rows build the odd crosses alone (cross_solutions, from the r(S_1) and
 nu a CoefficientSet holds) and take the second form (leading_term); the
 self-test's realness audit forms the even crosses to show the pairing.
 For real data c_3 = c_1 as well (S_3 = -S_1, beta_3 = -beta_1,
-r(S_3) = -r(S_1)), though each cross has its own anchor, phase and
-hat_delta_j(S_j): check_realness compares the two.
+r(S_3) = -r(S_1)).  The two crosses still differ in the oscillation
+factor S_j^n exp(-(t/2)(S_j^2 - S_j^-2)), beta_j, S_j, r(S_j) and the
+m1 entry, and check_realness compares them.  chi, hat_delta and the
+nu-power are one value each, shared by both (dmkdv.weights); the
+per-arc oracle of the tests checks those against the four arcs summed
+one by one.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class AsymptoticResult:
     q_asym: float
     contributions: tuple        # c_1, c_3 (see the module docstring)
     odd_pair_residual: float    # |c_1 - c_3| / |delta(0)|
-    delta_at_zero: complex
+    delta_at_zero: float
 
 
 def _check_j(j: int) -> None:
@@ -146,9 +150,9 @@ def check_realness(result: AsymptoticResult) -> None:
     """The odd-pair guard: ConventionError when the odd-pair residual
     exceeds ODD_PAIR_TOL times the row's amplitude_envelope; a NaN in
     either fails too.  For real data c_3 = c_1 up to rounding, so the
-    guard catches a sign, branch or anchor slip at one cross (a 2 pi i
-    slip of the nu power's branch at S_3 scales c_3 by e^(-4 pi nu)),
-    not anything about the data."""
+    guard catches a sign, branch or anchor slip in what differs between
+    the two crosses (a slip that scales delta_3^0 by e^(-2 pi nu) scales
+    c_3 by e^(-4 pi nu)), not anything about the data."""
     bound = ODD_PAIR_TOL * amplitude_envelope(result)
     if not result.odd_pair_residual <= bound:
         raise ConventionError(

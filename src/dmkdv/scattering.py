@@ -268,13 +268,8 @@ def reflection_grid(poly: ScatteringPolynomials, size: int = 256) -> tuple:
     check_grid_size(size)
     theta = wrapped_angle(2.0 * np.pi * np.arange(size) / size)
     r = reflection_evaluator(poly)(np.exp(1j * theta))
-    checked_abs2(r)
+    check_abs2(np.abs(r) ** 2)
     return theta, r
-
-
-def checked_abs2(r_values):
-    """|r|^2 of values of r, past check_abs2."""
-    return check_abs2(np.abs(r_values) ** 2)
 
 
 def check_abs2(abs2):

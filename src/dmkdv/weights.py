@@ -45,9 +45,17 @@ nu_j is read from r(S_j) itself.
 
 For real lattice data the four arcs T_j -> S_j are images of one:
 |r| is even under z -> conj(z) and under z -> -z, and S_2 = conj(S_1),
-S_3 = -S_1, S_4 = -conj(S_1).  coefficient_set therefore sums arc 1
-alone and reads the other three from its sums, and keeps only what the
-odd crosses j = 1, 3 read (see dmkdv.model).
+S_3 = -S_1, S_4 = -conj(S_1).  So with s the sums of arc T_1 -> S_1 at
+(0, S_1, S_2, S_3, S_4), F(S_1) subtracted at S_1 only, every arc
+integral a row needs is one of three closed forms:
+
+      log delta(0)                         = 4 Re s_0,
+      chi_1(S_1) = chi_3(S_3)              = s_1,
+      log hat_delta_1(S_1) = log hat_delta_3(S_3)
+                                           = conj s_2 + s_3 + conj s_4.
+
+coefficient_set sums arc 1 alone and keeps only what the odd crosses
+j = 1, 3 read (see dmkdv.model).
 """
 
 from __future__ import annotations
@@ -60,12 +68,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .phase import StationarySet
-from .scattering import (
-    ScatteringPolynomials,
-    check_abs2,
-    checked_abs2,
-    circle_modulus,
-)
+from .scattering import ScatteringPolynomials, check_abs2, circle_modulus
 
 __all__ = [
     "CoefficientSet",
@@ -175,15 +178,15 @@ def _cauchy_sums(spectrum: DensitySpectrum, start: complex, end: complex,
 @dataclass(frozen=True)
 class CoefficientSet:
     """What the odd crosses read on one ray: r(S_1), nu (every nu_j),
-    chi_1(S_1) (also chi_3(S_3)), hat_delta_j(S_j) and delta_j^0 for
-    j = 1, 3, and delta(0)."""
+    chi_1(S_1) and hat_delta_1(S_1) (also chi_3(S_3) and
+    hat_delta_3(S_3)), delta_j^0 for j = 1, 3, and delta(0) > 0."""
 
     r_at_S1: complex
     nu: float
     chi_at_S1: complex
-    hat_delta_at_S: tuple
+    hat_delta: complex
     delta_j0: tuple
-    delta_at_zero: complex
+    delta_at_zero: float
 
 
 def coefficient_set(r_eval, spectrum: DensitySpectrum,
@@ -191,53 +194,45 @@ def coefficient_set(r_eval, spectrum: DensitySpectrum,
     """Compute every coefficient the odd crosses need.
 
     r_eval and spectrum must be the r and the density_spectrum of the
-    same real lattice data: the other three arcs are read as images of
-    arc 1, and r(S_3) as -r(S_1) (see the module docstring), which holds
-    only when |r| is even under z -> conj(z) and z -> -z.  r is sampled
-    once, at S_1: r(S_1) gives g(S_1) = log(1 - |r(S_1)|^2), hence nu,
-    and is kept as r_at_S1 for the cross entries.  Arc 1 is summed in
-    closed form at the points s = (0, S_1, S_2, S_3, S_4), with F(S_1)
-    subtracted at S_1 only (chi_1); arc 2 is -conj(s[[0, 2, 1, 4, 3]]),
-    arc 3 is s3 = s[[0, 3, 4, 1, 2]] and arc 4 is
-    -conj(s3[[0, 2, 1, 4, 3]]).  delta(0) is prod_j delta_j(0): arc
-    S1 -> S2 through 1 is arc T1 -> S1 reversed followed by arc T2 -> S2,
-    and likewise through -1.  delta_1^0 and delta_3^0 are then assembled
-    from nu, chi_1(S_1) and hat_delta_j(S_j) by the formula of the module
-    docstring.
+    same real lattice data: the three closed forms of the module
+    docstring, and r(S_3) = -r(S_1), hold only when |r| is even under
+    z -> conj(z) and z -> -z.  r is sampled once, at S_1: r(S_1) gives
+    g(S_1) = log(1 - |r(S_1)|^2), hence nu, and is kept as r_at_S1 for
+    the cross entries.  Arc T_1 -> S_1 is summed in closed form at
+    s = (0, S_1, S_2, S_3, S_4), with F(S_1) subtracted at S_1 only, and
+
+        delta(0) = exp(4 Re s_0),  chi = s_1,
+        hat_delta = exp(conj s_2 + s_3 + conj s_4).
+
+    delta_1^0 and delta_3^0 are then assembled from nu, chi and
+    hat_delta by the formula of the module docstring; they differ only
+    in S_j^n exp(-(t/2)(S_j^2 - S_j^-2)), since beta_j/(S_j - T_j) is the
+    same number at j = 1 and j = 3.
 
     ReflectionTooLargeError when |r(S_1)| reaches 1 - 1e-8, or is NaN;
     it fails the row.
     """
     r_at_S1 = r_eval(stationary.S[0])
-    g = np.log1p(-checked_abs2(r_at_S1))
+    g = np.log1p(-check_abs2(np.abs(r_at_S1) ** 2))
     s = _cauchy_sums(spectrum, _T_ANCHORS[0], stationary.S[0],
                      np.concatenate(([0.0], stationary.S)))
-    conj, s3 = [0, 2, 1, 4, 3], s[[0, 3, 4, 1, 2]]
-    return _assembled(stationary, r_at_S1, g,
-                      np.array([s, -s[conj].conj(), s3, -s3[conj].conj()]))
+    return _assembled(stationary, r_at_S1, g, s)
 
 
 def _assembled(stationary: StationarySet, r_at_S1, g_at_S1,
-               arc_sums) -> CoefficientSet:
-    """The CoefficientSet from r(S_1), g(S_1) and the four arcs' sums;
-    arc j's sum at its own S_j is chi_j(S_j), which hat_delta_j omits."""
-    exponents = np.zeros(5, dtype=complex)  # log delta(0), log hat_delta_j
-    chi = complex(arc_sums[0][1])
-    for j, sums in enumerate(arc_sums, 1):
-        sums[j] = 0.0
-        exponents += (-1) ** (j - 1) * sums
+               s) -> CoefficientSet:
+    """The CoefficientSet from r(S_1), g(S_1) and arc 1's five sums s at
+    (0, S_1, S_2, S_3, S_4), by the closed forms of coefficient_set."""
+    chi = complex(s[1])
+    hat_delta = cmath.exp(s[2].conjugate() + s[3] + s[4].conjugate())
     nu = float(-g_at_S1 / (2.0 * math.pi))
-    hat_delta_at_S = (cmath.exp(exponents[1]), cmath.exp(exponents[3]))
-    ray = stationary.ray
-    delta_j0 = []
-    for k, hat_delta in zip((0, 2), hat_delta_at_S):
-        Sj = stationary.S[k]
-        kappa_j = (Sj * Sj).imag  # S_j^-2 = conj(S_j^2) on the circle
-        osc = cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * kappa_j))
-        power = cmath.exp(1j * nu * cmath.log(
-            stationary.beta[k] / (Sj - _T_ANCHORS[k])))
-        delta_j0.append(osc * power * cmath.exp(chi) * hat_delta)
+    S, ray = stationary.S, stationary.ray
+    power = cmath.exp(1j * nu * cmath.log(
+        stationary.beta[0] / (S[0] - _T_ANCHORS[0])))
+    delta_j0 = tuple(
+        cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * (Sj * Sj).imag))
+        * power * cmath.exp(chi) * hat_delta  # S_j^-2 = conj(S_j^2)
+        for Sj in (S[0], S[2]))
     return CoefficientSet(
-        r_at_S1=complex(r_at_S1), nu=nu, chi_at_S1=chi,
-        hat_delta_at_S=hat_delta_at_S, delta_j0=tuple(delta_j0),
-        delta_at_zero=cmath.exp(exponents[0]))
+        r_at_S1=complex(r_at_S1), nu=nu, chi_at_S1=chi, hat_delta=hat_delta,
+        delta_j0=delta_j0, delta_at_zero=math.exp(4.0 * s[0].real))

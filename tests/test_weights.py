@@ -391,7 +391,7 @@ def test_delta_j0_modulus_decomposition():
         ratio = stat.beta[k] / (stat.S[k] - anchors[k])
         expect = math.exp(-coeffs.nu * cmath.phase(ratio)
                           + coeffs.chi_at_S1.real) \
-            * abs(coeffs.hat_delta_at_S[i])
+            * abs(coeffs.hat_delta)
         assert abs(abs(coeffs.delta_j0[i]) - expect) < 1e-10
 
 
@@ -409,33 +409,36 @@ def test_delta_j0_conjugate_pairing():
 @COEFFICIENT_CASES
 def test_coefficient_set_matches_individual_operations(make_data, n):
     # against the oracle quadrature of the r-form density: the one nu is
-    # every nu_j; chi_1(S_1) and hat_delta_j(S_j) are the values at j = 1
-    # and at j = 3, whose chi_3(S_3) is chi_1(S_1)
+    # every nu_j; chi_1(S_1) and the one hat_delta are the values at
+    # j = 1 and at j = 3, whose chi_3(S_3) is chi_1(S_1) and whose
+    # hat_delta_3(S_3) is hat_delta_1(S_1)
     stat = stationary_points(RayParams(n=n, t=80.0))
     r_eval, spectrum = make_data()
     coeffs = coefficient_set(r_eval, spectrum, stat)
     assert coeffs.delta_at_zero == pytest.approx(delta_at(r_eval, stat, 0.0))
     for j in (1, 2, 3, 4):
         assert coeffs.nu == pytest.approx(nu_at(r_eval, stat, j))
-    for i, j in enumerate((1, 3)):
+    for j in (1, 3):
         assert coeffs.chi_at_S1 == pytest.approx(
             chi_at_stationary(r_eval, stat, j), abs=1e-12)
-        assert coeffs.hat_delta_at_S[i] == pytest.approx(
+        assert coeffs.hat_delta == pytest.approx(
             hat_delta_at_stationary(r_eval, stat, j), abs=1e-11)
 
 
-# a CoefficientSet's fields and the entries j = 1, 3 of a FourCrossSet
-ODD_FIELDS = ("chi_at_S1", "hat_delta_at_S", "delta_j0", "delta_at_zero")
+# a CoefficientSet's fields, its one hat_delta twice, and the entries
+# j = 1, 3 of a FourCrossSet
+ODD_FIELDS = ("chi_at_S1", "hat_delta", "hat_delta", "delta_j0",
+              "delta_j0", "delta_at_zero")
 
 
 def odd_values(coeffs):
-    """The values of ODD_FIELDS, flattened, of a CoefficientSet or, at
-    j = 1, 3, of a FourCrossSet."""
+    """The values of ODD_FIELDS of a CoefficientSet or, at j = 1, 3, of a
+    FourCrossSet: the one hat_delta stands against both hat_delta_j(S_j)."""
     if isinstance(coeffs, FourCrossSet):
         return (coeffs.chi_at_S[0], *coeffs.hat_delta_at_S[0::2],
                 *coeffs.delta_j0[0::2], coeffs.delta_at_zero)
-    return (coeffs.chi_at_S1, *coeffs.hat_delta_at_S, *coeffs.delta_j0,
-            coeffs.delta_at_zero)
+    return (coeffs.chi_at_S1, coeffs.hat_delta, coeffs.hat_delta,
+            *coeffs.delta_j0, coeffs.delta_at_zero)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -444,7 +447,7 @@ def odd_values(coeffs):
        st.floats(-1.7, 1.7),
        st.sampled_from((20.0, 100.0, 400.0)))
 def test_property_image_arcs_match_arc_by_arc(n_min, values, v, t):
-    # arcs 2-4 read as images of arc 1 give the coefficients of four
+    # the closed forms in arc 1's five sums give the coefficients of four
     # closed-form calls, one per arc, within the sums' rounding: r(S_1)
     # and nu are the same values, r(S_3) = -r(S_1) and nu_3 = nu, and the
     # odd crosses' coefficients lie within 1e-12 max(1, |ref|)
@@ -454,8 +457,28 @@ def test_property_image_arcs_match_arc_by_arc(n_min, values, v, t):
     ref = coefficient_set_by_arc(*data, stat)
     assert got.r_at_S1 == ref.r_at_S[0] and got.nu == ref.nu[0]
     assert ref.r_at_S[2] == -got.r_at_S1 and ref.nu[2] == got.nu
-    for name, a, b in zip(ODD_FIELDS * 2, odd_values(got), odd_values(ref)):
+    for name, a, b in zip(ODD_FIELDS, odd_values(got), odd_values(ref)):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
+
+
+@pytest.mark.parametrize("amplitude", [0.8, 0.9])
+def test_strong_data_closed_forms_match_arc_by_arc(amplitude):
+    # gaussian(a, 3) at v = -1.5, -1 (nu up to 2.1), where hat_delta is
+    # far from 1, which the property's weak draws never reach: the odd
+    # crosses' coefficients lie within 1e-12 max(1, |ref|) of the four
+    # arcs summed one by one, and delta(0) is a float >= 1
+    pair = harness.reflection_u(InitialProfile(kind="gaussian",
+                                               amplitude=amplitude, width=3.0))
+    for v in (-1.5, -1.0):
+        for t in (100.0, 200.0):
+            stat = stationary_points(RayParams(n=round(v * t), t=t))
+            got = coefficient_set(*pair, stat)
+            ref = coefficient_set_by_arc(*pair, stat)
+            for name, a, b in zip(ODD_FIELDS, odd_values(got),
+                                  odd_values(ref)):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (name, v, t)
+            assert isinstance(got.delta_at_zero, float)
+            assert got.delta_at_zero >= 1.0
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -485,9 +508,10 @@ def test_property_closed_forms_match_panel_doubling(n_min, values, v, t):
 def test_arc_sums_are_images_of_one_another(profile, n, t):
     # |r| on the circle is even under z -> conj(z) (real data) and under
     # z -> -z, so arc T2 -> S2 is the mirror image of arc T1 -> S1 and arc
-    # T3 -> S3 its rotation by pi: the symmetry coefficient_set reads
-    # arcs 2-4 by.  The points (0, S1, S2, S3, S4) map to (0, S2, S1, S4,
-    # S3) under conjugation and to (0, S3, S4, S1, S2) under negation.
+    # T3 -> S3 its rotation by pi: the symmetry behind coefficient_set's
+    # closed forms in arc 1's sums.  The points (0, S1, S2, S3, S4) map to
+    # (0, S2, S1, S4, S3) under conjugation and to (0, S3, S4, S1, S2)
+    # under negation.
     # Each arc is summed on its own, F(S_j) subtracted at its own S_j.
     _, spectrum = reflection(staggered(profile.support_state()))
     stat = stationary_points(RayParams(n=n, t=t))
@@ -512,8 +536,8 @@ def test_quadrature_self_convergence_of_coefficients(make_data, n,
     monkeypatch.setattr(weights, "_SPECTRUM_CUT", 1e-9)
     loose = coefficient_set(*make_data(), stat)
     assert abs(loose.delta_at_zero - tight.delta_at_zero) < 1e-9
+    assert abs(loose.hat_delta - tight.hat_delta) < 1e-9
     for k in range(2):  # j = 1, 3
-        assert abs(loose.hat_delta_at_S[k] - tight.hat_delta_at_S[k]) < 1e-9
         assert abs(loose.delta_j0[k] - tight.delta_j0[k]) < 1e-8
 
 
@@ -568,11 +592,11 @@ def test_random_rows_with_a_narrow_density_settle(index, sites, n, t):
     assert (state.values.size, drawn_n, drawn_t) == (sites, n, t)
     coeffs = coefficient_set(*reflection(state),
                              stationary_points(RayParams(n=n, t=t)))
-    values = (coeffs.nu, coeffs.chi_at_S1, *coeffs.hat_delta_at_S,
+    values = (coeffs.nu, coeffs.chi_at_S1, coeffs.hat_delta,
               *coeffs.delta_j0, coeffs.delta_at_zero)
     assert all(cmath.isfinite(x) for x in values)
-    assert coeffs.delta_at_zero.imag == 0.0
-    assert coeffs.delta_at_zero.real >= 1.0
+    assert isinstance(coeffs.delta_at_zero, float)
+    assert coeffs.delta_at_zero >= 1.0
 
 
 @pytest.mark.parametrize("sites", [20, 30])

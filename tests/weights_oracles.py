@@ -1,8 +1,8 @@
 """One coefficient at a time, by its definition in the weights module
 docstring, and every coefficient at all four S_j with each of the four
 arcs summed on its own: the oracles that `weights.coefficient_set`, which
-sums arc 1, reads the other three arcs as its images and keeps what the
-odd crosses read, is checked against.  With them the four-cross sum
+sums arc 1 and reads delta(0), chi and the one hat_delta from its five
+sums by the symmetry of |r|, is checked against.  With them the four-cross sum
 that rows no longer form: `four_cross_sum` assembles the leading term
 from all four crosses, both branches of `model.m1_entry`, and measures
 its imaginary residual, and `four_cross_value` is that sum in the gauge
@@ -20,7 +20,6 @@ rule with the closed-form sums of the rows.
 import cmath
 import dataclasses
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ from dmkdv import (
 )
 from dmkdv import weights
 from dmkdv.model import _check_j, m1_entry
-from dmkdv.scattering import checked_abs2
+from dmkdv.scattering import check_abs2
 from dmkdv.weights import _T_ANCHORS, _assembled
 
 # the terms of delta_j^0 that `assembled` can replace, and by what:
@@ -93,7 +92,7 @@ def reflection(state) -> tuple:
 
 def log_density(r_eval, z):
     """log(1 - |r(z)|^2) <= 0 past the |r| < 1 guard: the r-form density."""
-    return np.log1p(-checked_abs2(r_eval(z)))
+    return np.log1p(-check_abs2(np.abs(r_eval(z)) ** 2))
 
 
 def _gauss_level_nodes(arc: Arc, panels: int) -> tuple:
@@ -308,22 +307,22 @@ def hat_delta_at_stationary(r_eval, stationary, j: int,
                      for k in (1, 2, 3, 4) if k != j)
 
 
-def assembled(stationary, r_at_S1, g_at_S1, arc_sums, replaced):
+def assembled(stationary, r_at_S1, g_at_S1, s, replaced):
     """weights._assembled on inputs changed so that the term of delta_j^0
     named by `replaced`, one of ABLATIONS, is replaced; the other
-    coefficients stay those of the full formula."""
+    coefficients stay those of the full formula.  s holds arc 1's sums
+    at (0, S_1, .., S_4): chi is s_1, hat_delta reads s_2, s_3, s_4."""
+    s = np.array(s)
     if replaced == "beta":
         root_t = math.sqrt(stationary.ray.t)
         stationary = dataclasses.replace(
             stationary, beta=tuple(beta * root_t for beta in stationary.beta))
-    elif replaced == "chi":  # each arc's sum at its own S_j
-        for j in (1, 2, 3, 4):
-            arc_sums[j - 1][j] = 0.0
-    elif replaced == "hat_delta":  # each arc's sums at the other S_k
-        for j, k in itertools.permutations((1, 2, 3, 4), 2):
-            arc_sums[j - 1][k] = 0.0
+    elif replaced == "chi":
+        s[1] = 0.0
+    elif replaced == "hat_delta":
+        s[2:] = 0.0
     elif replaced == "nu_power":  # nu = 0 in delta_j^0, not in the crosses
-        nu = _assembled(stationary, r_at_S1, g_at_S1, np.array(arc_sums)).nu
+        nu = _assembled(stationary, r_at_S1, g_at_S1, s).nu
         return dataclasses.replace(
-            _assembled(stationary, r_at_S1, 0.0, arc_sums), nu=nu)
-    return _assembled(stationary, r_at_S1, g_at_S1, arc_sums)
+            _assembled(stationary, r_at_S1, 0.0, s), nu=nu)
+    return _assembled(stationary, r_at_S1, g_at_S1, s)
