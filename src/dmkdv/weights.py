@@ -229,10 +229,9 @@ def _assembled(stationary: StationarySet, r_at_S1, g_at_S1,
     S, ray = stationary.S, stationary.ray
     power = cmath.exp(1j * nu * cmath.log(
         stationary.beta[0] / (S[0] - _T_ANCHORS[0])))
-    delta_j0 = tuple(
+    delta_j0 = tuple(  # S_j^-2 = conj(S_j^2) on the circle
         cmath.exp(1j * (ray.n * cmath.phase(Sj) - ray.t * (Sj * Sj).imag))
-        * power * cmath.exp(chi) * hat_delta  # S_j^-2 = conj(S_j^2)
-        for Sj in (S[0], S[2]))
+        * power * cmath.exp(chi) * hat_delta for Sj in (S[0], S[2]))
     return CoefficientSet(
         r_at_S1=complex(r_at_S1), nu=nu, chi_at_S1=chi, hat_delta=hat_delta,
         delta_j0=delta_j0, delta_at_zero=math.exp(4.0 * s[0].real))
